@@ -35,6 +35,9 @@ _LOG_MAX = 700.0
 # the asymptotic bound drops below the 1e-10 recurrence-branch budget.
 ASYMPTOTIC_MIN_ORDER = 250.0
 SERIES_MAX_ARG = 10.0
+# Below the order threshold K comes from Temme's series up to this argument
+# and from Steed's continued fraction above it.
+TEMME_MAX_ARG = 2.0
 ASYMPTOTIC_TERMS = 4
 
 # Relative accuracy validated for the series / continued-fraction branches
@@ -418,7 +421,8 @@ def log_ik_uniform_asymptotic(nu: float, x, n: int = ASYMPTOTIC_TERMS):
 def log_bessel_ik(nu: float, x):
     """(log I_nu, log K_nu, err_i, err_k, method codes) vectorized over x.
 
-    Method codes: 0 series/CF ("series"/"recurrence"), 1 uniform asymptotics.
+    Method codes: 0 series, Temme or continued fractions, 1 uniform
+    asymptotics; bessel_i and bessel_k name the branch that ran.
     """
     nu = _check_order(nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -432,8 +436,8 @@ def log_bessel_ik(nu: float, x):
     if nu >= ASYMPTOTIC_MIN_ORDER:
         li, lk, ei, ek = _log_ik_olver(nu, x)
         return li, lk, ei, ek, np.ones(x.shape, dtype=int)
-    m_small = x <= 2.0
-    m_mid = (x > 2.0) & (x <= SERIES_MAX_ARG)
+    m_small = x <= TEMME_MAX_ARG
+    m_mid = (x > TEMME_MAX_ARG) & (x <= SERIES_MAX_ARG)
     m_big = x > SERIES_MAX_ARG
     if np.any(m_small):
         xs = x[m_small]
@@ -471,34 +475,43 @@ def _scale_exponent(nu: float, x: np.ndarray):
     return nu * olver_eta(np.asarray(x, dtype=float) / nu)
 
 
-def bessel_i(nu: float, x: float, scaled: bool = False) -> BesselEval:
-    """I_nu(x) (or I_nu(x) * exp(-nu eta(x/nu)) when scaled) with error bound."""
+def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
+    """Shared body of bessel_i (kind "I") and bessel_k (kind "K")."""
     nu = _check_order(nu)
-    li, _lk, ei, _ek, meth = log_bessel_ik(nu, x)
-    li, ei, meth = float(li[0]), float(ei[0]), int(meth[0])
-    method = "uniform_asymptotic" if meth == 1 else ("series" if x <= SERIES_MAX_ARG else "recurrence")
+    li, lk, ei, ek, meth = log_bessel_ik(nu, x)
+    if kind == "I":
+        log_v, err, sign = float(li[0]), float(ei[0]), -1.0
+        method = "series" if x <= SERIES_MAX_ARG else "recurrence"
+    else:
+        log_v, err, sign = float(lk[0]), float(ek[0]), 1.0
+        method = "temme" if x <= TEMME_MAX_ARG else "cf2"
+    if int(meth[0]) == 1:
+        method = "uniform_asymptotic"
     if scaled:
-        val = math.exp(li - float(_scale_exponent(nu, np.array([x]))[0]))
-        return BesselEval(True, val, ei, method)
-    if li > _LOG_MAX:
+        scale = float(_scale_exponent(nu, np.array([x]))[0])
+        return BesselEval(True, math.exp(log_v + sign * scale), err, method)
+    if log_v > _LOG_MAX:
         raise OverflowModeError(
-            f"I_{nu}({x}) overflows double precision; use scaled=True")
-    return BesselEval(False, math.exp(li), ei, method)
+            f"{kind}_{nu}({x}) overflows double precision; use scaled=True")
+    return BesselEval(False, math.exp(log_v), err, method)
+
+
+def bessel_i(nu: float, x: float, scaled: bool = False) -> BesselEval:
+    """I_nu(x) (or I_nu(x) * exp(-nu eta(x/nu)) when scaled) with error bound.
+
+    ``method`` is "series" (x <= SERIES_MAX_ARG), "recurrence" (CF1 plus
+    the Wronskian) or "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).
+    """
+    return _bessel_eval("I", nu, x, scaled)
 
 
 def bessel_k(nu: float, x: float, scaled: bool = False) -> BesselEval:
-    """K_nu(x) (or K_nu(x) * exp(+nu eta(x/nu)) when scaled) with error bound."""
-    nu = _check_order(nu)
-    _li, lk, _ei, ek, meth = log_bessel_ik(nu, x)
-    lk, ek, meth = float(lk[0]), float(ek[0]), int(meth[0])
-    method = "uniform_asymptotic" if meth == 1 else ("series" if x <= SERIES_MAX_ARG else "recurrence")
-    if scaled:
-        val = math.exp(lk + float(_scale_exponent(nu, np.array([x]))[0]))
-        return BesselEval(True, val, ek, method)
-    if lk > _LOG_MAX:
-        raise OverflowModeError(
-            f"K_{nu}({x}) overflows double precision; use scaled=True")
-    return BesselEval(False, math.exp(lk), ek, method)
+    """K_nu(x) (or K_nu(x) * exp(+nu eta(x/nu)) when scaled) with error bound.
+
+    ``method`` is "temme" (x <= TEMME_MAX_ARG), "cf2" (Steed's continued
+    fraction) or "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).
+    """
+    return _bessel_eval("K", nu, x, scaled)
 
 
 def bessel_log_derivatives(nu: float, x: float):

@@ -29,8 +29,8 @@ from .kernels import ConeKernel, WeightedAction, free_schur_integrals
 from .model import FiberSpectrum, ModelBlock, check_witt, solve_scalar
 from .parametrix import EdgeFunction, mapping_bounds
 from .scales import (DEFAULT_SEED, ScaleGenerator, intersection_scale_check,
-                     random_psd_block, same_scale_demo, tensor_generator,
-                     tensor_positivity_check)
+                     random_psd_block, same_scale_demo, tensor_positivity_check,
+                     tensor_power_error)
 
 SUITES = ("bessel", "schur", "model", "parametrix", "gb", "scales", "witt",
           "all")
@@ -65,9 +65,7 @@ class RunConfig:
     spectrum: tuple = (1.6, -1.6, 2.6, -2.6)
     gap: float = 1.0
     delta_min: float = 0.05
-    tol_factor: float = 1.1
     seed: int = DEFAULT_SEED
-    output_format: str = "json"
 
 
 def _record(check, params, measured, bound, passed, t0):
@@ -198,13 +196,9 @@ def _suite_scales(cfg: RunConfig):
         return ScaleGenerator(g @ g.T + (d + 1.0) * np.eye(d))
 
     g1, g2 = gen(5), gen(4)
-    try:
-        tensor_generator(g1, g2)
-        tensor_ok, tensor_err = True, 0.0
-    except EdgespecError as exc:  # pragma: no cover - defensive
-        tensor_ok, tensor_err = False, 1.0
+    err = tensor_power_error(g1, g2)
     out.append(_record("scales.tensor_power_identity", {"dims": "5x4"},
-                       tensor_err, 1e-10, tensor_ok, t0))
+                       err, 1e-10, err <= 1e-10, t0))
     t0 = time.time()
     rep = intersection_scale_check(g1, g2, s=1.3, theta=0.4, trials=50,
                                    seed=cfg.seed)
@@ -313,7 +307,6 @@ def _build_parser():
                    help="comma-separated fiber eigenvalues")
     p.add_argument("--gap", type=float, default=1.0)
     p.add_argument("--delta-min", type=float, default=0.05)
-    p.add_argument("--tol-factor", type=float, default=1.1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", choices=("json", "csv"), default="json")
     p.add_argument("--out", type=str, default=None)
@@ -338,9 +331,7 @@ def main(argv=None):
             return 2
     cfg = RunConfig(grid_n=args.grid_n, x_min=args.x_min, x_max=args.x_max,
                     nu=args.nu, beta=args.beta, spectrum=spectrum,
-                    gap=args.gap, delta_min=args.delta_min,
-                    tol_factor=args.tol_factor, seed=seed,
-                    output_format=args.output)
+                    gap=args.gap, delta_min=args.delta_min, seed=seed)
     try:
         records = run_suite(args.suite, cfg)
         payload = emit(records, args.output)

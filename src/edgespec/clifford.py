@@ -20,6 +20,8 @@ import numpy as np
 import sympy as sp
 
 from .errors import ConfigurationError
+from .grids import fd_dx, fd_scalar
+from .model import interior_discrepancy
 
 
 def build_clifford():
@@ -158,19 +160,15 @@ def assemble_dirac(model: ModelEdgeDirac, grid, fiber_index: int = 0):
     D = Gamma (d/dx + X^{-1} a s_sign) + d t_sign for the chosen fiber pair
     (a, d); centered differences with one-sided boundary rows.
     """
-    from .grids import _t_derivative_matrices
     a = float(model.a_spectrum[fiber_index])
     d = float(model.dy_spectrum[fiber_index])
     _, _, _, gamma, s_sign, t_sign = build_clifford()
     g = _dense(gamma)
     s = a * _dense(s_sign)
     t = d * _dense(t_sign)
-    d1, _ = _t_derivative_matrices(grid)
-    dx = d1 / grid.nodes[:, None]
     inv_x = np.diag(1.0 / grid.nodes)
-    n = grid.n
-    return (np.kron(g, dx) + np.kron(g @ s, inv_x)
-            + np.kron(t, np.eye(n)))
+    return (np.kron(g, fd_dx(grid)) + np.kron(g @ s, inv_x)
+            + np.kron(t, np.eye(grid.n)))
 
 
 def dirac_square_structure(model: ModelEdgeDirac, u, grid,
@@ -180,8 +178,6 @@ def dirac_square_structure(model: ModelEdgeDirac, u, grid,
     The closed form is the diagonal operator
     -d^2/dx^2 + X^{-2}(a^2 I + a s_sign) + d^2 I applied componentwise.
     """
-    from .grids import _t_derivative_matrices
-    from .model import interior_slice
     u = np.asarray(u, dtype=float)
     n = grid.n
     if u.shape != (4, n):
@@ -190,15 +186,7 @@ def dirac_square_structure(model: ModelEdgeDirac, u, grid,
     d = float(model.dy_spectrum[fiber_index])
     dm = assemble_dirac(model, grid, fiber_index)
     twice = (dm @ (dm @ u.reshape(4 * n))).reshape(4, n)
-    d1, d2 = _t_derivative_matrices(grid)
-    inv_x2 = 1.0 / grid.nodes ** 2
-    lap = -inv_x2[:, None] * (d2 - d1)
     signs = np.diag(_dense(build_clifford()[4]))
-    direct = np.empty_like(u)
-    for c in range(4):
-        pot = (a * a + a * signs[c]) * inv_x2 + d * d
-        direct[c] = lap @ u[c] + pot * u[c]
-    sl = interior_slice(n)
-    diff = np.max(np.abs(twice[:, sl] - direct[:, sl]))
-    scale = max(np.max(np.abs(direct[:, sl])), 1e-300)
-    return {"max_discrepancy": float(diff), "relative": float(diff / scale)}
+    direct = np.vstack([fd_scalar(a * a + a * signs[c], d, grid) @ u[c]
+                        for c in range(4)])
+    return interior_discrepancy(twice, direct)

@@ -1,5 +1,9 @@
 """Half-line grids, quadrature, Nystrom/finite-difference assembly, norms.
 
+This module is the one home of the finite-difference stencils: the model,
+parametrix and Clifford layers build their FD matrices with ``fd_dx``,
+``fd_scalar`` and ``fd_first_order``.
+
 Everything lives on a truncated half-line [x_min, x_max] with log-spaced
 nodes; in the variable t = ln x the edge derivative (x d/dx) is plain d/dt
 and the model operator -d^2/dx^2 becomes -x^{-2}(d_t^2 - d_t).
@@ -94,11 +98,6 @@ class DiscreteOperator:
     def apply(self, u):
         return self.matrix @ np.asarray(u, dtype=float)
 
-    def metric_adjoint(self):
-        return DiscreteOperator(
-            metric_adjoint_matrix(self.matrix, self.metric_weights),
-            self.grid, self.metric_weights)
-
 
 def metric_adjoint_matrix(matrix, weights):
     """Adjoint of ``matrix`` for the inner product <u, v> = sum w u v."""
@@ -165,6 +164,38 @@ def _t_derivative_matrices(grid: HalfLineGrid):
     return d1, d2
 
 
+def fd_dx(grid: HalfLineGrid):
+    """FD matrix of d/dx = x^{-1} d/dt."""
+    d1, _ = _t_derivative_matrices(grid)
+    return d1 / grid.nodes[:, None]
+
+
+def fd_scalar(coef: float, beta: float, grid: HalfLineGrid):
+    """FD matrix of -d^2/dx^2 + coef/x^2 + beta^2 (no Witt validation)."""
+    d1, d2 = _t_derivative_matrices(grid)
+    inv_x2 = 1.0 / grid.nodes ** 2
+    m = -inv_x2[:, None] * (d2 - d1)
+    m[np.diag_indices_from(m)] += coef * inv_x2 + beta * beta
+    return m
+
+
+def fd_first_order(mu: float, xi: float, grid: HalfLineGrid):
+    """Dense 2N x 2N FD matrix of [[xi, -(d/dx - mu/x)], [d/dx + mu/x, -xi]].
+
+    xi is a signed frequency; its square is
+    diag(-d^2/dx^2 + mu(mu+1)/x^2 + xi^2, -d^2/dx^2 + mu(mu-1)/x^2 + xi^2).
+    """
+    n = grid.n
+    dx = fd_dx(grid)
+    mu_over_x = np.diag(mu / grid.nodes)
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, :n] = xi * np.eye(n)
+    m[:n, n:] = -(dx - mu_over_x)
+    m[n:, :n] = dx + mu_over_x
+    m[n:, n:] = -xi * np.eye(n)
+    return m
+
+
 def fd_assemble_model(nu: float, beta: float,
                       grid: HalfLineGrid) -> DiscreteOperator:
     """Finite-difference matrix for -d^2/dx^2 + x^{-2}(nu^2 - 1/4) + beta^2."""
@@ -174,11 +205,8 @@ def fd_assemble_model(nu: float, beta: float,
     if h > 0.25:
         raise ConfigurationError(
             f"log spacing {h:.3f} too coarse to resolve the 1/x^2 potential")
-    d1, d2 = _t_derivative_matrices(grid)
-    inv_x2 = 1.0 / grid.nodes ** 2
-    m = -inv_x2[:, None] * (d2 - d1)
-    m[np.diag_indices_from(m)] += (nu * nu - 0.25) * inv_x2 + beta * beta
-    return DiscreteOperator(m, grid, grid.weights)
+    return DiscreteOperator(fd_scalar(nu * nu - 0.25, beta, grid), grid,
+                            grid.weights)
 
 
 def operator_norm(op: DiscreteOperator, tol: float = POWER_ITER_TOL,

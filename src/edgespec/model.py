@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError, WittViolationError
-from .grids import (HalfLineGrid, build_grid, fd_assemble_model,
-                    nystrom_assemble, operator_norm, _t_derivative_matrices)
+from .grids import (HalfLineGrid, build_grid, fd_first_order, fd_scalar,
+                    nystrom_assemble, operator_norm)
 from .kernels import ConeKernel, WeightedAction, weighted_kernel_matrix
 
 DEFAULT_GAP = 1.0
@@ -122,26 +122,11 @@ def solve_scalar(block: ModelBlock, g, grid: HalfLineGrid):
     return m @ (grid.weights * g)
 
 
-def _dx_matrix(grid: HalfLineGrid):
-    d1, _ = _t_derivative_matrices(grid)
-    return d1 / grid.nodes[:, None]
-
-
 def block_matrix(block: ModelBlock, grid: HalfLineGrid):
     """Dense 2N x 2N finite-difference matrix of the first-order 2x2 system."""
     if block.kind != "block_L":
         raise ConfigurationError("block_matrix expects a block_L block")
-    n = grid.n
-    mu = block.nu - 0.5
-    beta = block.xi_norm
-    dx = _dx_matrix(grid)
-    mu_over_x = np.diag(mu / grid.nodes)
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = beta * np.eye(n)
-    m[:n, n:] = -(dx - mu_over_x)
-    m[n:, :n] = dx + mu_over_x
-    m[n:, n:] = -beta * np.eye(n)
-    return m
+    return fd_first_order(block.nu - 0.5, block.xi_norm, grid)
 
 
 def block_apply(block: ModelBlock, f, grid: HalfLineGrid):
@@ -155,19 +140,18 @@ def block_apply(block: ModelBlock, f, grid: HalfLineGrid):
     return out.reshape(2, grid.n)
 
 
-def _fd_scalar(coef: float, beta: float, grid: HalfLineGrid):
-    """FD matrix of -d^2/dx^2 + coef/x^2 + beta^2 (no Witt validation)."""
-    d1, d2 = _t_derivative_matrices(grid)
-    inv_x2 = 1.0 / grid.nodes ** 2
-    m = -inv_x2[:, None] * (d2 - d1)
-    m[np.diag_indices_from(m)] += coef * inv_x2 + beta * beta
-    return m
-
-
 def interior_slice(n: int, fraction: float = 0.8):
     """Central portion of the nodes, excluding boundary-closure artifacts."""
     skip = int(round(0.5 * (1.0 - fraction) * n))
     return slice(skip, n - skip)
+
+
+def interior_discrepancy(approx, exact):
+    """Max and relative gap of two (components, N) arrays on interior nodes."""
+    sl = interior_slice(exact.shape[1])
+    diff = np.max(np.abs(approx[:, sl] - exact[:, sl]))
+    scale = max(np.max(np.abs(exact[:, sl])), 1e-300)
+    return {"max_discrepancy": float(diff), "relative": float(diff / scale)}
 
 
 def verify_square_identity(nu: float, beta: float, u, grid: HalfLineGrid):
@@ -182,15 +166,11 @@ def verify_square_identity(nu: float, beta: float, u, grid: HalfLineGrid):
     twice = block_apply(block, block_apply(block, u, grid), grid)
     mu = nu - 0.5
     direct = np.vstack([
-        _fd_scalar(mu * (mu + 1.0), beta, grid) @ u[0],
-        _fd_scalar(mu * (mu - 1.0), beta, grid) @ u[1],
+        fd_scalar(mu * (mu + 1.0), beta, grid) @ u[0],
+        fd_scalar(mu * (mu - 1.0), beta, grid) @ u[1],
     ])
-    sl = interior_slice(grid.n)
-    diff = np.max(np.abs(twice[:, sl] - direct[:, sl]))
-    scale = max(np.max(np.abs(direct[:, sl])), 1e-300)
-    return {"max_discrepancy": float(diff),
-            "relative": float(diff / scale),
-            "interior_nodes": grid.n - 2 * sl.start}
+    return {**interior_discrepancy(twice, direct),
+            "interior_nodes": grid.n - 2 * interior_slice(grid.n).start}
 
 
 ACTIONS = (WeightedAction(-2, 0), WeightedAction(-2, 1), WeightedAction(-2, 2))

@@ -13,15 +13,14 @@ to solver tolerance.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (ConfigurationError, NumericalError, PreconditionError,
                      WittViolationError)
-from .grids import HalfLineGrid, fd_assemble_model
-from .model import ModelBlock, _dx_matrix
+from .grids import HalfLineGrid, fd_assemble_model, fd_first_order
 
 Y_PERIOD = 2.0 * math.pi
 MAX_Y_MODES = 64
@@ -67,23 +66,9 @@ def _xi_modes(n_y):
     return np.fft.fftfreq(n_y, d=1.0 / n_y)
 
 
-def _first_order_matrix(nu, xi, grid):
-    """Signed-frequency 2x2 block matrix; xi may be negative."""
-    n = grid.n
-    mu = nu - 0.5
-    dx = _dx_matrix(grid)
-    mu_over_x = np.diag(mu / grid.nodes)
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = xi * np.eye(n)
-    m[:n, n:] = -(dx - mu_over_x)
-    m[n:, :n] = dx + mu_over_x
-    m[n:, n:] = -xi * np.eye(n)
-    return m
-
-
 def _mode_matrix(nu, xi, grid, order):
     if order == "first":
-        return _first_order_matrix(nu, xi, grid)
+        return fd_first_order(nu - 0.5, xi, grid)
     if order == "second":
         return fd_assemble_model(nu, abs(xi), grid).matrix
     raise ConfigurationError(f"unknown order {order!r}")

@@ -157,4 +157,8 @@ def test_method_reporting():
     assert bessel_i(2.0, 1.0).method == "series"
     assert bessel_i(2.0, 50.0).method == "recurrence"
     assert bessel_i(300.0, 1.0).method == "uniform_asymptotic"
+    assert bessel_k(2.0, 1.0).method == "temme"
+    assert bessel_k(2.0, 5.0).method == "cf2"
+    assert bessel_k(2.0, 50.0).method == "cf2"
+    assert bessel_k(300.0, 1.0, scaled=True).method == "uniform_asymptotic"
     assert isinstance(bessel_i(2.0, 1.0), BesselEval)

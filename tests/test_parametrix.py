@@ -3,7 +3,7 @@ import pytest
 
 from edgespec.errors import (ConfigurationError, PreconditionError,
                              WittViolationError)
-from edgespec.grids import build_grid
+from edgespec.grids import build_grid, fd_first_order
 from edgespec.parametrix import (EdgeFunction, mapping_bounds,
                                  parametrix_apply)
 
@@ -114,16 +114,16 @@ def test_mode_diagonality():
 
 
 def test_energy_inequality_witness():
-    # || L_xi v ||^2 >= xi^2 ||v||^2 for compactly supported v
-    from edgespec.parametrix import _first_order_matrix
+    # || L_xi v ||^2 >= xi^2 ||v||^2 for compactly supported v, both signs
+    # of xi; L_xi is the nu = 2.1 (mu = 1.6) first-order mode matrix
     grid = build_grid(300, 1e-2, 1e2)
     x, t = grid.nodes, np.log(grid.nodes)
     v1 = np.exp(-6.0 * (t + 1.0) ** 2) * ((x > 0.02) & (x < 0.9))
     v2 = np.exp(-6.0 * (t + 1.5) ** 2) * ((x > 0.02) & (x < 0.9))
     v = np.concatenate([v1, v2])
     w = np.tile(grid.weights, 2)
-    for xi in (1.0, 4.0, 8.0):
-        m = _first_order_matrix(2.1, xi, grid)
+    for xi in (1.0, 4.0, 8.0, -4.0):
+        m = fd_first_order(1.6, xi, grid)
         lv = m @ v
         lhs = float(w @ lv ** 2)
         rhs = xi * xi * float(w @ v ** 2)
