@@ -25,7 +25,8 @@ from .bessel import log_bessel_ik, log_ik_uniform_asymptotic
 from .clifford import commutator_report
 from .errors import EdgespecError, PreconditionError
 from .grids import build_grid, nystrom_assemble, operator_norm
-from .kernels import ConeKernel, WeightedAction, free_schur_integrals
+from .kernels import (ConeKernel, WeightedAction, free_schur_integrals,
+                      weighted_kernel)
 from .model import FiberSpectrum, ModelBlock, check_witt, solve_scalar
 from .parametrix import EdgeFunction, mapping_bounds
 from .scales import (DEFAULT_SEED, ScaleGenerator, intersection_scale_check,
@@ -71,7 +72,7 @@ class RunConfig:
 def _record(check, params, measured, bound, passed, t0):
     return CheckRecord(check, dict(params), float(measured),
                        float(bound), bool(passed),
-                       int(round((time.time() - t0) * 1000)))
+                       int(round((time.perf_counter() - t0) * 1000)))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,7 @@ def _record(check, params, measured, bound, passed, t0):
 
 def _suite_bessel(cfg: RunConfig):
     out = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     nus = np.exp(np.linspace(math.log(0.5), math.log(50.0), 20))
     xs = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 20))
     worst = 0.0
@@ -92,7 +93,7 @@ def _suite_bessel(cfg: RunConfig):
     out.append(_record("bessel.wronskian", {"grid": "20x20"},
                        worst, 1e-10, worst <= 1e-10, t0))
     for mu in (10.0, 20.0, 40.0):
-        t0 = time.time()
+        t0 = time.perf_counter()
         li_r, lk_r, *_ = log_bessel_ik(mu, xs)
         li_a, lk_a, ei, ek = log_ik_uniform_asymptotic(mu, xs)
         err = max(float(np.max(np.abs(np.expm1(li_a - li_r)) / ei)),
@@ -105,7 +106,7 @@ def _suite_bessel(cfg: RunConfig):
 def _suite_schur(cfg: RunConfig):
     out = []
     nu, beta = cfg.nu, cfg.beta
-    t0 = time.time()
+    t0 = time.perf_counter()
     row, col = free_schur_integrals(nu)
     grid = build_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
     kern = (ConeKernel("free", nu, delta_min=cfg.delta_min) if beta == 0.0
@@ -119,14 +120,12 @@ def _suite_schur(cfg: RunConfig):
         # column integral int_0^infty x^{-2} k(x, 1) dx; both branches decay
         # like powers, so a wide log-panel rule resolves it to quadrature
         # precision.
-        t0 = time.time()
-        from .kernels import weighted_kernel_matrix
+        t0 = time.perf_counter()
         col_quad = 0.0
         # split at the kernel's branch kink x = y = 1
         for lo, hi in ((1e-10, 1.0), (1.0, 1e8)):
             quad = build_grid(1024, lo, hi, scheme="log_gauss_panels")
-            kcol = weighted_kernel_matrix(kern, WeightedAction(-2, 0),
-                                          quad.nodes, np.array([1.0]))[:, 0]
+            kcol = weighted_kernel(kern, WeightedAction(-2, 0), quad.nodes, 1.0)
             col_quad += float(kcol @ quad.weights)
         rel = abs(col_quad - col) / col
         out.append(_record("schur.col_integral", {"nu": nu},
@@ -135,7 +134,7 @@ def _suite_schur(cfg: RunConfig):
 
 
 def _suite_model(cfg: RunConfig):
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = build_grid(cfg.grid_n, max(cfg.x_min, 1e-2), min(cfg.x_max, 1e2))
     block = ModelBlock("scalar_L2", cfg.nu, cfg.beta)
     from .grids import fd_assemble_model
@@ -159,7 +158,7 @@ def _suite_parametrix(cfg: RunConfig):
     nus = tuple(abs(s) + 0.5 for s in cfg.spectrum if s > 0) or (2.1,)
     mask = (grid.nodes > 0.05) & (grid.nodes < 0.8)
     for order, n_c in (("first", 2), ("second", 1)):
-        t0 = time.time()
+        t0 = time.perf_counter()
         s = np.zeros((grid.n, cfg.y_modes, len(nus), n_c))
         s[mask] = rng.normal(size=(int(mask.sum()), cfg.y_modes,
                                    len(nus), n_c))
@@ -179,7 +178,7 @@ def _suite_gb(cfg: RunConfig):
     out = []
     names = ("gb.anticommutator_gamma_s", "gb.anticommutator_gamma_t",
              "gb.commutator_t_s")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for name, mat in zip(names, commutator_report()):
         worst = max(abs(complex(v)) for v in mat)
         out.append(_record(name, {}, worst, 0.0, worst == 0.0, t0))
@@ -189,7 +188,7 @@ def _suite_gb(cfg: RunConfig):
 def _suite_scales(cfg: RunConfig):
     out = []
     rng = np.random.default_rng(cfg.seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     def gen(d):
         g = rng.normal(size=(d, d))
@@ -199,14 +198,14 @@ def _suite_scales(cfg: RunConfig):
     err = tensor_power_error(g1, g2)
     out.append(_record("scales.tensor_power_identity", {"dims": "5x4"},
                        err, 1e-10, err <= 1e-10, t0))
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = intersection_scale_check(g1, g2, s=1.3, theta=0.4, trials=50,
                                    seed=cfg.seed)
     out.append(_record("scales.intersection_sandwich", {"s": 1.3,
                                                         "theta": 0.4},
                        rep["worst_margin"], 1e-10,
                        rep["violations"] == 0, t0))
-    t0 = time.time()
+    t0 = time.perf_counter()
     a = random_psd_block(3, 2, rng)
     b = random_psd_block(3, 2, rng)
     pos = tensor_positivity_check(a, b, trials=20, seed=cfg.seed)
@@ -214,7 +213,7 @@ def _suite_scales(cfg: RunConfig):
               pos["lambda_min_monotone"])
     out.append(_record("scales.tensor_positivity", {"trials": 20},
                        lam, -1e-10, pos["passes"], t0))
-    t0 = time.time()
+    t0 = time.perf_counter()
     demo = same_scale_demo(a=1.0, n=cfg.grid_n)
     ratios = [f["resid_zero_condition"] / max(f["resid_a_condition"], 1e-300)
               for f in demo["eigenfunctions"]]
@@ -225,7 +224,7 @@ def _suite_scales(cfg: RunConfig):
 
 
 def _suite_witt(cfg: RunConfig):
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = check_witt(FiberSpectrum(tuple(cfg.spectrum), cfg.gap))
     return [_record("witt.spectral_gap",
                     {"spectrum": ",".join(str(s) for s in cfg.spectrum),

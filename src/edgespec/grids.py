@@ -7,6 +7,9 @@ parametrix and Clifford layers build their FD matrices with ``fd_dx``,
 Everything lives on a truncated half-line [x_min, x_max] with log-spaced
 nodes; in the variable t = ln x the edge derivative (x d/dx) is plain d/dt
 and the model operator -d^2/dx^2 becomes -x^{-2}(d_t^2 - d_t).
+
+The Nystrom diagonal pass evaluates the kernel only at the pairs it keeps;
+``operator_norm`` iterates on a Gram matrix formed once.
 """
 
 import math
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, WittViolationError
-from .kernels import ConeKernel, WeightedAction, weighted_kernel_matrix
+from .kernels import (ConeKernel, WeightedAction, weighted_kernel,
+                      weighted_kernel_matrix)
 
 X_MIN_DEFAULT = 1e-4
 X_MAX_DEFAULT = 1e3
@@ -74,15 +78,11 @@ def build_grid(n: int, x_min: float = X_MIN_DEFAULT,
         panels = max(1, round(n / GAUSS_PANEL_NODES))
         gl_x, gl_w = np.polynomial.legendre.leggauss(GAUSS_PANEL_NODES)
         edges = np.linspace(t0, t1, panels + 1)
-        ts, ws = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            ts.append(mid + half * gl_x)
-            ws.append(half * gl_w)
-        t = np.concatenate(ts)
-        nodes = np.exp(t)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes = np.exp((mid[:, None] + half[:, None] * gl_x).ravel())
         # dx = x dt turns the t-panel weights into weights for dx-integrals
-        w = np.concatenate(ws) * nodes
+        w = (half[:, None] * gl_w).ravel() * nodes
         return HalfLineGrid(nodes, w, scheme, x_min, x_max)
     raise ConfigurationError(f"unknown grid scheme {scheme!r}")
 
@@ -135,12 +135,7 @@ def _diagonal_cell_integrals(kernel: ConeKernel, action: WeightedAction,
     half = 0.5 * (hi - lo)
     ys = 0.5 * (hi + lo)[:, None] + half[:, None] * gl_x[None, :]
     ws = half[:, None] * gl_w[None, :]
-    vals = weighted_kernel_matrix(kernel, action, x, ys.ravel())
-    n = grid.n
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = vals[i, i * n_sub:(i + 1) * n_sub] @ ws[i]
-    return out
+    return np.sum(weighted_kernel(kernel, action, x[:, None], ys) * ws, axis=1)
 
 
 def _t_derivative_matrices(grid: HalfLineGrid):
@@ -213,24 +208,24 @@ def operator_norm(op: DiscreteOperator, tol: float = POWER_ITER_TOL,
                   max_iter: int = POWER_ITER_MAX) -> float:
     """Largest singular value w.r.t. the weighted inner product.
 
-    Power iteration on M*M with the metric adjoint M* = W^{-1} M^T W;
-    deterministic all-ones start.
+    Power iteration on M*M (metric adjoint M* = W^{-1} M^T W) from the
+    all-ones vector, run as z = W^{1/2} v on the Gram matrix B = A^T A of
+    A = W^{1/2} M W^{-1/2}, formed once: one symmetric matvec per step.
     """
     if tol <= 0.0:
         raise ConfigurationError("tolerance must be positive")
-    m = op.matrix
-    w = op.metric_weights
-    v = np.ones(m.shape[1])
-    v /= math.sqrt(float(w @ v ** 2))
+    sw = np.sqrt(op.metric_weights)
+    a = sw[:, None] * op.matrix / sw[None, :]
+    b = a.T @ a
+    z = sw / np.linalg.norm(sw)  # v = 1 / ||1||_W
     lam = 0.0
     for it in range(max_iter):
-        mv = m @ v
-        bv = (m.T @ (w * mv)) / w
-        lam_new = float(w @ (bv * v))
-        norm_bv = math.sqrt(float(w @ bv ** 2))
-        if norm_bv == 0.0:
+        bz = b @ z
+        lam_new = float(bz @ z)
+        norm_bz = math.sqrt(float(bz @ bz))
+        if norm_bz == 0.0:
             return 0.0
-        v = bv / norm_bv
+        z = bz / norm_bz
         if it > 0 and abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
             return math.sqrt(max(lam_new, 0.0))
         lam = lam_new

@@ -12,8 +12,8 @@ analytically: by power rules for the free kind and by the order recurrences
     (u d/du)[u^k K_m] = (k+m) u^k K_m - u^{k+1} K_{m+1},
     (u d/du)[u^k I_m] = (k+m) u^k I_m + u^{k+1} I_{m+1},
 
-for the Bessel kind.  All evaluation happens in log space; underflow clamps
-to zero.
+for the Bessel kind.  ``weighted_kernel`` evaluates them at broadcastable x
+and y in log space, Bessel factors before broadcasting; underflow clamps to 0.
 """
 
 import math
@@ -79,10 +79,10 @@ IDENTITY_ACTION = WeightedAction(0, 0)
 
 
 def _bessel_terms(nu, w, a, side):
-    """Term list [(coef, k_power, order)] for (u d/du)^a [u^{w+1/2} B_nu(u)].
+    """Term list [(coef, k_power, offset)] for (u d/du)^a [u^{w+1/2} B_nu(u)].
 
     ``side`` is "K" (sign -1 on the order-raising term) or "I" (sign +1).
-    Orders only ever move up, keeping them positive.
+    Orders nu + offset only ever move up, keeping them positive.
     """
     step = -1.0 if side == "K" else 1.0
     terms = {(w + 0.5, 0): 1.0}
@@ -93,7 +93,7 @@ def _bessel_terms(nu, w, a, side):
             new[(k, off)] = new.get((k, off), 0.0) + c * (k + m)
             new[(k + 1.0, off + 1)] = new.get((k + 1.0, off + 1), 0.0) + c * step
         terms = new
-    return [(c, k, nu + off) for (k, off), c in sorted(terms.items()) if c != 0.0]
+    return [(c, k, off) for (k, off), c in sorted(terms.items()) if c != 0.0]
 
 
 def _free_branch(nu, w, a, logx, logy, lower, mask):
@@ -112,33 +112,51 @@ def _free_branch(nu, w, a, logx, logy, lower, mask):
             np.where(mask, ex * logx + ey * logy, -np.inf))
 
 
-def _bessel_x_part(nu, w, a, beta, x, side):
-    """(signed sum S, log magnitude offset) of the x-factor term combination.
+def _bessel_x_part(nu, w, a, beta, x):
+    """Yield (S, lmax) of the K side, then of the I side, of the x-factor.
 
-    The factor is beta^{-(w+1/2)} sum_t c_t u^{k_t} B_{m_t}(u) with u = beta x.
-    Returned as (S, lmax) with value = S * exp(lmax), elementwise over x.
+    Each side's factor is beta^{-(w+1/2)} sum_t c_t u^{k_t} B_{nu+off_t}(u)
+    with u = beta x; its value is S * exp(lmax), elementwise over x.  One
+    log_bessel_ik call per order nu..nu+a serves both sides.
     """
-    u = beta * np.asarray(x, dtype=float)
+    u = beta * x
     logu = np.log(u)
-    terms = _bessel_terms(nu, w, a, side)
-    logs = np.empty((len(terms),) + u.shape)
-    coefs = np.empty(len(terms))
-    for t, (c, k, m) in enumerate(terms):
-        li, lk, _, _, _ = log_bessel_ik(m, u)
-        lb = lk if side == "K" else li
-        logs[t] = k * logu + lb
-        coefs[t] = c
-    lmax = logs.max(axis=0)
-    with np.errstate(under="ignore"):
-        s = np.einsum("t,t...->...", coefs, np.exp(logs - lmax))
-    return s, lmax - (w + 0.5) * math.log(beta)
+    log_ik = [log_bessel_ik(nu + off, u)[:2] for off in range(a + 1)]
+    for side, pick in (("K", 1), ("I", 0)):
+        terms = _bessel_terms(nu, w, a, side)
+        logs = np.array([k * logu + log_ik[off][pick] for _, k, off in terms])
+        lmax = logs.max(axis=0)
+        with np.errstate(under="ignore"):
+            s = np.einsum("t,t...->...", [c for c, _, _ in terms],
+                          np.exp(logs - lmax))
+        yield s, lmax - (w + 0.5) * math.log(beta)
 
 
-def _bessel_y_part(nu, beta, y, side):
-    """log of the y-factor y^{1/2} B_nu(beta y), B = I or K per ``side``."""
-    y = np.asarray(y, dtype=float)
+def weighted_kernel(kernel: ConeKernel, action: WeightedAction, x, y):
+    """[x^w (x d/dx)^a k](x, y) at broadcastable positive arrays x and y.
+
+    The Bessel factors are evaluated before x and y broadcast: one
+    log_bessel_ik call per order nu..nu+a at beta x and one at beta y.
+    """
+    x, y = np.atleast_1d(np.asarray(x, float), np.asarray(y, float))
+    if np.any(x <= 0.0) or np.any(y <= 0.0):
+        raise DomainError("kernel arguments must be positive")
+    nu, w, a = kernel.nu, action.weight_power, action.edge_derivatives
+    lower = y <= x
+    if kernel.kind == "free":
+        lx, ly = np.log(x), np.log(y)
+        return (_free_branch(nu, w, a, lx, ly, True, lower)
+                + _free_branch(nu, w, a, lx, ly, False, ~lower))
+    beta = kernel.beta
+    (s_lo, off_lo), (s_hi, off_hi) = _bessel_x_part(nu, w, a, beta, x)
     li, lk, _, _, _ = log_bessel_ik(nu, beta * y)
-    return 0.5 * np.log(y) + (li if side == "I" else lk)
+    half_logy = 0.5 * np.log(y)
+    # mask the unused branch before exponentiating: its log magnitude can
+    # overflow even though the selected branch never does
+    e_lo = np.where(lower, off_lo + (half_logy + li), -np.inf)
+    e_hi = np.where(lower, -np.inf, off_hi + (half_logy + lk))
+    with np.errstate(under="ignore"):
+        return s_lo * np.exp(e_lo) + s_hi * np.exp(e_hi)
 
 
 def weighted_kernel_matrix(kernel: ConeKernel, action: WeightedAction, xs, ys):
@@ -147,33 +165,14 @@ def weighted_kernel_matrix(kernel: ConeKernel, action: WeightedAction, xs, ys):
     Entry (i, j) = [x^w (x d/dx)^a k](x_i, y_j); no quadrature weights are
     applied.  Bessel evaluations are O(len(xs) + len(ys)).
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise DomainError("kernel arguments must be positive")
-    nu, w, a = kernel.nu, action.weight_power, action.edge_derivatives
-    lower = ys[None, :] <= xs[:, None]
-    if kernel.kind == "free":
-        lx, ly = np.log(xs)[:, None], np.log(ys)[None, :]
-        return (_free_branch(nu, w, a, lx, ly, True, lower)
-                + _free_branch(nu, w, a, lx, ly, False, ~lower))
-    beta = kernel.beta
-    s_lo, off_lo = _bessel_x_part(nu, w, a, beta, xs, "K")
-    s_hi, off_hi = _bessel_x_part(nu, w, a, beta, xs, "I")
-    ly_lo = _bessel_y_part(nu, beta, ys, "I")
-    ly_hi = _bessel_y_part(nu, beta, ys, "K")
-    # mask the unused branch before exponentiating: its log magnitude can
-    # overflow even though the selected branch never does
-    e_lo = np.where(lower, off_lo[:, None] + ly_lo[None, :], -np.inf)
-    e_hi = np.where(lower, -np.inf, off_hi[:, None] + ly_hi[None, :])
-    with np.errstate(under="ignore"):
-        return s_lo[:, None] * np.exp(e_lo) + s_hi[:, None] * np.exp(e_hi)
+    return weighted_kernel(kernel, action, np.reshape(xs, (-1, 1)),
+                           np.reshape(ys, (1, -1)))
 
 
 def weighted_kernel_eval(kernel: ConeKernel, action: WeightedAction,
                          x: float, y: float) -> float:
     """Pointwise value of x^w (x d/dx)^a k at (x, y)."""
-    return float(weighted_kernel_matrix(kernel, action, [x], [y])[0, 0])
+    return float(weighted_kernel(kernel, action, x, y)[0])
 
 
 def kernel_eval(kernel: ConeKernel, x: float, y: float) -> float:
@@ -237,6 +236,5 @@ def decay_estimate_check(kernel: ConeKernel, y_nodes, y_weights, u_values,
     if not np.any(mask):
         return 0.0, 0.0
     yn, wn, un = y_nodes[mask], y_weights[mask], u_values[mask]
-    row0 = weighted_kernel_matrix(kernel, IDENTITY_ACTION, [x], yn)[0]
-    row1 = weighted_kernel_matrix(kernel, WeightedAction(0, 1), [x], yn)[0]
-    return abs(float(row0 @ (wn * un))), abs(float(row1 @ (wn * un)))
+    return tuple(abs(float(weighted_kernel(kernel, act, x, yn) @ (wn * un)))
+                 for act in (IDENTITY_ACTION, WeightedAction(0, 1)))

@@ -9,6 +9,7 @@ scales.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,9 +43,14 @@ class ScaleGenerator:
     def dim(self):
         return self.lam.shape[0]
 
+    @cached_property
+    def eig(self):
+        """(eigenvalues, orthonormal eigenvectors), computed once."""
+        return np.linalg.eigh(self.lam)
+
     def power(self, s: float):
         """Lambda^s by spectral calculus."""
-        evals, vecs = np.linalg.eigh(self.lam)
+        evals, vecs = self.eig
         return (vecs * np.clip(evals, 0.0, None) ** s) @ vecs.T
 
 
@@ -53,7 +59,7 @@ def scale_norm(g: ScaleGenerator, s: float, x) -> float:
     if s < 0.0:
         raise ConfigurationError("scale order s must be nonnegative")
     x = np.asarray(x, dtype=float)
-    evals, vecs = np.linalg.eigh(g.lam)
+    evals, vecs = g.eig
     coeffs = vecs.T @ x
     return math.sqrt(float(np.sum((evals ** (2.0 * s)) * coeffs ** 2)))
 
@@ -61,12 +67,8 @@ def scale_norm(g: ScaleGenerator, s: float, x) -> float:
 TENSOR_CHECK_ORDERS = (0.3, 0.5, 1.0, 1.7, 2.0)
 
 
-def tensor_power_error(g1: ScaleGenerator, g2: ScaleGenerator) -> float:
-    """Worst relative error of (Lambda1 (x) Lambda2)^s = Lambda1^s (x) Lambda2^s.
-
-    The maximum over the orders in TENSOR_CHECK_ORDERS of the entrywise
-    error, relative to max(1, largest entry of the right-hand side).
-    """
+def _tensor_power_check(g1: ScaleGenerator, g2: ScaleGenerator):
+    """(Kronecker-product generator, worst power-identity error)."""
     if g1.dim * g2.dim > TENSOR_DIM_LIMIT:
         raise ConfigurationError(
             f"tensor dimension {g1.dim * g2.dim} exceeds {TENSOR_DIM_LIMIT}")
@@ -76,7 +78,16 @@ def tensor_power_error(g1: ScaleGenerator, g2: ScaleGenerator) -> float:
         lhs = out.power(s)
         rhs = np.kron(g1.power(s), g2.power(s))
         errs.append(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
-    return float(np.max(errs))
+    return out, float(np.max(errs))
+
+
+def tensor_power_error(g1: ScaleGenerator, g2: ScaleGenerator) -> float:
+    """Worst relative error of (Lambda1 (x) Lambda2)^s = Lambda1^s (x) Lambda2^s.
+
+    The maximum over the orders in TENSOR_CHECK_ORDERS of the entrywise
+    error, relative to max(1, largest entry of the right-hand side).
+    """
+    return _tensor_power_check(g1, g2)[1]
 
 
 def tensor_generator(g1: ScaleGenerator, g2: ScaleGenerator,
@@ -86,12 +97,12 @@ def tensor_generator(g1: ScaleGenerator, g2: ScaleGenerator,
     tensor_power_error must not exceed check_tol before the generator is
     returned.
     """
-    err = tensor_power_error(g1, g2)
+    out, err = _tensor_power_check(g1, g2)
     if err > check_tol:
         raise ConfigurationError(
             f"tensor power identity violated: worst error {err:.3e} over "
             f"s in {TENSOR_CHECK_ORDERS}")
-    return ScaleGenerator(np.kron(g1.lam, g2.lam))
+    return out
 
 
 def intersection_scale_check(g1: ScaleGenerator, g2: ScaleGenerator,
@@ -109,8 +120,7 @@ def intersection_scale_check(g1: ScaleGenerator, g2: ScaleGenerator,
     """
     if s < 0.0 or not (0.0 <= theta <= 1.0):
         raise ConfigurationError("need s >= 0 and theta in [0, 1]")
-    e1, v1 = np.linalg.eigh(g1.lam)
-    e2, v2 = np.linalg.eigh(g2.lam)
+    (e1, v1), (e2, v2) = g1.eig, g2.eig
     joint_b = np.repeat(e1, g2.dim)
     joint_c = np.tile(e2, g1.dim)
     basis = np.kron(v1, v2)
@@ -178,12 +188,9 @@ def blockwise_tensor(a: BlockMatrix, b: BlockMatrix):
     """The block matrix (a_ij (x) b_ij)_ij."""
     if a.n != b.n:
         raise ConfigurationError("block counts must agree")
-    da, db = a.d, b.d
-    out = np.empty((a.n, a.n, da * db, da * db))
-    for i in range(a.n):
-        for j in range(a.n):
-            out[i, j] = np.kron(a.blocks[i, j], b.blocks[i, j])
-    return BlockMatrix(out)
+    n, dd = a.n, a.d * b.d
+    out = np.einsum("ijab,ijcd->ijacbd", a.blocks, b.blocks)
+    return BlockMatrix(out.reshape(n, n, dd, dd))
 
 
 def random_psd_block(n, d, rng):

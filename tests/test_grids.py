@@ -6,10 +6,12 @@ import pytest
 from edgespec.errors import (ConfigurationError, NumericalError,
                              WittViolationError)
 from edgespec.grids import (DiscreteOperator, HalfLineGrid, SobolevSpec,
-                            build_grid, fd_assemble_model,
-                            metric_adjoint_matrix, nystrom_assemble,
-                            operator_norm, sobolev_norm)
-from edgespec.kernels import ConeKernel, WeightedAction
+                            _diagonal_cell_integrals, build_grid,
+                            fd_assemble_model, metric_adjoint_matrix,
+                            nystrom_assemble, operator_norm, sobolev_norm)
+from edgespec.kernels import (ConeKernel, WeightedAction,
+                              weighted_kernel_matrix)
+from edgespec.model import ACTIONS
 
 
 def test_trapezoid_weights_telescope():
@@ -62,6 +64,39 @@ def test_operator_norm_diagonal_exact():
         operator_norm(op, tol=0.0)
     with pytest.raises(NumericalError):
         operator_norm(op, tol=1e-16, max_iter=2)
+
+
+def test_operator_norm_of_known_singular_values():
+    # M = W^-1/2 U diag(s) V^T W^1/2 has weighted singular values s
+    rng = np.random.default_rng(11)
+    g = build_grid(60, 1e-2, 10.0)
+    u, _ = np.linalg.qr(rng.normal(size=(g.n, g.n)))
+    v, _ = np.linalg.qr(rng.normal(size=(g.n, g.n)))
+    s = np.concatenate(([2.5], np.linspace(1.2, 0.01, g.n - 1)))
+    sw = np.sqrt(g.weights)
+    m = (u * s) @ v.T * sw[None, :] / sw[:, None]
+    op = DiscreteOperator(m, g, g.weights)
+    assert operator_norm(op) == pytest.approx(2.5, rel=1e-7)
+
+
+@pytest.mark.parametrize("kern", [ConeKernel("free", 2.0),
+                                  ConeKernel("bessel", 2.0, 10.0)])
+@pytest.mark.parametrize("action", ACTIONS)
+def test_diagonal_cell_integrals_match_dense_rows(kern, action):
+    # reference: the dense node x sub-node matrix, keeping node i's own cell
+    g = build_grid(120, 1e-4, 1e3)
+    x = g.nodes
+    mids = 0.5 * (x[:-1] + x[1:])
+    lo = np.concatenate(([x[0]], mids))
+    hi = np.concatenate((mids, [x[-1]]))
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * (hi - lo)
+    ys = 0.5 * (hi + lo)[:, None] + half[:, None] * gl_x[None, :]
+    ws = half[:, None] * gl_w[None, :]
+    vals = weighted_kernel_matrix(kern, action, x, ys.ravel())
+    ref = np.array([vals[i, 16 * i:16 * (i + 1)] @ ws[i] for i in range(g.n)])
+    got = _diagonal_cell_integrals(kern, action, g)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
 
 def test_nystrom_free_norm_matches_mellin_value():

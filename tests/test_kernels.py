@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from edgespec import kernels
 from edgespec.errors import (ConfigurationError, DomainError,
                              PreconditionError, WittViolationError)
 from edgespec.grids import build_grid
 from edgespec.kernels import (ConeKernel, WeightedAction,
                               decay_estimate_check, free_schur_integrals,
                               kernel_eval, product_bound_check,
-                              weighted_kernel_eval, weighted_kernel_matrix)
+                              weighted_kernel, weighted_kernel_eval,
+                              weighted_kernel_matrix)
+from edgespec.model import ACTIONS
 
 
 def test_kernel_construction_validation():
@@ -173,3 +176,37 @@ def test_extreme_parameters_no_overflow():
     assert v == 0.0
     with pytest.raises(DomainError):
         kernel_eval(k, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("kern", [ConeKernel("free", 2.5),
+                                  ConeKernel("bessel", 2.5, 1.3)])
+@pytest.mark.parametrize("action", ACTIONS)
+def test_weighted_kernel_pairs_equal_matrix_entries(kern, action):
+    rng = np.random.default_rng(3)
+    x = 10.0 ** rng.uniform(-4.0, 3.0, size=40)
+    y = 10.0 ** rng.uniform(-4.0, 3.0, size=40)
+    y[:5] = x[:5]  # on the diagonal, where the two branches meet
+    pairs = weighted_kernel(kern, action, x, y)
+    assert pairs.shape == (40,)
+    full = weighted_kernel_matrix(kern, action, x, y)
+    assert np.array_equal(pairs, np.diag(full))
+    # a one-point batch may stop a Bessel series a term earlier
+    assert weighted_kernel_eval(kern, action, x[7], y[7]) == pytest.approx(
+        full[7, 7], rel=1e-13)
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_bessel_matrix_calls_each_order_once(monkeypatch, a):
+    calls = []
+
+    def counting(nu, x):
+        calls.append(nu)
+        return bessel_ik(nu, x)
+
+    bessel_ik = kernels.log_bessel_ik
+    monkeypatch.setattr(kernels, "log_bessel_ik", counting)
+    xs = np.geomspace(1e-3, 1e2, 30)
+    weighted_kernel_matrix(ConeKernel("bessel", 2.5, 1.0),
+                           WeightedAction(-2, a), xs, xs)
+    # orders nu..nu+a at beta x, order nu at beta y
+    assert len(calls) == a + 2
