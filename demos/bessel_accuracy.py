@@ -10,8 +10,9 @@ import numpy as np
 from edgespec.bessel import (ASYMPTOTIC_MIN_ORDER, bessel_i, bessel_k,
                              log_bessel_ik, log_ik_uniform_asymptotic)
 
-print("Branches: ascending series / Temme / Steed continued fractions below")
-print(f"order {ASYMPTOTIC_MIN_ORDER:.0f}, 4-term uniform asymptotics above.\n")
+print("Branches: ascending series / Temme / Steed continued fractions and,")
+print("for x >> nu^2, Hankel's expansion below order "
+      f"{ASYMPTOTIC_MIN_ORDER:.0f}; 4-term uniform asymptotics above.\n")
 
 print("Point values with their guaranteed relative error bounds:")
 for nu, x in ((2.0, 1.0), (2.5, 3.0), (5.0, 1.0)):
@@ -26,6 +27,12 @@ print("\nExtreme parameters stay finite in scaled mode:")
 i = bessel_i(1e4, 1e6, scaled=True)
 k = bessel_k(1e4, 1e6, scaled=True)
 print(f"  scaled I_1e4(1e6) = {i.value:.6g},  scaled K = {k.value:.6g}")
+
+print("\nLarge arguments go to Hankel's expansion with its DLMF 10.40 bound;")
+print("CF1 would need about 6 sqrt(x) steps here, beyond its 20000-step cap:")
+i = bessel_i(2.0, 1e9, scaled=True)
+print(f"  scaled I_2(1e9) = {i.value:.15g}   (err <= {i.err_bound:.1e},"
+      f" {i.method})")
 
 print("\nWronskian identity x (I_nu K_nu+1 + I_nu+1 K_nu) = 1,")
 print("worst residual over a 50x50 (nu, x) log grid:")

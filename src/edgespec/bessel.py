@@ -1,16 +1,22 @@
 """Modified Bessel functions I_nu, K_nu with computable error bounds.
 
-The evaluator combines three branches:
+The evaluator combines four branches:
 
 * an ascending power series for I (small argument),
-* Temme's series / Steed's continued fraction plus a Wronskian completion
-  for K and large-argument I at moderate orders,
+* Temme's series / Steed's continued fraction CF2 for K, and Steed's CF1
+  plus a Wronskian completion for large-argument I, at moderate orders,
+* Hankel's large-argument expansions (DLMF 10.40.1-2) for x >> nu^2, taken
+  per element where their remainder bounds (DLMF 10.40(ii)-(iii), 10.40.10
+  with chi(l) of 10.40.11 for I) reach a few units of roundoff,
 * large-order uniform asymptotic expansions with explicit error bounds
   obtained from total variations of the coefficient polynomials U_j.
 
 All core routines are vectorized over the argument ``x`` for a fixed order
 ``nu``; results are carried in log scale internally so that products such as
 ``I_nu(beta*y) * K_nu(beta*x)`` stay computable for extreme parameters.
+Every iterative loop stops each element at its own convergence test, so a
+value does not depend on the batch it is computed in, and raises
+``NumericalError`` when it reaches its iteration cap.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, OverflowModeError
+from .errors import (ConfigurationError, DomainError, NumericalError,
+                     OverflowModeError)
 
 _EPS = np.finfo(float).eps
 _LOG_MAX = 700.0
@@ -43,6 +50,19 @@ ASYMPTOTIC_TERMS = 4
 # Relative accuracy validated for the series / continued-fraction branches
 # against an arbitrary-precision oracle (see tests).
 _RECURRENCE_ERR = 1e-10
+
+# The Hankel branch takes an element once its truncation bound is at most
+# four units of roundoff, the unit of the representation floor that every
+# branch adds to its bound.
+_HANKEL_TOL = 4.0 * _EPS
+
+# Branch codes returned by log_bessel_ik, one per branch.
+SERIES_TEMME, SERIES_CF2, CF1_WRONSKIAN, HANKEL, UNIFORM = range(5)
+# The method label bessel_i and bessel_k report for each branch code.
+_METHOD_LABELS = {
+    "I": ("series", "series", "recurrence", "hankel", "uniform_asymptotic"),
+    "K": ("temme", "cf2", "cf2", "hankel", "uniform_asymptotic"),
+}
 
 
 @dataclass(frozen=True)
@@ -207,22 +227,42 @@ def _variation_from_zero(j: int, p):
 # Branch implementations (vectorized over x, scalar order)
 # ---------------------------------------------------------------------------
 
+def _unconverged(loop: str, nu: float, x: np.ndarray, resid: np.ndarray):
+    """NumericalError for a loop at its cap; x and resid are its open elements."""
+    j = int(np.argmax(resid))
+    return NumericalError(
+        f"{loop} reached its iteration cap at nu={nu!r}: worst x={float(x[j])!r}"
+        f" left residual {float(resid[j]):.3e}")
+
+
+# The loops below carry only their unconverged elements: idx holds their
+# positions in x, and an element leaves, with its results written out, at the
+# step where its own convergence test passes.
+
 def _log_i_series(nu: float, x: np.ndarray):
     """log I_nu(x) by the ascending series; terms are positive, no cancellation."""
+    s_out = np.empty_like(x)
+    err = np.empty_like(x)
+    idx = np.arange(x.size)
     t = np.ones_like(x)
     s = np.ones_like(x)
     q = 0.25 * x * x
-    k = 0
-    ratio = np.zeros_like(x)
     for k in range(1, 400):
         t = t * q / (k * (nu + k))
-        s += t
+        s = s + t
         ratio = q / ((k + 1) * (nu + k + 1))
-        if np.all(t <= _EPS * s) and np.all(ratio < 0.5):
+        done = (t <= _EPS * s) & (ratio < 0.5)
+        if done.any():
+            trunc = t[done] * ratio[done] / np.maximum(1e-300, 1.0 - ratio[done])
+            err[idx[done]] = trunc / s[done] + (k + 10) * _EPS
+            s_out[idx[done]] = s[done]
+            keep = ~done
+            idx, t, s, q = idx[keep], t[keep], s[keep], q[keep]
+        if not idx.size:
             break
-    trunc = t * ratio / np.maximum(1e-300, 1.0 - ratio)
-    err = trunc / s + (k + 10) * _EPS
-    log_i = nu * np.log(0.5 * x) - math.lgamma(nu + 1.0) + np.log(s)
+    else:
+        raise _unconverged("ascending series for I", nu, x[idx], t / s)
+    log_i = nu * np.log(0.5 * x) - math.lgamma(nu + 1.0) + np.log(s_out)
     return log_i, err
 
 
@@ -275,18 +315,31 @@ def _log_k_temme(nu: float, x: np.ndarray):
     dd = x2 * x2
     ksum1 = p.copy()
     mu2 = mu * mu
+    k0 = np.empty_like(x)
+    k1 = np.empty_like(x)
+    idx = np.arange(x.size)
     for i in range(1, 300):
         ff = (i * ff + p + q) / (i * i - mu2)
         c = c * dd / i
         p = p / (i - mu)
         q = q / (i + mu)
         dl = c * ff
-        ksum += dl
-        ksum1 += c * (p - i * ff)
-        if np.all(np.abs(dl) < np.abs(ksum) * _EPS):
+        ksum = ksum + dl
+        ksum1 = ksum1 + c * (p - i * ff)
+        done = np.abs(dl) < np.abs(ksum) * _EPS
+        if done.any():
+            k0[idx[done]] = ksum[done]
+            k1[idx[done]] = ksum1[done]
+            keep = ~done
+            idx, ff, c, p, q, ksum, ksum1, dd, dl = (
+                v[keep] for v in (idx, ff, c, p, q, ksum, ksum1, dd, dl))
+        if not idx.size:
             break
-    lk0 = np.log(ksum)
-    lk1 = np.log(ksum1) + np.log(2.0 / x)
+    else:
+        raise _unconverged("Temme series for K", nu, x[idx],
+                           np.abs(dl / ksum))
+    lk0 = np.log(k0)
+    lk1 = np.log(k1) + np.log(2.0 / x)
     return _k_recur_up(mu, nl, x, lk0, lk1)
 
 
@@ -306,6 +359,9 @@ def _log_k_cf2(nu: float, x: np.ndarray):
     c = np.full_like(x, a1)
     a = -a1
     s = 1.0 + q * delh
+    h_out = np.empty_like(x)
+    s_out = np.empty_like(x)
+    idx = np.arange(x.size)
     for i in range(2, 20000):
         a -= 2.0 * (i - 1)
         c = -a * c / i
@@ -319,11 +375,20 @@ def _log_k_cf2(nu: float, x: np.ndarray):
         h = h + delh
         dels = q * delh
         s = s + dels
-        if np.all(np.abs(dels) < np.abs(s) * _EPS):
+        done = np.abs(dels) < np.abs(s) * _EPS
+        if done.any():
+            h_out[idx[done]] = h[done]
+            s_out[idx[done]] = s[done]
+            keep = ~done
+            idx, b, d, h, delh, q1, q2, q, c, s, dels = (
+                v[keep] for v in (idx, b, d, h, delh, q1, q2, q, c, s, dels))
+        if not idx.size:
             break
-    h = a1 * h
+    else:
+        raise _unconverged("Steed's CF2 for K", nu, x[idx], np.abs(dels / s))
+    h = a1 * h_out
     # K_mu = sqrt(pi/(2x)) e^{-x} / s
-    lk0 = 0.5 * np.log(math.pi / (2.0 * x)) - x - np.log(s)
+    lk0 = 0.5 * np.log(math.pi / (2.0 * x)) - x - np.log(s_out)
     lk1 = lk0 + np.log((mu + x + 0.5 - h) / x)
     return _k_recur_up(mu, nl, x, lk0, lk1)
 
@@ -343,8 +408,11 @@ def _cf1_ratio(nu: float, x: np.ndarray):
     f = np.full_like(x, tiny)
     c = f.copy()
     d = np.zeros_like(x)
+    f_out = np.empty_like(x)
+    idx = np.arange(x.size)
+    xs = x
     for i in range(1, 20000):
-        b = 2.0 * (nu + i) / x
+        b = 2.0 * (nu + i) / xs
         d = b + d
         d = np.where(np.abs(d) < tiny, tiny, d)
         c = b + 1.0 / c
@@ -352,9 +420,83 @@ def _cf1_ratio(nu: float, x: np.ndarray):
         d = 1.0 / d
         delta = c * d
         f = f * delta
-        if np.all(np.abs(delta - 1.0) < _EPS):
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            f_out[idx[done]] = f[done]
+            keep = ~done
+            idx, f, c, d, xs, delta = (
+                v[keep] for v in (idx, f, c, d, xs, delta))
+        if not idx.size:
             break
-    return f
+    else:
+        raise _unconverged("Steed's CF1 for I", nu, xs, np.abs(delta - 1.0))
+    return f_out
+
+
+def _log_ik_hankel(nu: float, x: np.ndarray):
+    """Hankel's expansions for x >> nu^2, per element where their bound allows.
+
+    With a_k = (4nu^2 - 1^2)(4nu^2 - 3^2)...(4nu^2 - (2k-1)^2) / (k! 8^k):
+
+    * K_nu(x) = (pi/2x)^(1/2) e^-x (sum_{k<l} a_k x^-k + R_l) (DLMF 10.40.2),
+      |R_l| <= 2 |a_l| x^-l exp(|nu^2 - 1/4| / x) (10.40.10 on the positive
+      real axis), and |R_l| <= |a_l| x^-l once l >= nu - 1/2 (10.40(ii));
+    * I_nu(x) = e^x (2 pi x)^(-1/2) (sum_{k<l} (-1)^k a_k x^-k + R'_l)
+      - sin(nu pi) K_nu(x) / pi, the first part being -K_nu(x e^(pi i))/(pi i)
+      (10.34.2), so |R'_l| <= 2 chi(l) |a_l| x^-l exp(|nu^2 - 1/4| pi / 2x)
+      (10.40.10-11 at ph z = pi, chi(l) = pi^(1/2) Gamma(l/2 + 1) /
+      Gamma(l/2 + 1/2)), and the K part adds at most
+      e^-2x |sin(nu pi)| (|sum_K| + |R_l|) in the same units.
+
+    An element is taken at the first l where both relative bounds are at
+    most _HANKEL_TOL.  It is left to the continued fractions once its terms
+    stop decreasing first, and never enters when |a_1| >= x.  Returns
+    (take, log_i, log_k, err_i, err_k), the last four for the taken elements
+    in order.
+    """
+    n = x.size
+    out = np.empty((4, n))
+    take = np.zeros(n, dtype=bool)
+    mu = 4.0 * nu * nu
+    c = abs(nu * nu - 0.25)
+    idx = np.flatnonzero(abs(mu - 1.0) < 8.0 * x)
+    xs = x[idx]
+    grow_k = 2.0 * np.exp(c / xs)
+    grow_i = 2.0 * np.exp(0.5 * math.pi * c / xs)
+    tail = abs(math.sin(math.pi * nu)) * np.exp(-2.0 * xs)
+    t = np.ones_like(xs)      # a_{k-1} x^(1-k)
+    s_i = np.zeros_like(xs)   # sum_{1 <= j < k} (-1)^j a_j x^-j
+    s_k = np.zeros_like(xs)   # sum_{1 <= j < k} a_j x^-j
+    k = 0
+    # Every element leaves: its terms a_k x^-k stop decreasing by k ~ 2x + 2nu.
+    while idx.size:
+        k += 1
+        t_next = t * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) / xs
+        a = np.abs(t_next)
+        chi = math.exp(0.5 * math.log(math.pi) + math.lgamma(0.5 * k + 1.0)
+                       - math.lgamma(0.5 * k + 0.5))
+        b_k = a if k >= nu - 0.5 else a * grow_k
+        b_i = a * chi * grow_i + tail * (np.abs(1.0 + s_k) + b_k)
+        ok = ((b_k <= _HANKEL_TOL * (1.0 + s_k - b_k))
+              & (b_i <= _HANKEL_TOL * (1.0 + s_i - b_i)))
+        done = ok | ~(a < np.abs(t))
+        if done.any():
+            j = idx[ok]
+            take[j] = True
+            xo = xs[ok]
+            out[0, j] = xo - 0.5 * np.log(2.0 * math.pi * xo) + np.log1p(s_i[ok])
+            out[1, j] = 0.5 * np.log(0.5 * math.pi / xo) - xo + np.log1p(s_k[ok])
+            out[2, j] = b_i[ok] / (1.0 + s_i[ok] - b_i[ok])
+            out[3, j] = b_k[ok] / (1.0 + s_k[ok] - b_k[ok])
+            keep = ~done
+            idx, xs, t_next, s_i, s_k, grow_k, grow_i, tail = (
+                v[keep] for v in (idx, xs, t_next, s_i, s_k, grow_k, grow_i,
+                                  tail))
+        s_i = s_i + (-t_next if k % 2 else t_next)
+        s_k = s_k + t_next
+        t = t_next
+    li, lk, ei, ek = out[:, take]
+    return take, li, lk, ei, ek
 
 
 def asymptotic_error_bounds(nu: float, x, n: int = ASYMPTOTIC_TERMS):
@@ -419,23 +561,27 @@ def log_ik_uniform_asymptotic(nu: float, x, n: int = ASYMPTOTIC_TERMS):
 
 
 def log_bessel_ik(nu: float, x):
-    """(log I_nu, log K_nu, err_i, err_k, method codes) vectorized over x.
+    """(log I_nu, log K_nu, err_i, err_k, branch codes) vectorized over x.
 
-    Method codes: 0 series, Temme or continued fractions, 1 uniform
-    asymptotics; bessel_i and bessel_k name the branch that ran.
+    Branch codes: SERIES_TEMME (x <= TEMME_MAX_ARG), SERIES_CF2
+    (x <= SERIES_MAX_ARG), HANKEL where Hankel's expansion reaches its
+    tolerance, CF1_WRONSKIAN for the other x > SERIES_MAX_ARG, and UNIFORM
+    for nu >= ASYMPTOTIC_MIN_ORDER; bessel_i and bessel_k name the branch
+    from its code.  Each value depends on its own argument alone, not on the
+    batch it is computed in.
     """
     nu = _check_order(nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise DomainError("argument must be positive and finite")
+    if nu >= ASYMPTOTIC_MIN_ORDER:
+        li, lk, ei, ek = _log_ik_olver(nu, x)
+        return li, lk, ei, ek, np.full(x.shape, UNIFORM)
     log_i = np.empty_like(x)
     log_k = np.empty_like(x)
     err_i = np.empty_like(x)
     err_k = np.empty_like(x)
-    method = np.zeros(x.shape, dtype=int)
-    if nu >= ASYMPTOTIC_MIN_ORDER:
-        li, lk, ei, ek = _log_ik_olver(nu, x)
-        return li, lk, ei, ek, np.ones(x.shape, dtype=int)
+    method = np.full(x.shape, SERIES_TEMME)
     m_small = x <= TEMME_MAX_ARG
     m_mid = (x > TEMME_MAX_ARG) & (x <= SERIES_MAX_ARG)
     m_big = x > SERIES_MAX_ARG
@@ -455,16 +601,30 @@ def log_bessel_ik(nu: float, x):
         err_i[m_mid] = ei
         log_k[m_mid] = lk0
         err_k[m_mid] = _RECURRENCE_ERR
+        method[m_mid] = SERIES_CF2
     if np.any(m_big):
-        xs = x[m_big]
-        lk0, lk1 = _log_k_cf2(nu, xs)
-        r = _cf1_ratio(nu, xs)
-        # Wronskian I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x  =>
-        # I_nu = 1 / (x (K_{nu+1} + r K_nu))
-        log_i[m_big] = -np.log(xs) - (lk1 + np.log1p(r * np.exp(lk0 - lk1)))
-        log_k[m_big] = lk0
-        err_i[m_big] = _RECURRENCE_ERR
-        err_k[m_big] = _RECURRENCE_ERR
+        xb = x[m_big]
+        take, li_h, lk_h, ei_h, ek_h = _log_ik_hankel(nu, xb)
+        li = np.empty_like(xb)
+        lk = np.empty_like(xb)
+        ei = np.full_like(xb, _RECURRENCE_ERR)
+        ek = np.full_like(xb, _RECURRENCE_ERR)
+        # in the Hankel region its truncation bound replaces _RECURRENCE_ERR
+        li[take], lk[take], ei[take], ek[take] = li_h, lk_h, ei_h, ek_h
+        rest = ~take
+        if np.any(rest):
+            xs = xb[rest]
+            lk0, lk1 = _log_k_cf2(nu, xs)
+            r = _cf1_ratio(nu, xs)
+            # Wronskian I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x  =>
+            # I_nu = 1 / (x (K_{nu+1} + r K_nu))
+            li[rest] = -np.log(xs) - (lk1 + np.log1p(r * np.exp(lk0 - lk1)))
+            lk[rest] = lk0
+        log_i[m_big] = li
+        log_k[m_big] = lk
+        err_i[m_big] = ei
+        err_k[m_big] = ek
+        method[m_big] = np.where(take, HANKEL, CF1_WRONSKIAN)
     # representation floor: exp() of a large log magnitude loses |log|*eps
     err_i += (np.abs(log_i) + 16.0) * 4.0 * _EPS
     err_k += (np.abs(log_k) + 16.0) * 4.0 * _EPS
@@ -481,12 +641,9 @@ def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
     li, lk, ei, ek, meth = log_bessel_ik(nu, x)
     if kind == "I":
         log_v, err, sign = float(li[0]), float(ei[0]), -1.0
-        method = "series" if x <= SERIES_MAX_ARG else "recurrence"
     else:
         log_v, err, sign = float(lk[0]), float(ek[0]), 1.0
-        method = "temme" if x <= TEMME_MAX_ARG else "cf2"
-    if int(meth[0]) == 1:
-        method = "uniform_asymptotic"
+    method = _METHOD_LABELS[kind][int(meth[0])]
     if scaled:
         scale = float(_scale_exponent(nu, np.array([x]))[0])
         return BesselEval(True, math.exp(log_v + sign * scale), err, method)
@@ -499,8 +656,10 @@ def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
 def bessel_i(nu: float, x: float, scaled: bool = False) -> BesselEval:
     """I_nu(x) (or I_nu(x) * exp(-nu eta(x/nu)) when scaled) with error bound.
 
-    ``method`` is "series" (x <= SERIES_MAX_ARG), "recurrence" (CF1 plus
-    the Wronskian) or "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).
+    ``method`` is "series" (x <= SERIES_MAX_ARG), "hankel" (Hankel's
+    large-argument expansion, where its bound reaches a few ulps),
+    "recurrence" (CF1 plus the Wronskian, the other x > SERIES_MAX_ARG) or
+    "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).
     """
     return _bessel_eval("I", nu, x, scaled)
 
@@ -508,8 +667,10 @@ def bessel_i(nu: float, x: float, scaled: bool = False) -> BesselEval:
 def bessel_k(nu: float, x: float, scaled: bool = False) -> BesselEval:
     """K_nu(x) (or K_nu(x) * exp(+nu eta(x/nu)) when scaled) with error bound.
 
-    ``method`` is "temme" (x <= TEMME_MAX_ARG), "cf2" (Steed's continued
-    fraction) or "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).
+    ``method`` is "temme" (x <= TEMME_MAX_ARG), "hankel" (Hankel's
+    large-argument expansion, where its bound reaches a few ulps), "cf2"
+    (Steed's continued fraction, the other x > TEMME_MAX_ARG) or
+    "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).
     """
     return _bessel_eval("K", nu, x, scaled)
 

@@ -126,9 +126,10 @@ def _bessel_x_part(nu, w, a, beta, x):
         terms = _bessel_terms(nu, w, a, side)
         logs = np.array([k * logu + log_ik[off][pick] for _, k, off in terms])
         lmax = logs.max(axis=0)
+        # summed term by term, in one order for every shape of x (einsum's
+        # order depends on the shape), so a value does not depend on its batch
         with np.errstate(under="ignore"):
-            s = np.einsum("t,t...->...", [c for c, _, _ in terms],
-                          np.exp(logs - lmax))
+            s = sum(c * e for (c, _, _), e in zip(terms, np.exp(logs - lmax)))
         yield s, lmax - (w + 0.5) * math.log(beta)
 
 

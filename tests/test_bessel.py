@@ -6,15 +6,18 @@ are compared absolutely (log error ~ relative error of the function value).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from edgespec.bessel import (ASYMPTOTIC_MIN_ORDER, BesselEval,
+from edgespec.bessel import (CF1_WRONSKIAN, HANKEL, SERIES_CF2, SERIES_TEMME,
+                             UNIFORM, BesselEval, _cf1_ratio,
                              asymptotic_error_bounds, bessel_i, bessel_k,
                              bessel_log_derivatives, log_bessel_ik,
                              log_ik_uniform_asymptotic, olver_eta,
                              olver_u_polys)
-from edgespec.errors import ConfigurationError, DomainError, OverflowModeError
+from edgespec.errors import (ConfigurationError, DomainError, NumericalError,
+                             OverflowModeError)
 
 # (nu, x, I_nu(x), K_nu(x)) -- mpmath besseli/besselk, dps=30
 POINT_ORACLE = [
@@ -50,11 +53,18 @@ def test_log_values(nu, x, log_i, log_k):
 
 
 def test_error_bound_fields_positive():
-    for nu in (0.7, 3.0, 40.0, 300.0):
+    # x = 50 is Hankel's once |a_1(nu)| = |4nu^2 - 1|/8 < 50 and its bound
+    # reaches a few ulps; at nu = 40 the terms grow and CF1 runs
+    codes = {
+        0.7: [SERIES_TEMME, SERIES_TEMME, HANKEL],
+        3.0: [SERIES_TEMME, SERIES_TEMME, HANKEL],
+        40.0: [SERIES_TEMME, SERIES_TEMME, CF1_WRONSKIAN],
+        300.0: [UNIFORM, UNIFORM, UNIFORM],
+    }
+    for nu, want in codes.items():
         _, _, ei, ek, meth = log_bessel_ik(nu, np.array([0.01, 1.0, 50.0]))
         assert np.all(ei > 0.0) and np.all(ek > 0.0)
-        want = 1 if nu >= ASYMPTOTIC_MIN_ORDER else 0
-        assert np.all(meth == want)
+        assert meth.tolist() == want
 
 
 def test_wronskian_identity_grid():
@@ -155,10 +165,108 @@ def test_asymptotic_bounds_scale():
 
 def test_method_reporting():
     assert bessel_i(2.0, 1.0).method == "series"
-    assert bessel_i(2.0, 50.0).method == "recurrence"
+    assert bessel_i(2.0, 15.0).method == "recurrence"
+    assert bessel_i(2.0, 50.0).method == "hankel"
+    assert bessel_i(2.0, 1e9, scaled=True).method == "hankel"
     assert bessel_i(300.0, 1.0).method == "uniform_asymptotic"
     assert bessel_k(2.0, 1.0).method == "temme"
     assert bessel_k(2.0, 5.0).method == "cf2"
-    assert bessel_k(2.0, 50.0).method == "cf2"
+    assert bessel_k(2.0, 15.0).method == "cf2"
+    assert bessel_k(2.0, 50.0).method == "hankel"
     assert bessel_k(300.0, 1.0, scaled=True).method == "uniform_asymptotic"
     assert isinstance(bessel_i(2.0, 1.0), BesselEval)
+
+
+def test_cf1_cap_raises():
+    # CF1 needs about 6 sqrt(x) steps, far beyond its cap at x = 1e9
+    with pytest.raises(NumericalError, match="nu=2.0"):
+        _cf1_ratio(2.0, np.array([1e9]))
+
+
+@pytest.mark.parametrize("nu,xs", [
+    (2.0, [0.01, 1.0, 3.0, 5.0, 12.0, 15.0, 50.0, 1e3, 1e9]),
+    (2.5, [0.3, 7.0, 11.0, 40.0, 3e7]),
+    (40.0, [1.0, 9.0, 50.0, 500.0, 1e5]),
+    (300.0, [1.0, 1e3, 1e6]),
+])
+def test_values_independent_of_batch(nu, xs):
+    xs = np.array(xs)
+    batch = log_bessel_ik(nu, xs)
+    if nu < 250.0:
+        assert {SERIES_TEMME, SERIES_CF2, CF1_WRONSKIAN, HANKEL} <= set(
+            batch[4].tolist())
+    for j, x in enumerate(xs):
+        alone = log_bessel_ik(nu, np.array([x]))
+        for part_batch, part_alone in zip(batch, alone):
+            assert np.array_equal(part_batch[j:j + 1], part_alone)
+
+
+# ---------------------------------------------------------------------------
+# Oracle gate: every evaluation within its own err_bound against mpmath
+# ---------------------------------------------------------------------------
+
+ORACLE_DIGITS = (40, 120)
+ORACLE_AGREE = 1e-25
+# I_nu at these points broke its bound while CF1 ran into its cap
+DEFECT_POINTS = [(2.0, 1e8), (2.0, 1e9), (0.3, 3e7)]
+# the branch boundaries x = 2, x = 10 and nu = 250
+BOUNDARY_POINTS = [(0.5, 2.0), (5.0, 2.0), (50.0, 2.0), (0.5, 10.0),
+                   (5.0, 10.0), (50.0, 10.0), (250.0, 1.0), (250.0, 1e3)]
+SWITCH_ORDERS = (0.05, 0.5, 2.0, 12.0, 100.0, 249.0)
+
+
+def _mp_scaled(nu, x):
+    """Scaled (I, K) from mpmath at two precisions that must agree.
+
+    mpmath's besselk can return garbage at large non-integer orders, so one
+    precision is never trusted, nor a value that is not positive.
+    """
+    vals = []
+    for digits in ORACLE_DIGITS:
+        with mpmath.workdps(digits):
+            n, z = mpmath.mpf(nu), mpmath.mpf(x)
+            t = z / n
+            p = mpmath.sqrt(1 + t * t)
+            scale = n * (p + mpmath.log(t / (1 + p)))
+            vals.append((mpmath.besseli(n, z) * mpmath.exp(-scale),
+                         mpmath.besselk(n, z) * mpmath.exp(scale)))
+    (i40, k40), (i120, k120) = vals
+    assert min(i40, k40, i120, k120) > 0, f"oracle not positive at {nu, x}"
+    assert abs(i40 / i120 - 1) < ORACLE_AGREE and \
+        abs(k40 / k120 - 1) < ORACLE_AGREE, f"oracle disagrees at {nu, x}"
+    return float(i120), float(k120)
+
+
+def _switch_points(nu):
+    """The last CF1 argument and the first Hankel argument on a 1% x-grid."""
+    xs = np.geomspace(10.5, 1e6, 1000)
+    codes = log_bessel_ik(nu, xs)[4]
+    j = int(np.argmax(codes == HANKEL))
+    assert codes[j - 1] == CF1_WRONSKIAN and codes[j] == HANKEL
+    return [(nu, float(xs[j - 1])), (nu, float(xs[j]))]
+
+
+def _gate_points():
+    rng = np.random.default_rng(20240611)
+    nus = np.exp(rng.uniform(math.log(0.05), math.log(600.0), 40))
+    xs = np.exp(rng.uniform(math.log(1e-6), math.log(1e9), 40))
+    pts = list(DEFECT_POINTS) + list(BOUNDARY_POINTS)
+    for nu in SWITCH_ORDERS:
+        pts += _switch_points(nu)
+    return pts + [(float(n), float(x)) for n, x in zip(nus, xs)]
+
+
+def test_oracle_gate_no_bound_violations():
+    violations = []
+    methods = set()
+    for nu, x in _gate_points():
+        want = _mp_scaled(nu, x)
+        for fn, ref in zip((bessel_i, bessel_k), want):
+            ev = fn(nu, x, scaled=True)
+            methods.add(ev.method)
+            err = abs(ev.value - ref) / ref
+            if not err <= ev.err_bound:
+                violations.append((fn.__name__, nu, x, err, ev.err_bound))
+    assert methods == {"series", "temme", "cf2", "recurrence", "hankel",
+                       "uniform_asymptotic"}
+    assert violations == []

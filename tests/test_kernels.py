@@ -190,9 +190,8 @@ def test_weighted_kernel_pairs_equal_matrix_entries(kern, action):
     assert pairs.shape == (40,)
     full = weighted_kernel_matrix(kern, action, x, y)
     assert np.array_equal(pairs, np.diag(full))
-    # a one-point batch may stop a Bessel series a term earlier
-    assert weighted_kernel_eval(kern, action, x[7], y[7]) == pytest.approx(
-        full[7, 7], rel=1e-13)
+    # a value does not depend on the batch it is computed in
+    assert weighted_kernel_eval(kern, action, x[7], y[7]) == full[7, 7]
 
 
 @pytest.mark.parametrize("a", [0, 1, 2])
