@@ -8,7 +8,7 @@ import sympy as sp
 
 from edgespec.clifford import (build_clifford, commutator_report,
                                symbolic_square_identity)
-from edgespec.scales import (ScaleGenerator, intersection_scale_check,
+from edgespec.scales import (intersection_scale_check, random_generator,
                              random_psd_block, same_scale_demo,
                              tensor_generator, tensor_positivity_check)
 
@@ -25,14 +25,7 @@ print("  D^2 = -d^2 + X^-2 S(S+1) + T^2 (coefficient level):", lhs == rhs)
 
 print("\nInterpolation scales:")
 rng = np.random.default_rng(20240617)
-
-
-def gen(d):
-    g = rng.normal(size=(d, d))
-    return ScaleGenerator(g @ g.T + (d + 1.0) * np.eye(d))
-
-
-g1, g2 = gen(5), gen(4)
+g1, g2 = random_generator(5, rng), random_generator(4, rng)
 tensor_generator(g1, g2)  # raises if the power identity fails
 print("  tensor power identity (Lambda1 x Lambda2)^s = "
       "Lambda1^s x Lambda2^s: ok")

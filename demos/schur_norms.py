@@ -9,10 +9,9 @@ conjugates the weighted inverse at beta into the one at beta = 1.
 Run:  python3 demos/schur_norms.py
 """
 
-import numpy as np
-
 from edgespec.grids import build_grid, nystrom_assemble, operator_norm
-from edgespec.kernels import ConeKernel, WeightedAction, free_schur_integrals
+from edgespec.kernels import (ConeKernel, WeightedAction, exact_weighted_norm,
+                              free_schur_integrals)
 
 grid = build_grid(400)
 
@@ -23,7 +22,7 @@ for nu in (2.0, 3.0, 5.0, 10.0):
                           grid, refine_diagonal=True)
     m = operator_norm(op)
     row, _ = free_schur_integrals(nu)
-    print(f"  {nu:4.1f}  {m:.6f}   {1 / (nu * nu - 1):.6f}"
+    print(f"  {nu:4.1f}  {m:.6f}   {exact_weighted_norm(nu, 0):.6f}"
           f"            {row:.6f}")
 
 print("\nbessel kernel, beta-independence of the weighted norm (nu = 3):")
@@ -32,11 +31,13 @@ for beta in (0.1, 1.0, 10.0):
                           WeightedAction(-2, 0), grid, refine_diagonal=True)
     print(f"  beta = {beta:5.1f}:  {operator_norm(op):.6f}")
 
-print("\nderivative norms (X d/dx)^a x^-2 K at nu = 3, beta = 1:")
+print("\nderivative norms (X d/dx)^a x^-2 K at nu = 3, beta = 1, and their")
+print("exact values sup |m_a| from the Mellin symbols:")
 for a in (0, 1, 2):
     op = nystrom_assemble(ConeKernel("bessel", 3.0, 1.0),
                           WeightedAction(-2, a), grid, refine_diagonal=True)
-    print(f"  a = {a}:  {operator_norm(op):.6f}")
+    print(f"  a = {a}:  {operator_norm(op):.6f}   exact "
+          f"{exact_weighted_norm(3.0, a):.6f}")
 print("(the diagonal quadrature cell is product-integrated: the second")
 print("derivative kernel concentrates in a band of width 1/beta that a")
 print("plain Nystrom rule cannot resolve once the spacing exceeds it)")

@@ -691,3 +691,34 @@ def bessel_log_derivatives(nu: float, x: float):
     xdi = x * math.exp(li1) + nu * math.exp(li0)
     xdk = nu * math.exp(lk0) - x * math.exp(lk1)
     return xdi, xdk
+
+
+def wronskian_residual(nus, xs) -> float:
+    """Worst |x (I_nu(x) K_{nu+1}(x) + I_{nu+1}(x) K_nu(x)) - 1| on nus x xs.
+
+    The Wronskian identity holds exactly, so the residual measures the
+    evaluator's combined error at orders nu and nu + 1.
+    """
+    xs = np.asarray(xs, dtype=float)
+    worst = 0.0
+    for nu in nus:
+        li0, lk0, *_ = log_bessel_ik(nu, xs)
+        li1, lk1, *_ = log_bessel_ik(nu + 1.0, xs)
+        prod = np.exp(li0 + lk1) + np.exp(li1 + lk0)
+        worst = max(worst, float(np.max(np.abs(xs * prod - 1.0))))
+    return worst
+
+
+def uniform_asymptotic_excess(mu: float, xs):
+    """(worst error / bound, largest bound) of the uniform branch at order mu.
+
+    The error of ``log_ik_uniform_asymptotic`` is taken against
+    ``log_bessel_ik``, several orders of magnitude more accurate below
+    ASYMPTOTIC_MIN_ORDER, for I and for K; the expansion stays within its
+    computed bounds when the first value is at most 1.
+    """
+    li_r, lk_r, *_ = log_bessel_ik(mu, xs)
+    li_a, lk_a, ei, ek = log_ik_uniform_asymptotic(mu, xs)
+    excess = max(float(np.max(np.abs(np.expm1(li_a - li_r)) / ei)),
+                 float(np.max(np.abs(np.expm1(lk_a - lk_r)) / ek)))
+    return excess, max(float(ei.max()), float(ek.max()))

@@ -21,17 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import log_bessel_ik, log_ik_uniform_asymptotic
+from .bessel import uniform_asymptotic_excess, wronskian_residual
 from .clifford import commutator_report
 from .errors import EdgespecError, PreconditionError
-from .grids import build_grid, nystrom_assemble, operator_norm
-from .kernels import (ConeKernel, WeightedAction, free_schur_integrals,
-                      weighted_kernel)
-from .model import FiberSpectrum, ModelBlock, check_witt, solve_scalar
+from .grids import (build_grid, free_column_quadrature, nystrom_assemble,
+                    operator_norm)
+from .kernels import (ConeKernel, WeightedAction, exact_weighted_norm,
+                      free_schur_integrals)
+from .model import FiberSpectrum, check_witt, round_trip_residual
 from .parametrix import EdgeFunction, mapping_bounds
-from .scales import (DEFAULT_SEED, ScaleGenerator, intersection_scale_check,
-                     random_psd_block, same_scale_demo, tensor_positivity_check,
-                     tensor_power_error)
+from .scales import (DEFAULT_SEED, TENSOR_CHECK_TOL, intersection_scale_check,
+                     random_generator, random_psd_block, same_scale_demo,
+                     tensor_positivity_check, tensor_power_error)
 
 SUITES = ("bessel", "schur", "model", "parametrix", "gb", "scales", "witt",
           "all")
@@ -65,7 +66,6 @@ class RunConfig:
     beta: float = 0.0
     spectrum: tuple = (1.6, -1.6, 2.6, -2.6)
     gap: float = 1.0
-    delta_min: float = 0.05
     seed: int = DEFAULT_SEED
 
 
@@ -84,20 +84,12 @@ def _suite_bessel(cfg: RunConfig):
     t0 = time.perf_counter()
     nus = np.exp(np.linspace(math.log(0.5), math.log(50.0), 20))
     xs = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 20))
-    worst = 0.0
-    for nu in nus:
-        li0, lk0, *_ = log_bessel_ik(nu, xs)
-        li1, lk1, *_ = log_bessel_ik(nu + 1.0, xs)
-        prod = np.exp(li0 + lk1) + np.exp(li1 + lk0)
-        worst = max(worst, float(np.max(np.abs(xs * prod - 1.0))))
+    worst = wronskian_residual(nus, xs)
     out.append(_record("bessel.wronskian", {"grid": "20x20"},
                        worst, 1e-10, worst <= 1e-10, t0))
     for mu in (10.0, 20.0, 40.0):
         t0 = time.perf_counter()
-        li_r, lk_r, *_ = log_bessel_ik(mu, xs)
-        li_a, lk_a, ei, ek = log_ik_uniform_asymptotic(mu, xs)
-        err = max(float(np.max(np.abs(np.expm1(li_a - li_r)) / ei)),
-                  float(np.max(np.abs(np.expm1(lk_a - lk_r)) / ek)))
+        err, _ = uniform_asymptotic_excess(mu, xs)
         out.append(_record("bessel.olver_vs_eta_bound", {"mu": mu},
                            err, 1.0, err <= 1.0, t0))
     return out
@@ -107,27 +99,21 @@ def _suite_schur(cfg: RunConfig):
     out = []
     nu, beta = cfg.nu, cfg.beta
     t0 = time.perf_counter()
-    row, col = free_schur_integrals(nu)
     grid = build_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-    kern = (ConeKernel("free", nu, delta_min=cfg.delta_min) if beta == 0.0
-            else ConeKernel("bessel", nu, beta, delta_min=cfg.delta_min))
+    kern = (ConeKernel("free", nu) if beta == 0.0
+            else ConeKernel("bessel", nu, beta))
     op = nystrom_assemble(kern, WeightedAction(-2, 0), grid,
                           refine_diagonal=True)
     measured = operator_norm(op)
+    # the exact norm is beta-independent; the truncated window approaches
+    # it from below
+    bound = (1.0 + 1e-6) * exact_weighted_norm(nu, 0)
     out.append(_record("schur.weighted_norm", {"nu": nu, "beta": beta},
-                       measured, 1.05 * row, measured <= 1.05 * row, t0))
+                       measured, bound, measured <= bound, t0))
     if beta == 0.0:
-        # column integral int_0^infty x^{-2} k(x, 1) dx; both branches decay
-        # like powers, so a wide log-panel rule resolves it to quadrature
-        # precision.
         t0 = time.perf_counter()
-        col_quad = 0.0
-        # split at the kernel's branch kink x = y = 1
-        for lo, hi in ((1e-10, 1.0), (1.0, 1e8)):
-            quad = build_grid(1024, lo, hi, scheme="log_gauss_panels")
-            kcol = weighted_kernel(kern, WeightedAction(-2, 0), quad.nodes, 1.0)
-            col_quad += float(kcol @ quad.weights)
-        rel = abs(col_quad - col) / col
+        _, col = free_schur_integrals(nu)
+        rel = abs(free_column_quadrature(nu) - col) / col
         out.append(_record("schur.col_integral", {"nu": nu},
                            rel, 1e-8, rel <= 1e-8, t0))
     return out
@@ -136,16 +122,7 @@ def _suite_schur(cfg: RunConfig):
 def _suite_model(cfg: RunConfig):
     t0 = time.perf_counter()
     grid = build_grid(cfg.grid_n, max(cfg.x_min, 1e-2), min(cfg.x_max, 1e2))
-    block = ModelBlock("scalar_L2", cfg.nu, cfg.beta)
-    from .grids import fd_assemble_model
-    from .model import interior_slice
-    t_nodes = np.log(grid.nodes)
-    g = np.exp(-t_nodes ** 2)
-    f = solve_scalar(block, g, grid)
-    resid = fd_assemble_model(cfg.nu, cfg.beta, grid).apply(f) - g
-    sl = interior_slice(grid.n)
-    w = grid.weights[sl]
-    rel = math.sqrt(float(w @ resid[sl] ** 2) / float(w @ g[sl] ** 2))
+    rel = round_trip_residual(cfg.nu, cfg.beta, grid)
     return [_record("model.round_trip", {"nu": cfg.nu, "beta": cfg.beta,
                                          "n": cfg.grid_n},
                     rel, 1e-2, rel <= 1e-2, t0)]
@@ -189,15 +166,10 @@ def _suite_scales(cfg: RunConfig):
     out = []
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
-
-    def gen(d):
-        g = rng.normal(size=(d, d))
-        return ScaleGenerator(g @ g.T + (d + 1.0) * np.eye(d))
-
-    g1, g2 = gen(5), gen(4)
+    g1, g2 = random_generator(5, rng), random_generator(4, rng)
     err = tensor_power_error(g1, g2)
     out.append(_record("scales.tensor_power_identity", {"dims": "5x4"},
-                       err, 1e-10, err <= 1e-10, t0))
+                       err, TENSOR_CHECK_TOL, err <= TENSOR_CHECK_TOL, t0))
     t0 = time.perf_counter()
     rep = intersection_scale_check(g1, g2, s=1.3, theta=0.4, trials=50,
                                    seed=cfg.seed)
@@ -305,7 +277,6 @@ def _build_parser():
     p.add_argument("--spectrum", type=str, default="1.6,-1.6,2.6,-2.6",
                    help="comma-separated fiber eigenvalues")
     p.add_argument("--gap", type=float, default=1.0)
-    p.add_argument("--delta-min", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", choices=("json", "csv"), default="json")
     p.add_argument("--out", type=str, default=None)
@@ -330,7 +301,7 @@ def main(argv=None):
             return 2
     cfg = RunConfig(grid_n=args.grid_n, x_min=args.x_min, x_max=args.x_max,
                     nu=args.nu, beta=args.beta, spectrum=spectrum,
-                    gap=args.gap, delta_min=args.delta_min, seed=seed)
+                    gap=args.gap, seed=seed)
     try:
         records = run_suite(args.suite, cfg)
         payload = emit(records, args.output)

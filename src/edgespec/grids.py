@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, WittViolationError
-from .kernels import (ConeKernel, WeightedAction, weighted_kernel,
-                      weighted_kernel_matrix)
+from .errors import ConfigurationError, NumericalError
+from .kernels import (ConeKernel, WeightedAction, require_witt_order,
+                      weighted_kernel, weighted_kernel_matrix)
 
 X_MIN_DEFAULT = 1e-4
 X_MAX_DEFAULT = 1e3
-N_DEFAULT = 400
 GAUSS_PANEL_NODES = 32
 
 POWER_ITER_TOL = 1e-8
@@ -124,6 +123,23 @@ def nystrom_assemble(kernel: ConeKernel, action: WeightedAction,
     return DiscreteOperator(m, grid, grid.weights)
 
 
+def free_column_quadrature(nu: float) -> float:
+    """Column integral of x^-2 k(x, 1) over x in (0, infinity), by quadrature.
+
+    The free kernel's two branches decay like powers, so 1024-node log-Gauss
+    panels on [1e-10, 1] and [1, 1e8], split at the branch kink x = y = 1,
+    resolve it to quadrature precision.  ``free_schur_integrals`` gives the
+    closed form (nu^2 - 1/4)^-1.
+    """
+    kern = ConeKernel("free", nu)
+    total = 0.0
+    for lo, hi in ((1e-10, 1.0), (1.0, 1e8)):
+        quad = build_grid(1024, lo, hi, scheme="log_gauss_panels")
+        vals = weighted_kernel(kern, WeightedAction(-2, 0), quad.nodes, 1.0)
+        total += float(vals @ quad.weights)
+    return total
+
+
 def _diagonal_cell_integrals(kernel: ConeKernel, action: WeightedAction,
                              grid: HalfLineGrid, n_sub: int = 16):
     """integral of the weighted kernel k(x_i, y) over the i-th weight cell."""
@@ -194,8 +210,7 @@ def fd_first_order(mu: float, xi: float, grid: HalfLineGrid):
 def fd_assemble_model(nu: float, beta: float,
                       grid: HalfLineGrid) -> DiscreteOperator:
     """Finite-difference matrix for -d^2/dx^2 + x^{-2}(nu^2 - 1/4) + beta^2."""
-    if not nu > 1.5:
-        raise WittViolationError(f"model operator needs nu > 3/2, got {nu}")
+    require_witt_order(nu)
     h = grid.log_step
     if h > 0.25:
         raise ConfigurationError(

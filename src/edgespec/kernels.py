@@ -14,6 +14,11 @@ analytically: by power rules for the free kind and by the order recurrences
 
 for the Bessel kind.  ``weighted_kernel`` evaluates them at broadcastable x
 and y in log space, Bessel factors before broadcasting; underflow clamps to 0.
+
+``require_witt_order`` is the one Witt floor nu > 3/2 of the toolkit: every
+layer that takes an order calls it, and nothing else raises
+``WittViolationError``.  ``exact_weighted_norm`` gives the exact L^2 norms of
+the weighted inverses from their Mellin symbols (``mellin_symbol``).
 """
 
 import math
@@ -25,34 +30,42 @@ from .bessel import log_bessel_ik
 from .errors import (ConfigurationError, DomainError, PreconditionError,
                      WittViolationError)
 
-DELTA_MIN_DEFAULT = 0.05
-
 KINDS = ("free", "bessel")
 WEIGHT_POWERS = (0, -1, -2)
 EDGE_DERIVATIVES = (0, 1, 2)
+
+
+def require_witt_order(nu) -> None:
+    """Raise WittViolationError unless the Bessel order nu exceeds 3/2.
+
+    A fiber eigenvalue s gives the order nu = |s| + 1/2, so the floor is the
+    spectral Witt condition |s| > 1.  It is where the Schur row integral of
+    x^-2 k, (nu^2 - 9/4)^-1, diverges: the free kernel's branch
+    x^(nu+1/2) y^(1/2-nu) for y >= x is integrable as y -> infinity only for
+    nu > 3/2.  The test is written ``not nu > 1.5`` so that NaN fails.
+    This is the only place that raises WittViolationError.
+    """
+    if not nu > 1.5:
+        raise WittViolationError(
+            f"order nu={nu} violates the Witt floor nu > 3/2")
 
 
 @dataclass(frozen=True)
 class ConeKernel:
     """Immutable description of one inverse kernel.
 
-    ``nu`` must clear the spectral gap floor 3/2 + delta_min; the Schur
-    integrals diverge as nu -> 3/2.
+    ``nu`` must pass ``require_witt_order`` (nu > 3/2); the Schur integrals
+    diverge as nu -> 3/2.
     """
 
     kind: str
     nu: float
     beta: float = 0.0
-    delta_min: float = DELTA_MIN_DEFAULT
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown kernel kind {self.kind!r}")
-        if self.delta_min <= 0.0:
-            raise ConfigurationError("delta_min must be positive")
-        if not (self.nu >= 1.5 + self.delta_min):
-            raise WittViolationError(
-                f"order nu={self.nu} below floor 3/2 + {self.delta_min}")
+        require_witt_order(self.nu)
         if self.beta < 0.0:
             raise ConfigurationError("beta must be nonnegative")
         if self.kind == "bessel" and self.beta == 0.0:
@@ -188,10 +201,50 @@ def free_schur_integrals(nu: float):
     col = integral of x^{-2} k(x, y) dx over (0, infinity)  = (nu^2 - 1/4)^{-1};
     both independent of the free variable.  Divergent for nu <= 3/2.
     """
-    if not nu > 1.5:
-        raise WittViolationError(
-            f"Schur row integral diverges for nu={nu} <= 3/2")
+    require_witt_order(nu)
     return 1.0 / (nu * nu - 2.25), 1.0 / (nu * nu - 0.25)
+
+
+def mellin_symbol(a: int, nu: float, tau):
+    """Mellin symbol m_a(tau) of the free operator (X d/dx)^a X^-2 K on L^2.
+
+    X^-2 K is a Mellin convolution, so the unitary Mellin transform of L^2
+    (along x^(-1/2 + i tau)) turns it into multiplication by
+    m_0(tau) = 1/((nu+1-i tau)(nu-1+i tau)), one partial fraction per kernel
+    branch; each edge derivative multiplies a branch's term by that branch's
+    x-exponent.  So ||(X d/dx)^a X^-2 K|| = sup over real tau of |m_a(tau)|.
+    """
+    return ((-nu - 1.5) ** a / (nu + 1 - 1j * tau)
+            + (nu - 1.5) ** a / (nu - 1 + 1j * tau)) / (2 * nu)
+
+
+def exact_weighted_norm(nu: float, a: int) -> float:
+    """Exact L^2 norm n_a of (X d/dx)^a X^-2 K, the supremum of |m_a|.
+
+    n_0 = (nu^2 - 1)^-1: m_0 = 1/((nu+1-i tau)(nu-1+i tau)) peaks at tau = 0.
+    n_1: m_1 = -(1+2i tau)/(2(A+tau^2+2i tau)) with A = nu^2 - 1 peaks at
+    tau^2 = s, the positive root of 4s^2 + 2s = 4A^2 - 2A - 4 (or at 0).
+    n_2 = (1/2nu)[(nu+3/2)^2/(nu+1) + (nu-3/2)^2/(nu-1)]: both terms of m_2
+    peak at tau = 0.
+
+    The Schur rate (nu^2 - 9/4)^-1 only bounds n_0 from above.  For beta > 0
+    the Bessel-kernel operator has the same norm n_a: it is beta-independent,
+    because conjugating by the dilation x -> beta x is unitary on L^2; it is
+    at most n_a, because T_beta = T_0 L (L + beta^2)^-1 with
+    ||L (L + beta^2)^-1|| <= 1; and it is at least n_a, because
+    T_beta -> T_0 strongly as beta -> 0.  A Nystrom norm on a truncated
+    window approaches n_a from below.
+    """
+    require_witt_order(nu)
+    if a not in EDGE_DERIVATIVES:
+        raise ConfigurationError("edge_derivatives must be in {0, 1, 2}")
+    big_a = nu * nu - 1.0
+    if a == 0:
+        return 1.0 / big_a
+    if a == 1:
+        s = max(0.0, (math.sqrt(16 * big_a * big_a - 8 * big_a - 15) - 1) / 4)
+        return 0.5 * math.sqrt((1 + 4 * s) / ((big_a + s) ** 2 + 4 * s))
+    return ((nu + 1.5) ** 2 / (nu + 1) + (nu - 1.5) ** 2 / (nu - 1)) / (2 * nu)
 
 
 def product_bound_check(nu: float, alpha: int, beta: float,

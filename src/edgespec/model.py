@@ -21,13 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigurationError, WittViolationError
-from .grids import (HalfLineGrid, build_grid, fd_first_order, fd_scalar,
-                    nystrom_assemble, operator_norm)
-from .kernels import ConeKernel, WeightedAction, weighted_kernel_matrix
+from .errors import ConfigurationError
+from .grids import (HalfLineGrid, build_grid, fd_assemble_model,
+                    fd_first_order, fd_scalar, nystrom_assemble,
+                    operator_norm)
+from .kernels import (ConeKernel, WeightedAction, require_witt_order,
+                      weighted_kernel_matrix)
 
 DEFAULT_GAP = 1.0
-N_FIBER_DEFAULT = 16
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,9 @@ def check_witt(spectrum: FiberSpectrum) -> WittReport:
     """Spectral Witt condition: spec(S) stays outside [-gap, gap].
 
     The closed interval is excluded, so |s| = gap fails.  The implied order
-    floor is min|s| + 1/2 and delta is the clearance above 3/2.
+    floor is min|s| + 1/2 and delta is the clearance above 3/2.  This reports
+    and raises nothing; ``kernels.require_witt_order`` is the floor that
+    operators enforce.
     """
     mags = [abs(s) for s in spectrum.eigenvalues]
     min_abs = min(mags)
@@ -98,14 +101,12 @@ class ModelBlock:
             raise ConfigurationError(f"unknown block kind {self.kind!r}")
         if self.xi_norm < 0.0:
             raise ConfigurationError("xi_norm must be nonnegative")
-        if not self.nu > 1.5:
-            raise WittViolationError(
-                f"block order nu={self.nu} violates the Witt floor 3/2")
+        require_witt_order(self.nu)
 
-    def kernel(self, delta_min=0.05):
+    def kernel(self):
         if self.xi_norm == 0.0:
-            return ConeKernel("free", self.nu, delta_min=delta_min)
-        return ConeKernel("bessel", self.nu, self.xi_norm, delta_min=delta_min)
+            return ConeKernel("free", self.nu)
+        return ConeKernel("bessel", self.nu, self.xi_norm)
 
 
 def solve_scalar(block: ModelBlock, g, grid: HalfLineGrid):
@@ -120,6 +121,21 @@ def solve_scalar(block: ModelBlock, g, grid: HalfLineGrid):
     m = weighted_kernel_matrix(block.kernel(), WeightedAction(0, 0),
                                grid.nodes, grid.nodes)
     return m @ (grid.weights * g)
+
+
+def round_trip_residual(nu: float, beta: float, grid: HalfLineGrid) -> float:
+    """Relative interior residual of g -> f = K g -> L_h f against g.
+
+    g = exp(-(ln x)^2); K is applied by ``solve_scalar`` and L_h is
+    ``fd_assemble_model``, so the residual is the FD truncation error,
+    O(h^2).  Measured in the weighted L^2 norm on ``interior_slice`` nodes.
+    """
+    g = np.exp(-np.log(grid.nodes) ** 2)
+    f = solve_scalar(ModelBlock("scalar_L2", nu, beta), g, grid)
+    resid = fd_assemble_model(nu, beta, grid).apply(f) - g
+    sl = interior_slice(grid.n)
+    w = grid.weights[sl]
+    return math.sqrt(float(w @ resid[sl] ** 2) / float(w @ g[sl] ** 2))
 
 
 def block_matrix(block: ModelBlock, grid: HalfLineGrid):
@@ -140,9 +156,9 @@ def block_apply(block: ModelBlock, f, grid: HalfLineGrid):
     return out.reshape(2, grid.n)
 
 
-def interior_slice(n: int, fraction: float = 0.8):
-    """Central portion of the nodes, excluding boundary-closure artifacts."""
-    skip = int(round(0.5 * (1.0 - fraction) * n))
+def interior_slice(n: int):
+    """Central 80% of the nodes, excluding boundary-closure artifacts."""
+    skip = int(round(0.5 * (1.0 - 0.8) * n))
     return slice(skip, n - skip)
 
 
@@ -181,20 +197,20 @@ def uniform_bound_sweep(spectrum: FiberSpectrum, betas, grid_n: int = 400,
                         uniform_factor: float = 1.1):
     """Norm table of X^-2 K and its edge derivatives across (nu, beta).
 
-    Each row carries the three estimated norms and the Schur-normalized
-    ratios (nu^2 - 9/4) ||X^-2 K||, nu ||(X dx) X^-2 K||, ||(X dx)^2 X^-2 K||.
-    The summary flag ``uniform`` is max <= uniform_factor x median per ratio
-    column: the spread of the Schur-normalized ratios, not a certificate that
-    the norms are uniformly bounded.  The exact norms are beta-independent
-    and carry their own nu-dependence ((nu^2 - 1)^-1 for X^-2 K), so the
-    flag is False for the exact values of the ratio0 and ratio2 columns
-    (spreads 1.17 and 1.13 over nu in {1.6, 2, 3, 5, 10}); nu times the
-    exact first-derivative norm tends to 1/2 (0.555 at nu = 1.6, 0.5006
-    at nu = 10).
+    Every order must pass ``require_witt_order``; the smallest is checked
+    before any assembly.  Each row carries the three estimated norms and the
+    Schur-normalized ratios (nu^2 - 9/4) ||X^-2 K||, nu ||(X dx) X^-2 K||,
+    ||(X dx)^2 X^-2 K||.  The summary flag ``uniform`` is
+    max <= uniform_factor x median per ratio column: the spread of the
+    Schur-normalized ratios, not a certificate that the norms are uniformly
+    bounded.  The exact norms (``kernels.exact_weighted_norm``) are
+    beta-independent and carry their own nu-dependence ((nu^2 - 1)^-1 for
+    X^-2 K), so the flag is False for the exact values of the ratio0 and
+    ratio2 columns (spreads 1.17 and 1.13 over nu in {1.6, 2, 3, 5, 10}); nu
+    times the exact first-derivative norm tends to 1/2 (0.555 at nu = 1.6,
+    0.5006 at nu = 10).
     """
-    report = check_witt(spectrum)
-    if not report.passes:
-        raise WittViolationError("uniform sweep requires a passing spectrum")
+    require_witt_order(min(spectrum.nu_values()))
     grid = build_grid(grid_n, x_min, x_max)
     rows = []
     for nu in spectrum.nu_values():

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import (ConfigurationError, NumericalError, PreconditionError,
-                     WittViolationError)
+from .errors import ConfigurationError, NumericalError, PreconditionError
 from .grids import HalfLineGrid, fd_assemble_model, fd_first_order
+from .kernels import require_witt_order
 
 Y_PERIOD = 2.0 * math.pi
 MAX_Y_MODES = 64
@@ -75,8 +75,8 @@ def _mode_matrix(nu, xi, grid, order):
 
 
 def _check_setup(u: EdgeFunction, nus, grid: HalfLineGrid, order):
-    if min(nus) <= 1.5:
-        raise WittViolationError("parametrix requires the Witt floor nu > 3/2")
+    for nu in nus:
+        require_witt_order(nu)
     s = np.asarray(u.samples, dtype=complex)
     n_x, _, n_f, n_c = s.shape
     if n_x != grid.n:

@@ -19,6 +19,8 @@ DEFAULT_SEED = 20_240_617
 SYMMETRY_TOL = 1e-12
 POSITIVITY_SLACK = 1e-10
 TENSOR_DIM_LIMIT = 4096
+# largest relative error tensor_generator accepts in the power identity
+TENSOR_CHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,12 @@ class ScaleGenerator:
         """Lambda^s by spectral calculus."""
         evals, vecs = self.eig
         return (vecs * np.clip(evals, 0.0, None) ** s) @ vecs.T
+
+
+def random_generator(d: int, rng) -> ScaleGenerator:
+    """Generator G G^T + (d + 1) I for a d x d standard normal draw G."""
+    g = rng.normal(size=(d, d))
+    return ScaleGenerator(g @ g.T + (d + 1.0) * np.eye(d))
 
 
 def scale_norm(g: ScaleGenerator, s: float, x) -> float:
@@ -90,15 +98,14 @@ def tensor_power_error(g1: ScaleGenerator, g2: ScaleGenerator) -> float:
     return _tensor_power_check(g1, g2)[1]
 
 
-def tensor_generator(g1: ScaleGenerator, g2: ScaleGenerator,
-                     check_tol: float = 1e-10) -> ScaleGenerator:
+def tensor_generator(g1: ScaleGenerator, g2: ScaleGenerator) -> ScaleGenerator:
     """Kronecker-product generator, with the power identity verified.
 
-    tensor_power_error must not exceed check_tol before the generator is
-    returned.
+    tensor_power_error must not exceed TENSOR_CHECK_TOL before the generator
+    is returned.
     """
     out, err = _tensor_power_check(g1, g2)
-    if err > check_tol:
+    if err > TENSOR_CHECK_TOL:
         raise ConfigurationError(
             f"tensor power identity violated: worst error {err:.3e} over "
             f"s in {TENSOR_CHECK_ORDERS}")

@@ -4,30 +4,29 @@ criterion.
 Criteria 1 and 2 measure the weighted Nystrom norms of X^-2 K and of its
 edge derivatives against their exact values.  The free operators are Mellin
 convolutions, so their L^2 norms are suprema of explicit symbols
-(`_mellin_symbol`, closed forms in `_exact_norms`); the Schur rate
-(nu^2 - 9/4)^-1 is only an upper bound and is kept as a ceiling.
+(`kernels.mellin_symbol`, closed forms in `kernels.exact_weighted_norm`);
+the Schur rate (nu^2 - 9/4)^-1 is only an upper bound and is kept as a
+ceiling.
 """
 
 import math
 import sys
 
 import numpy as np
-import pytest
 import sympy as sp
 
-from edgespec.bessel import (log_bessel_ik, log_ik_uniform_asymptotic,
-                             asymptotic_error_bounds)
+from edgespec.bessel import uniform_asymptotic_excess, wronskian_residual
 from edgespec.clifford import (build_clifford, commutator_report,
                                symbolic_square_identity)
-from edgespec.grids import (build_grid, fd_assemble_model, nystrom_assemble,
-                            operator_norm)
+from edgespec.grids import (build_grid, free_column_quadrature,
+                            nystrom_assemble, operator_norm)
 from edgespec.kernels import (ConeKernel, WeightedAction,
-                              decay_estimate_check, free_schur_integrals,
-                              weighted_kernel_matrix)
-from edgespec.model import (FiberSpectrum, ModelBlock, a_identity, check_witt,
-                            interior_slice, solve_scalar, uniform_bound_sweep)
+                              decay_estimate_check, exact_weighted_norm,
+                              free_schur_integrals, mellin_symbol)
+from edgespec.model import (FiberSpectrum, a_identity, check_witt,
+                            round_trip_residual, uniform_bound_sweep)
 from edgespec.parametrix import EdgeFunction, mapping_bounds
-from edgespec.scales import (ScaleGenerator, intersection_scale_check,
+from edgespec.scales import (intersection_scale_check, random_generator,
                              random_psd_block, same_scale_demo,
                              tensor_generator, tensor_positivity_check)
 
@@ -39,30 +38,6 @@ def _verdict(n, ok, detail):
     print(f"ACCEPTANCE {n}: {'PASS' if ok else 'FAIL'} - {detail}",
           file=sys.__stdout__)
     return ok
-
-
-def _mellin_symbol(a, nu, tau):
-    """Mellin symbol m_a(tau) of the free operator (X d/dx)^a X^-2 K on L^2.
-
-    ||(X d/dx)^a X^-2 K|| = sup over real tau of |m_a(tau)|.
-    """
-    return ((-nu - 1.5) ** a / (nu + 1 - 1j * tau)
-            + (nu - 1.5) ** a / (nu - 1 + 1j * tau)) / (2 * nu)
-
-
-def _exact_norms(nu):
-    """(n0, n1, n2): the suprema of |m_0|, |m_1|, |m_2| in closed form.
-
-    m_0 = 1/((nu+1-i tau)(nu-1+i tau)) and both terms of m_2 peak at tau = 0;
-    m_1 = -(1+2i tau)/(2(A+tau^2+2i tau)) with A = nu^2-1 peaks at
-    tau^2 = s, the positive root of 4s^2 + 2s = 4A^2 - 2A - 4 (or at 0).
-    """
-    a = nu * nu - 1.0
-    s = max(0.0, (math.sqrt(16 * a * a - 8 * a - 15) - 1) / 4)
-    return (1.0 / a,
-            0.5 * math.sqrt((1 + 4 * s) / ((a + s) ** 2 + 4 * s)),
-            ((nu + 1.5) ** 2 / (nu + 1) + (nu - 1.5) ** 2 / (nu - 1))
-            / (2 * nu))
 
 
 def test_criterion_1_free_schur_bound():
@@ -86,7 +61,7 @@ def test_criterion_1_free_schur_bound():
     ratios = []
     for nu in NU_SET:
         row, col = free_schur_integrals(nu)
-        exact = _exact_norms(nu)[0]
+        exact = exact_weighted_norm(nu, 0)
         op = nystrom_assemble(ConeKernel("free", nu), WeightedAction(-2, 0),
                               grid, refine_diagonal=True)
         measured = operator_norm(op)
@@ -98,14 +73,7 @@ def test_criterion_1_free_schur_bound():
                      f"[{0.9 * exact:.4f}, {(1.0 + 1e-6) * exact:.4f}]"
                      f" (exact norm (nu^2-1)^-1 = {exact:.4f}, Schur "
                      f"ceiling {1.05 * row:.4f})")
-        # column integral vs quadrature, split at the branch kink
-        total = 0.0
-        for lo, hi in ((1e-10, 1.0), (1.0, 1e8)):
-            q = build_grid(1024, lo, hi, scheme="log_gauss_panels")
-            vals = weighted_kernel_matrix(ConeKernel("free", nu),
-                                          WeightedAction(-2, 0),
-                                          q.nodes, np.array([1.0]))[:, 0]
-            total += float(vals @ q.weights)
+        total = free_column_quadrature(nu)
         if abs(total - col) > 1e-8 * col:
             ok = False
             worst = f"nu={nu}: column quadrature off by {abs(total - col):.2e}"
@@ -119,12 +87,9 @@ def test_criterion_2_bessel_schur_uniformity():
     across (nu, beta), and never above the exact values (q <= 1 + 1e-6).
 
     q_a = ||(X d/dx)^a X^-2 K_beta|| / n_a(nu), with n_a = sup |m_a| the
-    exact norm of the free operator (`_exact_norms`, checked here against a
-    direct maximization of |m_a| on a fine tau grid to 1e-9).  For beta > 0
-    the norm equals n_a: it is beta-independent, because conjugating by the
-    dilation x -> beta x is unitary on L^2; it is at most n_a, because
-    T_beta = T_0 L (L + beta^2)^-1 with ||L (L + beta^2)^-1|| <= 1; and it
-    is at least n_a, because T_beta -> T_0 strongly as beta -> 0.
+    exact norm of the free operator (`exact_weighted_norm`, checked here
+    against a direct maximization of |m_a| on a fine tau grid to 1e-9).  For
+    beta > 0 the norm equals n_a, by dilation (see `exact_weighted_norm`).
 
     The `uniform` flags of `uniform_bound_sweep` normalize by Schur rates
     instead, and those ratios carry the nu-dependence of the exact norms,
@@ -137,19 +102,19 @@ def test_criterion_2_bessel_schur_uniformity():
     s = rep["summary"]
     closed_err = 0.0
     for nu in NU_SET:
-        exact = _exact_norms(nu)
+        exact = [exact_weighted_norm(nu, a) for a in range(3)]
         coarse = np.linspace(0.0, 10.0 * nu, 20001)
         step = coarse[1]
         for a in range(3):
-            peak = coarse[np.argmax(np.abs(_mellin_symbol(a, nu, coarse)))]
+            peak = coarse[np.argmax(np.abs(mellin_symbol(a, nu, coarse)))]
             fine = np.linspace(max(0.0, peak - 2 * step), peak + 2 * step,
                                20001)
-            direct = float(np.max(np.abs(_mellin_symbol(a, nu, fine))))
+            direct = float(np.max(np.abs(mellin_symbol(a, nu, fine))))
             closed_err = max(closed_err, abs(direct - exact[a]) / exact[a])
     ok = closed_err <= 1e-9
     cols = []
     for a in range(3):
-        q = np.array([r[f"norm{a}"] / _exact_norms(r["nu"])[a]
+        q = np.array([r[f"norm{a}"] / exact_weighted_norm(r["nu"], a)
                       for r in rep["rows"]])
         spread = float(q.max() / np.median(q))
         ok = ok and spread <= 1.1 and q.max() <= 1.0 + 1e-6
@@ -165,22 +130,13 @@ def test_criterion_3_bessel_accuracy():
     asymptotics within their computed bounds, bounds scaling as mu^-4."""
     nus = np.exp(np.linspace(math.log(0.5), math.log(50.0), 50))
     xs = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 50))
-    worst = 0.0
-    for nu in nus:
-        li0, lk0, *_ = log_bessel_ik(nu, xs)
-        li1, lk1, *_ = log_bessel_ik(nu + 1.0, xs)
-        prod = np.exp(li0 + lk1) + np.exp(li1 + lk0)
-        worst = max(worst, float(np.max(np.abs(xs * prod - 1.0))))
+    worst = wronskian_residual(nus, xs)
     ok = worst <= 1e-10
-    mus = (10.0, 20.0, 40.0)
     bounds = {}
     xg = np.exp(np.linspace(math.log(0.5), math.log(400.0), 25))
-    for mu in mus:
-        li_r, lk_r, *_ = log_bessel_ik(mu, xg)
-        li_a, lk_a, ei, ek = log_ik_uniform_asymptotic(mu, xg)
-        ok = ok and bool(np.all(np.abs(np.expm1(li_a - li_r)) <= ei))
-        ok = ok and bool(np.all(np.abs(np.expm1(lk_a - lk_r)) <= ek))
-        bounds[mu] = max(float(ei.max()), float(ek.max()))
+    for mu in (10.0, 20.0, 40.0):
+        excess, bounds[mu] = uniform_asymptotic_excess(mu, xg)
+        ok = ok and excess <= 1.0
     for a, b in ((10.0, 20.0), (20.0, 40.0)):
         ok = ok and 8.0 <= bounds[a] / bounds[b] <= 32.0
     assert _verdict(3, ok, f"worst Wronskian residual {worst:.2e}, "
@@ -196,14 +152,8 @@ def test_criterion_4_model_round_trip():
         for beta in (0.0, 1.0):
             res = {}
             for n in (400, 800):
-                grid = build_grid(n, 1e-2, 1e2)
-                g = np.exp(-np.log(grid.nodes) ** 2)
-                f = solve_scalar(ModelBlock("scalar_L2", nu, beta), g, grid)
-                r = fd_assemble_model(nu, beta, grid).apply(f) - g
-                sl = interior_slice(n)
-                w = grid.weights[sl]
-                res[n] = math.sqrt(float(w @ r[sl] ** 2)
-                                   / float(w @ g[sl] ** 2))
+                res[n] = round_trip_residual(nu, beta,
+                                             build_grid(n, 1e-2, 1e2))
             order = math.log2(res[400] / res[800])
             ok = ok and res[400] <= 1e-2 and order >= 1.8
             details.append(f"({nu},{beta}): {res[400]:.1e}/o{order:.2f}")
@@ -285,15 +235,10 @@ def test_criterion_8_scales_lab():
     """Tensor powers to 1e-10; 200 randomized positivity/sandwich trials;
     boundary fingerprint ratio >= 10 for the first 3 eigenfunctions."""
     rng = np.random.default_rng(20240617)
-
-    def gen(d):
-        g = rng.normal(size=(d, d))
-        return ScaleGenerator(g @ g.T + (d + 1.0) * np.eye(d))
-
-    g1, g2 = gen(5), gen(4)
+    g1, g2 = random_generator(5, rng), random_generator(4, rng)
     ok = True
     try:
-        tensor_generator(g1, g2, check_tol=1e-10)
+        tensor_generator(g1, g2)
     except Exception:
         ok = False
     sandwich = intersection_scale_check(g1, g2, s=1.3, theta=0.4, trials=200)

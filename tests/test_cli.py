@@ -4,6 +4,7 @@ import pytest
 
 from edgespec.cli import CheckRecord, RunConfig, emit, main, run_suite
 from edgespec.errors import PreconditionError
+from edgespec.kernels import exact_weighted_norm
 
 
 def _strip_runtime(payload):
@@ -99,5 +100,17 @@ def test_schur_example_record():
     by_check = {r.check: r for r in records}
     norm = by_check["schur.weighted_norm"]
     assert norm.measured <= 0.6
-    assert norm.bound == pytest.approx(1.05 / 1.75, rel=1e-12)
+    assert norm.bound == pytest.approx((1 + 1e-6) / 3, rel=1e-12)
     assert norm.passed
+
+
+@pytest.mark.parametrize("nu", [1.6, 2.0, 3.0, 5.0, 10.0])  # criterion 1
+def test_schur_suite_matches_acceptance(nu):
+    by_check = {r.check: r for r in run_suite("schur", RunConfig(nu=nu))}
+    norm = by_check["schur.weighted_norm"]
+    assert norm.bound == (1 + 1e-6) * exact_weighted_norm(nu, 0)
+    assert all(r.passed for r in by_check.values())
+
+
+def test_schur_just_above_witt_floor():
+    assert main(["schur", "--nu", "1.52"]) == 0

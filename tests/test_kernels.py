@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,27 +7,59 @@ import pytest
 from edgespec import kernels
 from edgespec.errors import (ConfigurationError, DomainError,
                              PreconditionError, WittViolationError)
-from edgespec.grids import build_grid
+from edgespec.grids import (build_grid, fd_assemble_model,
+                            free_column_quadrature)
 from edgespec.kernels import (ConeKernel, WeightedAction,
-                              decay_estimate_check, free_schur_integrals,
-                              kernel_eval, product_bound_check,
-                              weighted_kernel, weighted_kernel_eval,
-                              weighted_kernel_matrix)
-from edgespec.model import ACTIONS
+                              decay_estimate_check, exact_weighted_norm,
+                              free_schur_integrals, kernel_eval,
+                              product_bound_check, weighted_kernel,
+                              weighted_kernel_eval, weighted_kernel_matrix)
+from edgespec.model import ACTIONS, ModelBlock, uniform_bound_sweep
+from edgespec.parametrix import EdgeFunction, parametrix_apply
 
 
 def test_kernel_construction_validation():
-    with pytest.raises(WittViolationError):
-        ConeKernel("free", 1.5)
-    with pytest.raises(WittViolationError):
-        ConeKernel("free", 1.52, delta_min=0.05)
     with pytest.raises(ConfigurationError):
         ConeKernel("bessel", 2.0, 0.0)
     with pytest.raises(ConfigurationError):
         ConeKernel("free", 2.0, 1.0)
     with pytest.raises(ConfigurationError):
         ConeKernel("weird", 2.0)
-    ConeKernel("free", 1.51, delta_min=0.005)  # lowered floor is fine
+
+
+def _parametrix(nu):
+    grid = build_grid(32, 1e-2, 1e2)
+    return parametrix_apply(EdgeFunction(np.ones((grid.n, 2, 1, 2))), (nu,),
+                            grid, "first")
+
+
+def _sweep(nu):
+    # FiberSpectrum rejects a NaN eigenvalue itself; a stand-in with the
+    # same nu_values reaches the sweep's own floor check
+    return uniform_bound_sweep(SimpleNamespace(nu_values=lambda: (nu,)),
+                               (1.0,), grid_n=32)
+
+
+WITT_FLOOR_CALLS = {
+    "ConeKernel": lambda nu: ConeKernel("free", nu),
+    "ModelBlock.kernel": lambda nu: ModelBlock("scalar_L2", nu).kernel(),
+    "fd_assemble_model": lambda nu: fd_assemble_model(
+        nu, 0.0, build_grid(32, 1e-1, 10.0)),
+    "parametrix_apply": _parametrix,
+    "free_schur_integrals": free_schur_integrals,
+    "exact_weighted_norm": lambda nu: exact_weighted_norm(nu, 0),
+    "uniform_bound_sweep": _sweep,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITT_FLOOR_CALLS))
+def test_one_witt_floor(name):
+    # every layer refuses nu = 3/2 and NaN and takes any nu above 3/2
+    call = WITT_FLOOR_CALLS[name]
+    for nu in (1.5, math.nan):
+        with pytest.raises(WittViolationError):
+            call(nu)
+    call(1.52)
 
 
 def test_free_kernel_point_value():
@@ -93,15 +126,8 @@ def test_free_schur_integrals_closed_form():
 def test_schur_integrals_match_quadrature():
     # column integral int x^-2 k(x, 1) dx, split at the branch kink
     for nu in (1.6, 2.0, 3.0, 5.0, 10.0):
-        kern = ConeKernel("free", nu)
         _, col = free_schur_integrals(nu)
-        total = 0.0
-        for lo, hi in ((1e-10, 1.0), (1.0, 1e8)):
-            q = build_grid(1024, lo, hi, scheme="log_gauss_panels")
-            vals = weighted_kernel_matrix(kern, WeightedAction(-2, 0),
-                                          q.nodes, np.array([1.0]))[:, 0]
-            total += float(vals @ q.weights)
-        assert total == pytest.approx(col, rel=1e-8)
+        assert free_column_quadrature(nu) == pytest.approx(col, rel=1e-8)
 
 
 def test_product_bound_values():

@@ -1,8 +1,10 @@
-"""Module layout guard: no module imports another module's private names.
+"""Module layout guards.
 
 Private helpers stay private to the module that defines them; shared
 machinery (the finite-difference stencils of ``grids``, for instance) is
-reached through public builders.
+reached through public builders.  The Witt floor lives in one predicate,
+``kernels.require_witt_order``, the only code that raises
+``WittViolationError``.
 """
 
 import ast
@@ -25,3 +27,29 @@ def test_no_cross_module_private_imports():
              for path in sorted(SRC.glob("*.py"))
              for line, module, name in private_imports(path)]
     assert found == []
+
+
+def _names_witt(exc):
+    target = exc.func if isinstance(exc, ast.Call) else exc
+    name = getattr(target, "id", None) or getattr(target, "attr", None)
+    return name == "WittViolationError"
+
+
+def witt_raises(path):
+    """Innermost enclosing function of each ``raise WittViolationError``."""
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Raise) and _names_witt(node.exc):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return list(visit(ast.parse(path.read_text(), filename=str(path)),
+                      "<module>"))
+
+
+def test_one_witt_floor_raise():
+    found = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in witt_raises(path)]
+    assert found == [("kernels.py", "require_witt_order")]

@@ -9,7 +9,7 @@ from edgespec.grids import build_grid, fd_assemble_model
 from edgespec.model import (FiberSpectrum, ModelBlock, a_identity,
                             block_apply, block_matrix, check_witt,
                             homogeneous_solutions, interior_slice,
-                            solve_scalar, verify_square_identity)
+                            round_trip_residual, verify_square_identity)
 
 
 def test_witt_pass_and_fail():
@@ -59,14 +59,7 @@ def test_model_block_validation():
 
 @pytest.mark.parametrize("nu,beta", [(1.6, 0.0), (2.1, 1.0), (5.0, 1.0)])
 def test_solve_scalar_round_trip(nu, beta):
-    grid = build_grid(400, 1e-2, 1e2)
-    g = np.exp(-np.log(grid.nodes) ** 2)
-    f = solve_scalar(ModelBlock("scalar_L2", nu, beta), g, grid)
-    resid = fd_assemble_model(nu, beta, grid).apply(f) - g
-    sl = interior_slice(grid.n)
-    w = grid.weights[sl]
-    rel = math.sqrt(float(w @ resid[sl] ** 2) / float(w @ g[sl] ** 2))
-    assert rel <= 2e-3
+    assert round_trip_residual(nu, beta, build_grid(400, 1e-2, 1e2)) <= 2e-3
 
 
 def test_block_square_matches_scalar_squares():

@@ -6,14 +6,13 @@ import pytest
 from edgespec.errors import ConfigurationError
 from edgespec.scales import (BlockMatrix, DEFAULT_SEED, ScaleGenerator,
                              blockwise_tensor, intersection_scale_check,
-                             random_psd_block, same_scale_demo, scale_norm,
-                             tensor_generator, tensor_positivity_check)
+                             random_generator, random_psd_block,
+                             same_scale_demo, scale_norm, tensor_generator,
+                             tensor_positivity_check)
 
 
-def _generator(dim, seed=11, shift=None):
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, dim))
-    return ScaleGenerator(g @ g.T + (shift or dim + 1.0) * np.eye(dim))
+def _generator(dim, seed=11):
+    return random_generator(dim, np.random.default_rng(seed))
 
 
 def test_generator_validation():
