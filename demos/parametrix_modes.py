@@ -1,5 +1,9 @@
 """Mode-by-mode behaviour of the FFT right inverse on the model edge.
 
+The input is a smooth bump in x, zero outside (0.05, 0.8); ``mapping_bounds``
+reads that support in x <= 1 from the samples and rejects any input that is
+nonzero beyond x = 1.
+
 Run:  python3 demos/parametrix_modes.py
 """
 
@@ -22,8 +26,7 @@ for k in range(1, n_y // 2 + 1):
 for order, n_c, power in (("first", 2, 1), ("second", 1, 2)):
     s = (bump[:, None, None, None] * prof[None, :, None, None]
          * np.ones((1, 1, 1, n_c)))
-    rep = mapping_bounds(EdgeFunction(s, support_flag=True), (2.1,), grid,
-                         order)
+    rep = mapping_bounds(EdgeFunction(s), (2.1,), grid, order)
     print(f"{order} order:")
     print(f"  discrete right-inverse residual: {rep.residual_rel:.2e}")
     print(f"  ||X^-{power} Qu|| / ||u||       : {rep.w11_bound:.4f}")

@@ -87,7 +87,6 @@ class OlverFrame:
     powers of p.
     """
 
-    n_terms: int
     u_polys: tuple
     tv_bounds: tuple
 
@@ -197,7 +196,6 @@ def olver_u_polys(n: int) -> OlverFrame:
         vals = [_poly_eval(coeffs, p) for p in pts]
         tvs.append(float(sum(abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1))))
     return OlverFrame(
-        n_terms=n,
         u_polys=tuple(tuple(c) for c in polys),
         tv_bounds=tuple(tvs),
     )
@@ -499,16 +497,16 @@ def _log_ik_hankel(nu: float, x: np.ndarray):
     return take, li, lk, ei, ek
 
 
-def asymptotic_error_bounds(nu: float, x, n: int = ASYMPTOTIC_TERMS):
-    """Computed error-term bounds for the n-term expansion at order nu.
+def asymptotic_error_bounds(nu: float, x):
+    """Error-term bounds of the ASYMPTOTIC_TERMS-term expansion at order nu.
 
     Returns (bound_i, bound_k): the total-variation bounds on the error terms
     of the I- and K-expansions, using variations of U_1 and of the first
-    omitted polynomial U_n over (p, 1) resp. (0, p) with p = (1+(x/nu)^2)^{-1/2}.
+    omitted polynomial U_n (n = ASYMPTOTIC_TERMS) over (p, 1) resp. (0, p)
+    with p = (1+(x/nu)^2)^{-1/2}.
     """
     nu = _check_order(nu)
-    if n + 1 > 8:
-        raise ConfigurationError("need n + 1 <= 8 coefficient polynomials")
+    n = ASYMPTOTIC_TERMS
     z = np.asarray(x, dtype=float) / nu
     p = 1.0 / np.hypot(1.0, z)
     v1_0p = _variation_from_zero(1, p)
@@ -520,8 +518,9 @@ def asymptotic_error_bounds(nu: float, x, n: int = ASYMPTOTIC_TERMS):
     return b1, b2
 
 
-def _log_ik_olver(nu: float, x: np.ndarray, n: int = ASYMPTOTIC_TERMS):
+def _log_ik_olver(nu: float, x: np.ndarray):
     """Uniform large-order asymptotics with total-variation error bounds."""
+    n = ASYMPTOTIC_TERMS
     frame = olver_u_polys(n)
     z = x / nu
     p = 1.0 / np.hypot(1.0, z)
@@ -532,7 +531,7 @@ def _log_ik_olver(nu: float, x: np.ndarray, n: int = ASYMPTOTIC_TERMS):
         uj = _poly_eval(list(frame.u_polys[j]), p) / nu ** j
         su_i += uj
         su_k += (-1.0) ** j * uj
-    b_x, b2_x = asymptotic_error_bounds(nu, x, n)
+    b_x, b2_x = asymptotic_error_bounds(nu, x)
     v1_tot = float(_variation_from_zero(1, np.array(1.0)))
     vn_tot = float(_variation_from_zero(n, np.array(1.0)))
     b_inf = 2.0 * math.exp(2.0 * v1_tot / nu) * vn_tot / nu ** n
@@ -547,7 +546,7 @@ def _log_ik_olver(nu: float, x: np.ndarray, n: int = ASYMPTOTIC_TERMS):
     return log_i, log_k, err_i, err_k
 
 
-def log_ik_uniform_asymptotic(nu: float, x, n: int = ASYMPTOTIC_TERMS):
+def log_ik_uniform_asymptotic(nu: float, x):
     """The uniform large-order branch on its own, regardless of thresholds.
 
     Returns (log_i, log_k, err_i, err_k).  Useful for checking the expansion
@@ -557,7 +556,7 @@ def log_ik_uniform_asymptotic(nu: float, x, n: int = ASYMPTOTIC_TERMS):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise DomainError("argument must be positive and finite")
-    return _log_ik_olver(nu, x, n)
+    return _log_ik_olver(nu, x)
 
 
 def log_bessel_ik(nu: float, x):

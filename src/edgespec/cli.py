@@ -100,10 +100,7 @@ def _suite_schur(cfg: RunConfig):
     nu, beta = cfg.nu, cfg.beta
     t0 = time.perf_counter()
     grid = build_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-    kern = (ConeKernel("free", nu) if beta == 0.0
-            else ConeKernel("bessel", nu, beta))
-    op = nystrom_assemble(kern, WeightedAction(-2, 0), grid,
-                          refine_diagonal=True)
+    op = nystrom_assemble(ConeKernel(nu, beta), WeightedAction(-2, 0), grid)
     measured = operator_norm(op)
     # the exact norm is beta-independent; the truncated window approaches
     # it from below
@@ -139,7 +136,7 @@ def _suite_parametrix(cfg: RunConfig):
         s = np.zeros((grid.n, cfg.y_modes, len(nus), n_c))
         s[mask] = rng.normal(size=(int(mask.sum()), cfg.y_modes,
                                    len(nus), n_c))
-        u = EdgeFunction(s, support_flag=True)
+        u = EdgeFunction(s)
         rep = mapping_bounds(u, nus, grid, order)
         out.append(_record(f"parametrix.residual_{order}",
                            {"order": order, "n": grid.n},

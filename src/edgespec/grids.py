@@ -24,6 +24,8 @@ from .kernels import (ConeKernel, WeightedAction, require_witt_order,
 X_MIN_DEFAULT = 1e-4
 X_MAX_DEFAULT = 1e3
 GAUSS_PANEL_NODES = 32
+# Gauss nodes per quadrature cell of the Nystrom diagonal pass
+DIAG_CELL_NODES = 16
 
 POWER_ITER_TOL = 1e-8
 POWER_ITER_MAX = 10_000
@@ -88,11 +90,11 @@ def build_grid(n: int, x_min: float = X_MIN_DEFAULT,
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Dense matrix acting on grid samples, with the quadrature metric."""
+    """Dense matrix acting on grid samples; the metric is the grid's
+    quadrature weights."""
 
     matrix: np.ndarray
     grid: HalfLineGrid
-    metric_weights: np.ndarray
 
     def apply(self, u):
         return self.matrix @ np.asarray(u, dtype=float)
@@ -105,22 +107,20 @@ def metric_adjoint_matrix(matrix, weights):
 
 
 def nystrom_assemble(kernel: ConeKernel, action: WeightedAction,
-                     grid: HalfLineGrid,
-                     refine_diagonal: bool = False) -> DiscreteOperator:
-    """Nystrom matrix M_ij = (weighted kernel)(x_i, x_j) w_j.
+                     grid: HalfLineGrid) -> DiscreteOperator:
+    """Nystrom matrix M_ij = (weighted kernel)(x_i, x_j) w_j, off the diagonal.
 
-    With ``refine_diagonal`` the diagonal entries are product-integrated
-    over their quadrature cell with a local Gauss rule.  Derivative kernels
-    of Bessel kind concentrate in a band of width 1/beta around the
+    Each diagonal entry is the product integral of the kernel over its
+    quadrature cell with a DIAG_CELL_NODES-point Gauss rule.  Derivative
+    kernels with beta > 0 concentrate in a band of width 1/beta around the
     diagonal; once the node spacing exceeds that width the plain rule
     inflates the diagonal by the unresolved spike, while the cell integral
     remains faithful.
     """
     m = weighted_kernel_matrix(kernel, action, grid.nodes, grid.nodes)
     m = m * grid.weights[None, :]
-    if refine_diagonal:
-        np.fill_diagonal(m, _diagonal_cell_integrals(kernel, action, grid))
-    return DiscreteOperator(m, grid, grid.weights)
+    np.fill_diagonal(m, _diagonal_cell_integrals(kernel, action, grid))
+    return DiscreteOperator(m, grid)
 
 
 def free_column_quadrature(nu: float) -> float:
@@ -131,7 +131,7 @@ def free_column_quadrature(nu: float) -> float:
     resolve it to quadrature precision.  ``free_schur_integrals`` gives the
     closed form (nu^2 - 1/4)^-1.
     """
-    kern = ConeKernel("free", nu)
+    kern = ConeKernel(nu)
     total = 0.0
     for lo, hi in ((1e-10, 1.0), (1.0, 1e8)):
         quad = build_grid(1024, lo, hi, scheme="log_gauss_panels")
@@ -141,13 +141,13 @@ def free_column_quadrature(nu: float) -> float:
 
 
 def _diagonal_cell_integrals(kernel: ConeKernel, action: WeightedAction,
-                             grid: HalfLineGrid, n_sub: int = 16):
+                             grid: HalfLineGrid):
     """integral of the weighted kernel k(x_i, y) over the i-th weight cell."""
     x = grid.nodes
     mids = 0.5 * (x[:-1] + x[1:])
     lo = np.concatenate(([x[0]], mids))
     hi = np.concatenate((mids, [x[-1]]))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_sub)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(DIAG_CELL_NODES)
     half = 0.5 * (hi - lo)
     ys = 0.5 * (hi + lo)[:, None] + half[:, None] * gl_x[None, :]
     ws = half[:, None] * gl_w[None, :]
@@ -215,8 +215,7 @@ def fd_assemble_model(nu: float, beta: float,
     if h > 0.25:
         raise ConfigurationError(
             f"log spacing {h:.3f} too coarse to resolve the 1/x^2 potential")
-    return DiscreteOperator(fd_scalar(nu * nu - 0.25, beta, grid), grid,
-                            grid.weights)
+    return DiscreteOperator(fd_scalar(nu * nu - 0.25, beta, grid), grid)
 
 
 def operator_norm(op: DiscreteOperator, tol: float = POWER_ITER_TOL,
@@ -229,7 +228,7 @@ def operator_norm(op: DiscreteOperator, tol: float = POWER_ITER_TOL,
     """
     if tol <= 0.0:
         raise ConfigurationError("tolerance must be positive")
-    sw = np.sqrt(op.metric_weights)
+    sw = np.sqrt(op.grid.weights)
     a = sw[:, None] * op.matrix / sw[None, :]
     b = a.T @ a
     z = sw / np.linalg.norm(sw)  # v = 1 / ||1||_W

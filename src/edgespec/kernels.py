@@ -7,12 +7,12 @@ Two kernel families invert the model operators -d^2/dx^2 + x^{-2}(nu^2-1/4)
 * bessel (beta > 0): k(x,y) = (xy)^{1/2} I_nu(beta y) K_nu(beta x), y <= x,
 
 both extended symmetrically.  Weighted variants x^w (x d/dx)^a k are computed
-analytically: by power rules for the free kind and by the order recurrences
+analytically: by power rules for the free kernel and by the order recurrences
 
     (u d/du)[u^k K_m] = (k+m) u^k K_m - u^{k+1} K_{m+1},
     (u d/du)[u^k I_m] = (k+m) u^k I_m + u^{k+1} I_{m+1},
 
-for the Bessel kind.  ``weighted_kernel`` evaluates them at broadcastable x
+for the Bessel kernel.  ``weighted_kernel`` evaluates them at broadcastable x
 and y in log space, Bessel factors before broadcasting; underflow clamps to 0.
 
 ``require_witt_order`` is the one Witt floor nu > 3/2 of the toolkit: every
@@ -30,7 +30,6 @@ from .bessel import log_bessel_ik
 from .errors import (ConfigurationError, DomainError, PreconditionError,
                      WittViolationError)
 
-KINDS = ("free", "bessel")
 WEIGHT_POWERS = (0, -1, -2)
 EDGE_DERIVATIVES = (0, 1, 2)
 
@@ -52,26 +51,21 @@ def require_witt_order(nu) -> None:
 
 @dataclass(frozen=True)
 class ConeKernel:
-    """Immutable description of one inverse kernel.
+    """Immutable description of one inverse kernel: the free kernel when
+    beta = 0, the Bessel kernel when beta > 0.
 
     ``nu`` must pass ``require_witt_order`` (nu > 3/2); the Schur integrals
-    diverge as nu -> 3/2.
+    diverge as nu -> 3/2.  ``beta`` is tested as ``not beta >= 0`` so that
+    NaN fails.
     """
 
-    kind: str
     nu: float
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigurationError(f"unknown kernel kind {self.kind!r}")
         require_witt_order(self.nu)
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ConfigurationError("beta must be nonnegative")
-        if self.kind == "bessel" and self.beta == 0.0:
-            raise ConfigurationError("bessel kernel requires beta > 0")
-        if self.kind == "free" and self.beta != 0.0:
-            raise ConfigurationError("free kernel requires beta = 0")
 
 
 @dataclass(frozen=True)
@@ -157,7 +151,7 @@ def weighted_kernel(kernel: ConeKernel, action: WeightedAction, x, y):
         raise DomainError("kernel arguments must be positive")
     nu, w, a = kernel.nu, action.weight_power, action.edge_derivatives
     lower = y <= x
-    if kernel.kind == "free":
+    if kernel.beta == 0.0:
         lx, ly = np.log(x), np.log(y)
         return (_free_branch(nu, w, a, lx, ly, True, lower)
                 + _free_branch(nu, w, a, lx, ly, False, ~lower))

@@ -88,37 +88,14 @@ def a_identity(s):
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class ModelBlock:
-    """One fiber cell of the model operator: scalar square or 2x2 block."""
-
-    kind: str
-    nu: float
-    xi_norm: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("scalar_L2", "block_L"):
-            raise ConfigurationError(f"unknown block kind {self.kind!r}")
-        if self.xi_norm < 0.0:
-            raise ConfigurationError("xi_norm must be nonnegative")
-        require_witt_order(self.nu)
-
-    def kernel(self):
-        if self.xi_norm == 0.0:
-            return ConeKernel("free", self.nu)
-        return ConeKernel("bessel", self.nu, self.xi_norm)
-
-
-def solve_scalar(block: ModelBlock, g, grid: HalfLineGrid):
-    """f = K g by Nystrom application of the inverse kernel.
+def solve_scalar(nu: float, beta: float, g, grid: HalfLineGrid):
+    """f = K g by Nystrom application of the inverse kernel of (nu, beta).
 
     The finite-difference model operator applied to f reproduces g to O(h^2)
     on the grid interior.
     """
-    if block.kind != "scalar_L2":
-        raise ConfigurationError("solve_scalar expects a scalar_L2 block")
     g = np.asarray(g, dtype=float)
-    m = weighted_kernel_matrix(block.kernel(), WeightedAction(0, 0),
+    m = weighted_kernel_matrix(ConeKernel(nu, beta), WeightedAction(0, 0),
                                grid.nodes, grid.nodes)
     return m @ (grid.weights * g)
 
@@ -131,28 +108,33 @@ def round_trip_residual(nu: float, beta: float, grid: HalfLineGrid) -> float:
     O(h^2).  Measured in the weighted L^2 norm on ``interior_slice`` nodes.
     """
     g = np.exp(-np.log(grid.nodes) ** 2)
-    f = solve_scalar(ModelBlock("scalar_L2", nu, beta), g, grid)
+    f = solve_scalar(nu, beta, g, grid)
     resid = fd_assemble_model(nu, beta, grid).apply(f) - g
     sl = interior_slice(grid.n)
     w = grid.weights[sl]
     return math.sqrt(float(w @ resid[sl] ** 2) / float(w @ g[sl] ** 2))
 
 
-def block_matrix(block: ModelBlock, grid: HalfLineGrid):
-    """Dense 2N x 2N finite-difference matrix of the first-order 2x2 system."""
-    if block.kind != "block_L":
-        raise ConfigurationError("block_matrix expects a block_L block")
-    return fd_first_order(block.nu - 0.5, block.xi_norm, grid)
+def block_matrix(nu: float, xi_norm: float, grid: HalfLineGrid):
+    """Dense 2N x 2N finite-difference matrix of the first-order 2x2 system.
+
+    ``nu`` must pass ``require_witt_order``; ``xi_norm`` = |xi| is tested as
+    ``not xi_norm >= 0`` so that NaN fails.
+    """
+    require_witt_order(nu)
+    if not xi_norm >= 0.0:
+        raise ConfigurationError("xi_norm must be nonnegative")
+    return fd_first_order(nu - 0.5, xi_norm, grid)
 
 
-def block_apply(block: ModelBlock, f, grid: HalfLineGrid):
+def block_apply(nu: float, xi_norm: float, f, grid: HalfLineGrid):
     """Apply the discretized 2x2 first-order system to a 2-component function."""
     f = np.asarray(f, dtype=float)
     if f.shape != (2, grid.n):
         raise ConfigurationError("expected a (2, N) component array")
     if not np.all(np.isfinite(f)):
         raise ConfigurationError("components must be finite")
-    out = block_matrix(block, grid) @ f.reshape(2 * grid.n)
+    out = block_matrix(nu, xi_norm, grid) @ f.reshape(2 * grid.n)
     return out.reshape(2, grid.n)
 
 
@@ -178,8 +160,7 @@ def verify_square_identity(nu: float, beta: float, u, grid: HalfLineGrid):
     discrepancy so callers can record the refinement order.
     """
     u = np.asarray(u, dtype=float)
-    block = ModelBlock("block_L", nu, beta)
-    twice = block_apply(block, block_apply(block, u, grid), grid)
+    twice = block_apply(nu, beta, block_apply(nu, beta, u, grid), grid)
     mu = nu - 0.5
     direct = np.vstack([
         fd_scalar(mu * (mu + 1.0), beta, grid) @ u[0],
@@ -215,10 +196,8 @@ def uniform_bound_sweep(spectrum: FiberSpectrum, betas, grid_n: int = 400,
     rows = []
     for nu in spectrum.nu_values():
         for beta in betas:
-            kern = (ConeKernel("free", nu) if beta == 0.0
-                    else ConeKernel("bessel", nu, beta))
-            norms = [operator_norm(nystrom_assemble(kern, act, grid,
-                                                    refine_diagonal=True))
+            kern = ConeKernel(nu, beta)
+            norms = [operator_norm(nystrom_assemble(kern, act, grid))
                      for act in ACTIONS]
             rows.append({
                 "nu": nu, "beta": float(beta),

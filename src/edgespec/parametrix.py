@@ -28,11 +28,12 @@ MAX_Y_MODES = 64
 
 @dataclass(frozen=True)
 class EdgeFunction:
-    """Samples on the (x-node, y-node, fiber, component) lattice."""
+    """Samples on the (x-node, y-node, fiber, component) lattice.
+
+    The y-nodes are equally spaced on the torus of period ``Y_PERIOD``.
+    """
 
     samples: np.ndarray
-    y_period: float = Y_PERIOD
-    support_flag: bool = False
 
     def __post_init__(self):
         s = np.asarray(self.samples)
@@ -45,6 +46,7 @@ class EdgeFunction:
                 f"y-grid size must be a power of two <= {MAX_Y_MODES}")
         if not np.all(np.isfinite(s)):
             raise ConfigurationError("samples must be finite")
+        object.__setattr__(self, "samples", s)
 
     @property
     def n_y(self):
@@ -90,18 +92,19 @@ def _check_setup(u: EdgeFunction, nus, grid: HalfLineGrid, order):
     return s
 
 
-def _solve_modes(u: EdgeFunction, nus, grid: HalfLineGrid, order):
-    """Per-mode LU solves; returns (Qu-hat, u-hat, residual ratios)."""
-    s = _check_setup(u, nus, grid, order)
+def _solve_modes(s, nus, grid: HalfLineGrid, order):
+    """Per-mode LU solves of the samples ``_check_setup`` returned; returns
+    (Qu-hat, xi modes, per-mode input and output norms, residual sums)."""
+    n_y = s.shape[1]
     u_hat = np.fft.fft(s, axis=1)
     q_hat = np.empty_like(u_hat)
-    xis = _xi_modes(u.n_y)
+    xis = _xi_modes(n_y)
     w = grid.weights
     n = grid.n
     resid_num = 0.0
     resid_den = 0.0
-    mode_in = np.zeros(u.n_y)
-    mode_out = np.zeros(u.n_y)
+    mode_in = np.zeros(n_y)
+    mode_out = np.zeros(n_y)
     for f, nu in enumerate(nus):
         lu_cache = {}
         for k, xi in enumerate(xis):
@@ -125,22 +128,23 @@ def _solve_modes(u: EdgeFunction, nus, grid: HalfLineGrid, order):
             q_hat[:, k, f, :] = sol.reshape(-1, n).T
             mode_in[k] += float(wide @ np.abs(rhs) ** 2)
             mode_out[k] += float(wide @ np.abs(sol) ** 2)
-    return q_hat, u_hat, xis, mode_in, mode_out, resid_num, resid_den
+    return q_hat, xis, mode_in, mode_out, resid_num, resid_den
 
 
 def parametrix_apply(u: EdgeFunction, nus, grid: HalfLineGrid,
                      order: str = "first") -> EdgeFunction:
     """Qu (order "first") or Q^2 u (order "second") by exact mode-wise solves."""
-    q_hat, *_ = _solve_modes(u, nus, grid, order)
+    q_hat, *_ = _solve_modes(_check_setup(u, nus, grid, order), nus, grid,
+                             order)
     out = np.fft.ifft(q_hat, axis=1)
     if np.isrealobj(u.samples):
         out = out.real
-    return EdgeFunction(out, u.y_period, support_flag=False)
+    return EdgeFunction(out)
 
 
-def _edge_l2(s, grid, n_y):
+def _edge_l2(s, grid):
     w = grid.weights
-    dy = Y_PERIOD / n_y
+    dy = Y_PERIOD / s.shape[1]
     return math.sqrt(float(np.sum(w[:, None, None, None]
                                   * np.abs(s) ** 2)) * dy)
 
@@ -149,24 +153,27 @@ def mapping_bounds(u: EdgeFunction, nus, grid: HalfLineGrid,
                    order: str = "first") -> ParametrixReport:
     """Weighted mapping norms and per-mode decay ratios of the parametrix.
 
-    Asserting the continuum statement is done by the caller via the fitted
-    constant C = max_k ratio_k (1+|xi_k|)^order, which must be stable under
-    grid refinement.
+    The input must be supported in x <= 1: a nonzero sample at a grid node
+    x > 1 raises PreconditionError before any mode is solved.  Asserting the
+    continuum statement is done by the caller via the fitted constant
+    C = max_k ratio_k (1+|xi_k|)^order, which must be stable under grid
+    refinement.
     """
-    if not u.support_flag:
+    s = _check_setup(u, nus, grid, order)
+    if np.any(s[grid.nodes > 1.0] != 0.0):
         raise PreconditionError(
             "mapping bounds require x-support inside [0, 1]")
-    (q_hat, u_hat, xis, mode_in, mode_out,
-     resid_num, resid_den) = _solve_modes(u, nus, grid, order)
+    (q_hat, xis, mode_in, mode_out,
+     resid_num, resid_den) = _solve_modes(s, nus, grid, order)
     if resid_den == 0.0:
         raise PreconditionError("mapping bounds need a nonzero input")
     qu = np.fft.ifft(q_hat, axis=1)
     power = 1 if order == "first" else 2
     x_weight = grid.nodes.astype(float) ** (-power)
-    u_norm = _edge_l2(np.fft.ifft(u_hat, axis=1), grid, u.n_y)
-    w_bound = _edge_l2(x_weight[:, None, None, None] * qu, grid, u.n_y)
+    u_norm = _edge_l2(s, grid)
+    w_bound = _edge_l2(x_weight[:, None, None, None] * qu, grid)
     dy_qu = np.fft.ifft(q_hat * (1j * xis)[None, :, None, None], axis=1)
-    y_bound = _edge_l2(x_weight[:, None, None, None] * dy_qu, grid, u.n_y)
+    y_bound = _edge_l2(x_weight[:, None, None, None] * dy_qu, grid)
     active = mode_in > 1e-28 * mode_in.max()
     ratios = np.sqrt(mode_out[active] / mode_in[active])
     envelope = (1.0 + np.abs(xis[active])) ** (-power)

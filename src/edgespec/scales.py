@@ -231,11 +231,11 @@ def tensor_positivity_check(a: BlockMatrix, b: BlockMatrix, trials: int,
             "lambda_min_monotone": lam_mono, "trials": trials, "passes": ok}
 
 
-def same_scale_demo(a: float, length: float = math.pi, n: int = 400):
+def same_scale_demo(a: float, n: int = 400):
     """Boundary-condition fingerprint distinguishing two equal-domain scales.
 
     Discretizes the off-diagonal first-order pair (d/dx + a, -d/dx + a) on
-    [0, length] on a staggered grid: f2 on the n+1 integer nodes, f1 on the
+    [0, pi] on a staggered grid: f2 on the n+1 integer nodes, f1 on the
     n midpoints, with only the f1(0) = 0 condition built in.  The f2-block
     of the square is B^T B; its low eigenvectors satisfy the a-dependent
     natural condition f2'(0) + a f2(0) = 0 without it ever being imposed.
@@ -245,7 +245,7 @@ def same_scale_demo(a: float, length: float = math.pi, n: int = 400):
     """
     if n < 16:
         raise ConfigurationError("need at least 16 cells")
-    h = length / n
+    h = math.pi / n
     # B maps f2 (nodes 0..n) to midpoint values of (d/dx + a) f2
     b = np.zeros((n, n + 1))
     idx = np.arange(n)

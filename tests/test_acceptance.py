@@ -62,8 +62,7 @@ def test_criterion_1_free_schur_bound():
     for nu in NU_SET:
         row, col = free_schur_integrals(nu)
         exact = exact_weighted_norm(nu, 0)
-        op = nystrom_assemble(ConeKernel("free", nu), WeightedAction(-2, 0),
-                              grid, refine_diagonal=True)
+        op = nystrom_assemble(ConeKernel(nu), WeightedAction(-2, 0), grid)
         measured = operator_norm(op)
         ratios.append(measured / exact)
         if not (0.9 * exact <= measured <= (1.0 + 1e-6) * exact
@@ -169,7 +168,7 @@ def test_criterion_5_decay_estimates():
     delta = 0.5
     worst = 0.0
     for nu in (2.0, 5.0, 10.0):
-        for kern in (ConeKernel("free", nu), ConeKernel("bessel", nu, 1.0)):
+        for kern in (ConeKernel(nu), ConeKernel(nu, 1.0)):
             for x in np.exp(np.linspace(math.log(2.0), math.log(100.0), 15)):
                 val, _ = decay_estimate_check(kern, yg.nodes, yg.weights, u,
                                               float(x))
@@ -190,7 +189,7 @@ def test_criterion_6_parametrix():
         order, n_c = (("first", 2), ("second", 1))[trial % 2]
         s = np.zeros((grid.n, 16, 1, n_c))
         s[mask] = rng.normal(size=(int(mask.sum()), 16, 1, n_c))
-        rep = mapping_bounds(EdgeFunction(s, support_flag=True), (2.1,),
+        rep = mapping_bounds(EdgeFunction(s), (2.1,),
                              grid, order)
         worst_res = max(worst_res, rep.residual_rel)
     ok = ok and worst_res <= 1e-8
@@ -208,7 +207,7 @@ def test_criterion_6_parametrix():
             prof = 1.0 + 0.5 * np.cos(y) + 0.25 * np.sin(2 * y)
             s = (bump[:, None, None, None] * prof[None, :, None, None]
                  * np.ones((1, 1, 1, n_c)))
-            rep = mapping_bounds(EdgeFunction(s, support_flag=True), (2.1,),
+            rep = mapping_bounds(EdgeFunction(s), (2.1,),
                                  g, order)
             cs[n] = rep.fitted_c
         change = abs(cs[400] - cs[200]) / cs[200]

@@ -1,0 +1,39 @@
+"""The benchmark's tracer still sees the library calls it counts.
+
+``bench/tracing.py`` wraps the layer functions by name and reads call shapes
+from their leading arguments, so a change to a name or an argument position
+it relies on would make traced benchmark runs read zero silently.  This runs
+a small sweep cell and a small parametrix under the tracer.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+COUNTED = ("model.sweep.cells", "grids.nystrom.calls",
+           "kernels.matrix.calls", "grids.operator_norm.calls",
+           "parametrix.lu_factor.calls", "parametrix.modes")
+
+
+def test_traced_layers_are_counted(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import setup_probe
+    import tracing
+    es = setup_probe.import_edgespec()
+    tracer = tracing.Tracer(es, "contract", 0)
+    tracer.install()
+    try:
+        es.model.uniform_bound_sweep(es.model.FiberSpectrum((1.1,)), [1.0],
+                                     grid_n=32)
+        grid = es.grids.build_grid(32, 1e-2, 1e2)
+        s = np.zeros((grid.n, 2, 1, 2))
+        s[(grid.nodes > 0.05) & (grid.nodes < 0.8)] = 1.0
+        es.parametrix.mapping_bounds(es.parametrix.EdgeFunction(s), (2.1,),
+                                     grid, "first")
+    finally:
+        tracer.remove()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert all(metrics[name] > 0 for name in COUNTED), {
+        name: metrics[name] for name in COUNTED}

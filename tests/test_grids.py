@@ -56,9 +56,9 @@ def test_metric_adjoint_is_adjoint():
 def test_operator_norm_diagonal_exact():
     g = build_grid(50, 0.1, 10.0)
     d = np.linspace(0.2, 3.7, g.n)
-    op = DiscreteOperator(np.diag(d), g, g.weights)
+    op = DiscreteOperator(np.diag(d), g)
     assert operator_norm(op) == pytest.approx(3.7, rel=1e-7)
-    zero = DiscreteOperator(np.zeros((g.n, g.n)), g, g.weights)
+    zero = DiscreteOperator(np.zeros((g.n, g.n)), g)
     assert operator_norm(zero) == 0.0
     with pytest.raises(ConfigurationError):
         operator_norm(op, tol=0.0)
@@ -75,12 +75,11 @@ def test_operator_norm_of_known_singular_values():
     s = np.concatenate(([2.5], np.linspace(1.2, 0.01, g.n - 1)))
     sw = np.sqrt(g.weights)
     m = (u * s) @ v.T * sw[None, :] / sw[:, None]
-    op = DiscreteOperator(m, g, g.weights)
+    op = DiscreteOperator(m, g)
     assert operator_norm(op) == pytest.approx(2.5, rel=1e-7)
 
 
-@pytest.mark.parametrize("kern", [ConeKernel("free", 2.0),
-                                  ConeKernel("bessel", 2.0, 10.0)])
+@pytest.mark.parametrize("kern", [ConeKernel(2.0), ConeKernel(2.0, 10.0)])
 @pytest.mark.parametrize("action", ACTIONS)
 def test_diagonal_cell_integrals_match_dense_rows(kern, action):
     # reference: the dense node x sub-node matrix, keeping node i's own cell
@@ -106,8 +105,7 @@ def test_nystrom_free_norm_matches_mellin_value():
     # x^{-1/2} is only marginally square integrable)
     nu = 3.0
     g = build_grid(400, 1e-5, 1e5)
-    op = nystrom_assemble(ConeKernel("free", nu), WeightedAction(-2, 0), g,
-                          refine_diagonal=True)
+    op = nystrom_assemble(ConeKernel(nu), WeightedAction(-2, 0), g)
     exact = 1.0 / (nu * nu - 1.0)
     measured = operator_norm(op)
     assert measured <= exact * (1.0 + 1e-6)

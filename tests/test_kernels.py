@@ -14,17 +14,19 @@ from edgespec.kernels import (ConeKernel, WeightedAction,
                               free_schur_integrals, kernel_eval,
                               product_bound_check, weighted_kernel,
                               weighted_kernel_eval, weighted_kernel_matrix)
-from edgespec.model import ACTIONS, ModelBlock, uniform_bound_sweep
+from edgespec.model import (ACTIONS, block_matrix, solve_scalar,
+                            uniform_bound_sweep)
 from edgespec.parametrix import EdgeFunction, parametrix_apply
 
 
 def test_kernel_construction_validation():
-    with pytest.raises(ConfigurationError):
-        ConeKernel("bessel", 2.0, 0.0)
-    with pytest.raises(ConfigurationError):
-        ConeKernel("free", 2.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        ConeKernel("weird", 2.0)
+    # beta = 0 is the free kernel and beta > 0 the Bessel kernel; a negative
+    # or NaN beta is neither
+    assert kernel_eval(ConeKernel(2.0, 0.0), 1.0, 1.0) == 0.25
+    assert ConeKernel(2.0, 1.0).beta == 1.0
+    for beta in (-1.0, math.nan):
+        with pytest.raises(ConfigurationError):
+            ConeKernel(2.0, beta)
 
 
 def _parametrix(nu):
@@ -41,8 +43,11 @@ def _sweep(nu):
 
 
 WITT_FLOOR_CALLS = {
-    "ConeKernel": lambda nu: ConeKernel("free", nu),
-    "ModelBlock.kernel": lambda nu: ModelBlock("scalar_L2", nu).kernel(),
+    "ConeKernel": ConeKernel,
+    "solve_scalar": lambda nu: solve_scalar(
+        nu, 0.0, np.ones(32), build_grid(32, 1e-1, 10.0)),
+    "block_matrix": lambda nu: block_matrix(
+        nu, 1.0, build_grid(32, 1e-1, 10.0)),
     "fd_assemble_model": lambda nu: fd_assemble_model(
         nu, 0.0, build_grid(32, 1e-1, 10.0)),
     "parametrix_apply": _parametrix,
@@ -63,13 +68,13 @@ def test_one_witt_floor(name):
 
 
 def test_free_kernel_point_value():
-    k = ConeKernel("free", 2.0)
+    k = ConeKernel(2.0)
     assert kernel_eval(k, 1.0, 1.0) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_kernel_symmetry():
     pts = [(0.3, 1.7), (2.0, 0.01), (5.0, 5.0), (100.0, 0.2)]
-    for kern in (ConeKernel("free", 2.5), ConeKernel("bessel", 2.5, 1.3)):
+    for kern in (ConeKernel(2.5), ConeKernel(2.5, 1.3)):
         for x, y in pts:
             assert kernel_eval(kern, x, y) == pytest.approx(
                 kernel_eval(kern, y, x), rel=1e-12)
@@ -77,7 +82,7 @@ def test_kernel_symmetry():
 
 def test_bessel_kernel_point_value():
     # sqrt(2) I_2(1) K_2(2), mpmath dps=30
-    k = ConeKernel("bessel", 2.0, 1.0)
+    k = ConeKernel(2.0, 1.0)
     assert kernel_eval(k, 2.0, 1.0) == pytest.approx(
         0.048715832289423085, rel=1e-10)
 
@@ -85,14 +90,13 @@ def test_bessel_kernel_point_value():
 def test_free_weighted_derivative_closed_form():
     # on the y < x branch, (x d/dx)[x^-2 k] = (-nu - 3/2) x^-2 k
     nu = 2.0
-    k = ConeKernel("free", nu)
+    k = ConeKernel(nu)
     base = weighted_kernel_eval(k, WeightedAction(-2, 0), 3.0, 1.0)
     once = weighted_kernel_eval(k, WeightedAction(-2, 1), 3.0, 1.0)
     assert once == pytest.approx((-nu - 1.5) * base, rel=1e-13)
 
 
-@pytest.mark.parametrize("kern", [ConeKernel("free", 2.5),
-                                  ConeKernel("bessel", 2.5, 1.0)])
+@pytest.mark.parametrize("kern", [ConeKernel(2.5), ConeKernel(2.5, 1.0)])
 @pytest.mark.parametrize("weight,nder", [(0, 1), (-2, 1), (-2, 2)])
 def test_derivative_kernels_match_finite_differences(kern, weight, nder):
     x, y = 3.0, 1.0  # safely away from the diagonal
@@ -161,7 +165,7 @@ def test_decay_estimate_exact_power_integral():
     # Ku = (1/4) x^{-3/2} int_0^1 y^{5/2} dy = 1/112
     grid = build_grid(128, 1e-8, 1.0, scheme="log_gauss_panels")
     u = np.ones(grid.n)
-    val, deriv = decay_estimate_check(ConeKernel("free", 2.0),
+    val, deriv = decay_estimate_check(ConeKernel(2.0),
                                       grid.nodes, grid.weights, u, 4.0)
     assert val == pytest.approx(1.0 / 112.0, rel=1e-8)
     assert deriv == pytest.approx(1.5 / 112.0, rel=1e-8)
@@ -170,7 +174,7 @@ def test_decay_estimate_exact_power_integral():
 def test_decay_estimate_preconditions():
     grid = build_grid(32, 1e-3, 1.0)
     u = np.ones(grid.n)
-    kern = ConeKernel("free", 2.0)
+    kern = ConeKernel(2.0)
     with pytest.raises(PreconditionError):
         decay_estimate_check(kern, grid.nodes, grid.weights, u, 0.5)
     wide = build_grid(32, 1e-3, 2.0)
@@ -184,28 +188,27 @@ def test_decay_estimate_preconditions():
 def test_bessel_kernel_dominated_by_free_envelope():
     # |K_nu(bx) I_nu(by)| <= C (1/nu)(y/x)^nu for y <= x
     nu, beta, x = 3.0, 1.0, 10.0
-    kb = ConeKernel("bessel", nu, beta)
-    kf = ConeKernel("free", nu)
+    kb = ConeKernel(nu, beta)
+    kf = ConeKernel(nu)
     for y in (0.1, 1.0, 5.0, 9.0):
         ratio = kernel_eval(kb, x, y) / kernel_eval(kf, x, y)
         assert ratio <= 2.0 * nu  # envelope with a modest constant
 
 
 def test_extreme_parameters_no_overflow():
-    k = ConeKernel("bessel", 2.0, 10.0)
+    k = ConeKernel(2.0, 10.0)
     m = weighted_kernel_matrix(k, WeightedAction(-2, 2),
                                np.array([1e-4, 1.0, 1e3]),
                                np.array([1e-4, 1.0, 1e3]))
     assert np.all(np.isfinite(m))
     # deep underflow clamps to zero rather than raising
-    v = kernel_eval(ConeKernel("free", 100.0), 1e3, 1e-3)
+    v = kernel_eval(ConeKernel(100.0), 1e3, 1e-3)
     assert v == 0.0
     with pytest.raises(DomainError):
         kernel_eval(k, -1.0, 1.0)
 
 
-@pytest.mark.parametrize("kern", [ConeKernel("free", 2.5),
-                                  ConeKernel("bessel", 2.5, 1.3)])
+@pytest.mark.parametrize("kern", [ConeKernel(2.5), ConeKernel(2.5, 1.3)])
 @pytest.mark.parametrize("action", ACTIONS)
 def test_weighted_kernel_pairs_equal_matrix_entries(kern, action):
     rng = np.random.default_rng(3)
@@ -231,7 +234,7 @@ def test_bessel_matrix_calls_each_order_once(monkeypatch, a):
     bessel_ik = kernels.log_bessel_ik
     monkeypatch.setattr(kernels, "log_bessel_ik", counting)
     xs = np.geomspace(1e-3, 1e2, 30)
-    weighted_kernel_matrix(ConeKernel("bessel", 2.5, 1.0),
+    weighted_kernel_matrix(ConeKernel(2.5, 1.0),
                            WeightedAction(-2, a), xs, xs)
     # orders nu..nu+a at beta x, order nu at beta y
     assert len(calls) == a + 2

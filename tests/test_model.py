@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from edgespec.errors import ConfigurationError, WittViolationError
+from edgespec.errors import ConfigurationError
 from edgespec.grids import build_grid, fd_assemble_model
-from edgespec.model import (FiberSpectrum, ModelBlock, a_identity,
-                            block_apply, block_matrix, check_witt,
-                            homogeneous_solutions, interior_slice,
-                            round_trip_residual, verify_square_identity)
+from edgespec.model import (FiberSpectrum, a_identity, block_apply,
+                            block_matrix, check_witt, homogeneous_solutions,
+                            interior_slice, round_trip_residual,
+                            solve_scalar, verify_square_identity)
 
 
 def test_witt_pass_and_fail():
@@ -47,14 +47,15 @@ def test_fiber_spectrum_nu_values():
 
 
 def test_model_block_validation():
-    with pytest.raises(WittViolationError):
-        ModelBlock("scalar_L2", 1.4)
-    with pytest.raises(ConfigurationError):
-        ModelBlock("cube", 2.0)
-    with pytest.raises(ConfigurationError):
-        ModelBlock("scalar_L2", 2.0, -1.0)
-    assert ModelBlock("scalar_L2", 2.0).kernel().kind == "free"
-    assert ModelBlock("scalar_L2", 2.0, 1.0).kernel().kind == "bessel"
+    # a model cell is (nu, beta = |xi|); test_one_witt_floor checks nu
+    grid = build_grid(32, 1e-1, 10.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ConfigurationError):
+            solve_scalar(2.0, bad, np.ones(grid.n), grid)
+        with pytest.raises(ConfigurationError):
+            block_matrix(2.0, bad, grid)
+        with pytest.raises(ConfigurationError):
+            block_apply(2.0, bad, np.ones((2, grid.n)), grid)
 
 
 @pytest.mark.parametrize("nu,beta", [(1.6, 0.0), (2.1, 1.0), (5.0, 1.0)])
@@ -78,15 +79,12 @@ def test_block_square_matches_scalar_squares():
 
 def test_block_apply_shape_checks():
     grid = build_grid(64, 1e-1, 10.0)
-    block = ModelBlock("block_L", 2.0, 1.0)
     with pytest.raises(ConfigurationError):
-        block_apply(block, np.ones(grid.n), grid)
+        block_apply(2.0, 1.0, np.ones(grid.n), grid)
     with pytest.raises(ConfigurationError):
-        block_apply(block, np.full((2, grid.n), np.nan), grid)
-    m = block_matrix(block, grid)
+        block_apply(2.0, 1.0, np.full((2, grid.n), np.nan), grid)
+    m = block_matrix(2.0, 1.0, grid)
     assert m.shape == (2 * grid.n, 2 * grid.n)
-    with pytest.raises(ConfigurationError):
-        block_matrix(ModelBlock("scalar_L2", 2.0), grid)
 
 
 def test_homogeneous_solutions_annihilated():

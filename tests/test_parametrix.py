@@ -13,7 +13,7 @@ def _supported_input(grid, n_y, n_fiber, n_comp, seed=3):
     s = np.zeros((grid.n, n_y, n_fiber, n_comp))
     mask = (grid.nodes > 0.05) & (grid.nodes < 0.8)
     s[mask] = rng.normal(size=(int(mask.sum()), n_y, n_fiber, n_comp))
-    return EdgeFunction(s, support_flag=True)
+    return EdgeFunction(s)
 
 
 def test_edge_function_validation():
@@ -51,14 +51,35 @@ def test_right_inverse_residual_tiny():
         assert rep.residual_rel <= 1e-10
 
 
-def test_mapping_bounds_requires_support_flag():
+def test_mapping_bounds_requires_support():
+    # support in x <= 1 is read from the samples, before any mode solve
     grid = build_grid(64, 1e-2, 1e2)
-    u = EdgeFunction(np.ones((grid.n, 8, 1, 2)), support_flag=False)
+    inside = np.zeros((grid.n, 8, 1, 2))
+    inside[grid.nodes <= 1.0] = 1.0
+    rep = mapping_bounds(EdgeFunction(inside), (2.1,), grid, "first")
+    assert rep.residual_rel <= 1e-10
     with pytest.raises(PreconditionError):
-        mapping_bounds(u, (2.1,), grid, "first")
-    zero = EdgeFunction(np.zeros((grid.n, 8, 1, 2)), support_flag=True)
+        mapping_bounds(EdgeFunction(np.ones((grid.n, 8, 1, 2))), (2.1,),
+                       grid, "first")
+    one = np.zeros((grid.n, 8, 1, 2))
+    one[-1, 3, 0, 1] = 1e-300  # a single tiny sample at x = 100
+    with pytest.raises(PreconditionError):
+        mapping_bounds(EdgeFunction(one), (2.1,), grid, "first")
+    zero = EdgeFunction(np.zeros((grid.n, 8, 1, 2)))
     with pytest.raises(PreconditionError):
         mapping_bounds(zero, (2.1,), grid, "first")
+
+
+def test_edge_function_keeps_validated_array():
+    # a nested list is validated as an array and stored as that array
+    grid = build_grid(32, 1e-2, 1e2)
+    s = np.zeros((grid.n, 2, 1, 2))
+    s[grid.nodes < 1.0] = 1.0
+    u = EdgeFunction(s.tolist())
+    assert isinstance(u.samples, np.ndarray) and u.n_y == 2
+    assert parametrix_apply(u, (2.1,), grid, "first").samples.shape == (
+        grid.n, 2, 1, 2)
+    assert mapping_bounds(u, (2.1,), grid, "first").residual_rel <= 1e-10
 
 
 def _smooth_input(grid, n_y, n_comp):
@@ -75,7 +96,7 @@ def _smooth_input(grid, n_y, n_comp):
         prof += np.cos(k * y) * 0.95 ** k
     s = (bump[:, None, None, None] * prof[None, :, None, None]
          * np.ones((1, 1, 1, n_comp)))
-    return EdgeFunction(s, support_flag=True)
+    return EdgeFunction(s)
 
 
 def test_per_mode_decay_envelope():
@@ -104,7 +125,7 @@ def test_mode_diagonality():
     bump = np.exp(-4.0 * (t + 1.0) ** 2) * ((x > 0.02) & (x < 0.9))
     y = np.arange(n_y) * 2 * np.pi / n_y
     s = (bump[:, None] * np.cos(3 * y)[None, :])[:, :, None, None]
-    out = parametrix_apply(EdgeFunction(s, support_flag=True), (2.1,),
+    out = parametrix_apply(EdgeFunction(s), (2.1,),
                            grid, "second")
     o_hat = np.fft.fft(out.samples, axis=1)
     amps = np.sqrt(np.sum(np.abs(o_hat) ** 2, axis=(0, 2, 3)))
@@ -136,7 +157,8 @@ def test_parametrix_apply_real_in_real_out():
     out = parametrix_apply(u, (2.1,), grid, "second")
     assert np.isrealobj(out.samples)
     assert out.samples.shape == u.samples.shape
-    assert not out.support_flag  # the solve spreads the support
+    # the solve spreads the support beyond x = 1
+    assert np.any(out.samples[grid.nodes > 1.0] != 0.0)
 
 
 def test_fitted_c_stable_under_refinement():
@@ -152,7 +174,7 @@ def test_fitted_c_stable_under_refinement():
         prof = 1.0 + 0.5 * np.cos(y) + 0.25 * np.sin(2 * y)
         s = (bump[:, None, None, None] * prof[None, :, None, None]
              * np.ones((1, 1, 1, 2)))
-        rep = mapping_bounds(EdgeFunction(s, support_flag=True),
+        rep = mapping_bounds(EdgeFunction(s),
                              (2.1,), grid, "first")
         cs[n] = rep.fitted_c
     assert abs(cs[400] - cs[200]) / cs[200] <= 0.05

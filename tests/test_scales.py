@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -127,6 +126,6 @@ def test_same_scale_demo_boundary_fingerprint():
 
 def test_same_scale_demo_first_eigenfunction_exponential():
     # the a-dependent scale has an almost-zero mode ~ exp(-a x)
-    rep = same_scale_demo(a=1.0, length=math.pi, n=400)
+    rep = same_scale_demo(a=1.0, n=400)
     assert rep["eigenfunctions"][0]["eigenvalue"] <= 1e-2
     assert rep["eigenfunctions"][1]["eigenvalue"] > 0.5
