@@ -21,7 +21,7 @@ names = ("{Gamma,S}", "{Gamma,T}", "[T,S]")
 for name, mat in zip(names, commutator_report()):
     print(f"  {name} = 0:", mat == sp.zeros(4, 4))
 lhs, rhs = symbolic_square_identity()
-print("  D^2 = -d^2 + X^-2 S(S+1) + T^2 (coefficient level):", lhs == rhs)
+print("  D^2 = -d^2 + X^-2 S(S+1) + T^2 (on a generic section):", lhs == rhs)
 
 print("\nInterpolation scales:")
 rng = np.random.default_rng(20240617)

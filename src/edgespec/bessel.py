@@ -28,8 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (ConfigurationError, DomainError, NumericalError,
-                     OverflowModeError)
+from .errors import DomainError, NumericalError, OverflowModeError
 
 _EPS = np.finfo(float).eps
 _LOG_MAX = 700.0
@@ -77,18 +76,6 @@ class BesselEval:
     value: float
     err_bound: float
     method: str
-
-
-@dataclass(frozen=True)
-class OlverFrame:
-    """Coefficient polynomials U_0..U_{n-1} with their total variations on (0, 1).
-
-    ``u_polys[j]`` holds exact rational coefficients of U_j in ascending
-    powers of p.
-    """
-
-    u_polys: tuple
-    tv_bounds: tuple
 
 
 def _check_order(nu: float) -> float:
@@ -184,41 +171,38 @@ def _critical_points(coeffs, lo=0.0, hi=1.0, tol=1e-14):
     return sorted(roots)
 
 
-@lru_cache(maxsize=16)
-def olver_u_polys(n: int) -> OlverFrame:
-    """Exact U_0..U_{n-1} plus their total variations over (0, 1)."""
-    if not isinstance(n, int) or n < 1 or n > 8:
-        raise ConfigurationError("term count must be an integer in [1, 8]")
-    polys = _u_poly_list(n)
-    tvs = []
-    for coeffs in polys:
-        pts = [0.0] + _critical_points(coeffs) + [1.0]
-        vals = [_poly_eval(coeffs, p) for p in pts]
-        tvs.append(float(sum(abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1))))
-    return OlverFrame(
-        u_polys=tuple(tuple(c) for c in polys),
-        tv_bounds=tuple(tvs),
-    )
+@lru_cache(maxsize=1)
+def _olver_table():
+    """U_0..U_ASYMPTOTIC_TERMS with their variation profiles, built once.
 
-
-@lru_cache(maxsize=16)
-def _variation_profile(j: int):
-    """Breakpoints and cumulative variation of U_j from 0, for partial variations."""
-    frame = olver_u_polys(j + 1)
-    coeffs = frame.u_polys[j]
-    pts = np.array([0.0] + _critical_points(list(coeffs)) + [1.0])
-    vals = _poly_eval(list(coeffs), pts)
-    cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(vals)))])
-    return pts, vals, cum
+    Entry j is (coeffs, pts, vals, cum): the float coefficients of U_j in
+    ascending powers of p; the breakpoints 0, the critical points of U_j
+    (found on its exact coefficients) and 1; U_j at them; and the cumulative
+    variation of U_j from 0, whose last entry is its total variation on
+    (0, 1).
+    """
+    table = []
+    for exact in _u_poly_list(ASYMPTOTIC_TERMS + 1):
+        coeffs = tuple(float(c) for c in exact)
+        pts = np.array([0.0] + _critical_points(exact) + [1.0])
+        vals = _poly_eval(coeffs, pts)
+        cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(vals)))])
+        for arr in (pts, vals, cum):
+            arr.flags.writeable = False
+        table.append((coeffs, pts, vals, cum))
+    return tuple(table)
 
 
 def _variation_from_zero(j: int, p):
     """Total variation of U_j over (0, p) for p in (0, 1], vectorized."""
-    pts, vals, cum = _variation_profile(j)
-    p = np.asarray(p, dtype=float)
+    coeffs, pts, vals, cum = _olver_table()[j]
     idx = np.clip(np.searchsorted(pts, p, side="right") - 1, 0, len(pts) - 2)
-    coeffs = list(olver_u_polys(j + 1).u_polys[j])
     return cum[idx] + np.abs(_poly_eval(coeffs, p) - vals[idx])
+
+
+def _log_floor(log_v):
+    """Representation floor: exp() of a large log magnitude loses |log|*eps."""
+    return (np.abs(log_v) + 16.0) * 4.0 * _EPS
 
 
 # ---------------------------------------------------------------------------
@@ -497,66 +481,54 @@ def _log_ik_hankel(nu: float, x: np.ndarray):
     return take, li, lk, ei, ek
 
 
-def asymptotic_error_bounds(nu: float, x):
-    """Error-term bounds of the ASYMPTOTIC_TERMS-term expansion at order nu.
+def _olver_bounds(nu: float, p):
+    """(b_i, b_k, b_inf): error-term bounds of the uniform expansions.
 
-    Returns (bound_i, bound_k): the total-variation bounds on the error terms
-    of the I- and K-expansions, using variations of U_1 and of the first
-    omitted polynomial U_n (n = ASYMPTOTIC_TERMS) over (p, 1) resp. (0, p)
-    with p = (1+(x/nu)^2)^{-1/2}.
+    b_i and b_k bound the error terms of the I- and K-expansions with
+    n = ASYMPTOTIC_TERMS terms at p = (1+(x/nu)^2)^{-1/2}, from the
+    variations of U_1 and of the first omitted polynomial U_n over (p, 1)
+    resp. (0, p); b_inf is b_i's limit as p -> 0.
     """
-    nu = _check_order(nu)
     n = ASYMPTOTIC_TERMS
-    z = np.asarray(x, dtype=float) / nu
-    p = 1.0 / np.hypot(1.0, z)
+    table = _olver_table()
+    v1_tot, vn_tot = table[1][3][-1], table[n][3][-1]
     v1_0p = _variation_from_zero(1, p)
-    v1_tot = float(_variation_from_zero(1, np.array(1.0)))
     vn_0p = _variation_from_zero(n, p)
-    vn_tot = float(_variation_from_zero(n, np.array(1.0)))
-    b1 = 2.0 * np.exp(2.0 * (v1_tot - v1_0p) / nu) * (vn_tot - vn_0p) / nu ** n
-    b2 = 2.0 * np.exp(2.0 * v1_0p / nu) * vn_0p / nu ** n
-    return b1, b2
+    b_i = 2.0 * np.exp(2.0 * (v1_tot - v1_0p) / nu) * (vn_tot - vn_0p) / nu ** n
+    b_k = 2.0 * np.exp(2.0 * v1_0p / nu) * vn_0p / nu ** n
+    b_inf = 2.0 * math.exp(2.0 * v1_tot / nu) * vn_tot / nu ** n
+    return b_i, b_k, b_inf
+
+
+def asymptotic_error_bounds(nu: float, x):
+    """Error-term bounds (bound_i, bound_k) of the uniform expansions at x."""
+    nu = _check_order(nu)
+    p = 1.0 / np.hypot(1.0, np.asarray(x, dtype=float) / nu)
+    return _olver_bounds(nu, p)[:2]
 
 
 def _log_ik_olver(nu: float, x: np.ndarray):
-    """Uniform large-order asymptotics with total-variation error bounds."""
-    n = ASYMPTOTIC_TERMS
-    frame = olver_u_polys(n)
+    """Uniform large-order asymptotics with total-variation error bounds.
+
+    Returns (log_i, log_k, err_i, err_k); the errors are truncation bounds
+    without the representation floor.
+    """
+    table = _olver_table()
     z = x / nu
     p = 1.0 / np.hypot(1.0, z)
     eta = olver_eta(z)
     su_i = np.zeros_like(x)
     su_k = np.zeros_like(x)
-    for j in range(n):
-        uj = _poly_eval(list(frame.u_polys[j]), p) / nu ** j
+    for j in range(ASYMPTOTIC_TERMS):
+        uj = _poly_eval(table[j][0], p) / nu ** j
         su_i += uj
         su_k += (-1.0) ** j * uj
-    b_x, b2_x = asymptotic_error_bounds(nu, x)
-    v1_tot = float(_variation_from_zero(1, np.array(1.0)))
-    vn_tot = float(_variation_from_zero(n, np.array(1.0)))
-    b_inf = 2.0 * math.exp(2.0 * v1_tot / nu) * vn_tot / nu ** n
+    b_i, b_k, b_inf = _olver_bounds(nu, p)
     log_i = nu * eta - 0.5 * math.log(2.0 * math.pi * nu) + 0.5 * np.log(p) + np.log(su_i)
     log_k = -nu * eta + 0.5 * math.log(0.5 * math.pi / nu) + 0.5 * np.log(p) + np.log(su_k)
-    # truncation bound plus a representation floor for the double-precision
-    # log-scale evaluation
-    floor_i = (np.abs(log_i) + 16.0) * 4.0 * _EPS
-    floor_k = (np.abs(log_k) + 16.0) * 4.0 * _EPS
-    err_i = (b_x + np.abs(su_i) * b_inf) / np.maximum(np.abs(su_i) - b_x, 1e-300) + floor_i
-    err_k = b2_x / np.maximum(np.abs(su_k) - b2_x, 1e-300) + floor_k
+    err_i = (b_i + np.abs(su_i) * b_inf) / np.maximum(np.abs(su_i) - b_i, 1e-300)
+    err_k = b_k / np.maximum(np.abs(su_k) - b_k, 1e-300)
     return log_i, log_k, err_i, err_k
-
-
-def log_ik_uniform_asymptotic(nu: float, x):
-    """The uniform large-order branch on its own, regardless of thresholds.
-
-    Returns (log_i, log_k, err_i, err_k).  Useful for checking the expansion
-    against the series/continued-fraction branch at orders where both apply.
-    """
-    nu = _check_order(nu)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise DomainError("argument must be positive and finite")
-    return _log_ik_olver(nu, x)
 
 
 def log_bessel_ik(nu: float, x):
@@ -574,59 +546,59 @@ def log_bessel_ik(nu: float, x):
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise DomainError("argument must be positive and finite")
     if nu >= ASYMPTOTIC_MIN_ORDER:
-        li, lk, ei, ek = _log_ik_olver(nu, x)
-        return li, lk, ei, ek, np.full(x.shape, UNIFORM)
-    log_i = np.empty_like(x)
-    log_k = np.empty_like(x)
-    err_i = np.empty_like(x)
-    err_k = np.empty_like(x)
-    method = np.full(x.shape, SERIES_TEMME)
-    m_small = x <= TEMME_MAX_ARG
-    m_mid = (x > TEMME_MAX_ARG) & (x <= SERIES_MAX_ARG)
-    m_big = x > SERIES_MAX_ARG
-    if np.any(m_small):
-        xs = x[m_small]
-        li, ei = _log_i_series(nu, xs)
-        lk0, lk1 = _log_k_temme(nu, xs)
-        log_i[m_small] = li
-        err_i[m_small] = ei
-        log_k[m_small] = lk0
-        err_k[m_small] = _RECURRENCE_ERR
-    if np.any(m_mid):
-        xs = x[m_mid]
-        li, ei = _log_i_series(nu, xs)
-        lk0, lk1 = _log_k_cf2(nu, xs)
-        log_i[m_mid] = li
-        err_i[m_mid] = ei
-        log_k[m_mid] = lk0
-        err_k[m_mid] = _RECURRENCE_ERR
-        method[m_mid] = SERIES_CF2
-    if np.any(m_big):
-        xb = x[m_big]
-        take, li_h, lk_h, ei_h, ek_h = _log_ik_hankel(nu, xb)
-        li = np.empty_like(xb)
-        lk = np.empty_like(xb)
-        ei = np.full_like(xb, _RECURRENCE_ERR)
-        ek = np.full_like(xb, _RECURRENCE_ERR)
-        # in the Hankel region its truncation bound replaces _RECURRENCE_ERR
-        li[take], lk[take], ei[take], ek[take] = li_h, lk_h, ei_h, ek_h
-        rest = ~take
-        if np.any(rest):
-            xs = xb[rest]
+        log_i, log_k, err_i, err_k = _log_ik_olver(nu, x)
+        method = np.full(x.shape, UNIFORM)
+    else:
+        log_i = np.empty_like(x)
+        log_k = np.empty_like(x)
+        err_i = np.empty_like(x)
+        err_k = np.empty_like(x)
+        method = np.full(x.shape, SERIES_TEMME)
+        m_small = x <= TEMME_MAX_ARG
+        m_mid = (x > TEMME_MAX_ARG) & (x <= SERIES_MAX_ARG)
+        m_big = x > SERIES_MAX_ARG
+        if np.any(m_small):
+            xs = x[m_small]
+            li, ei = _log_i_series(nu, xs)
+            lk0, lk1 = _log_k_temme(nu, xs)
+            log_i[m_small] = li
+            err_i[m_small] = ei
+            log_k[m_small] = lk0
+            err_k[m_small] = _RECURRENCE_ERR
+        if np.any(m_mid):
+            xs = x[m_mid]
+            li, ei = _log_i_series(nu, xs)
             lk0, lk1 = _log_k_cf2(nu, xs)
-            r = _cf1_ratio(nu, xs)
-            # Wronskian I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x  =>
-            # I_nu = 1 / (x (K_{nu+1} + r K_nu))
-            li[rest] = -np.log(xs) - (lk1 + np.log1p(r * np.exp(lk0 - lk1)))
-            lk[rest] = lk0
-        log_i[m_big] = li
-        log_k[m_big] = lk
-        err_i[m_big] = ei
-        err_k[m_big] = ek
-        method[m_big] = np.where(take, HANKEL, CF1_WRONSKIAN)
-    # representation floor: exp() of a large log magnitude loses |log|*eps
-    err_i += (np.abs(log_i) + 16.0) * 4.0 * _EPS
-    err_k += (np.abs(log_k) + 16.0) * 4.0 * _EPS
+            log_i[m_mid] = li
+            err_i[m_mid] = ei
+            log_k[m_mid] = lk0
+            err_k[m_mid] = _RECURRENCE_ERR
+            method[m_mid] = SERIES_CF2
+        if np.any(m_big):
+            xb = x[m_big]
+            take, li_h, lk_h, ei_h, ek_h = _log_ik_hankel(nu, xb)
+            li = np.empty_like(xb)
+            lk = np.empty_like(xb)
+            ei = np.full_like(xb, _RECURRENCE_ERR)
+            ek = np.full_like(xb, _RECURRENCE_ERR)
+            # in the Hankel region its truncation bound replaces _RECURRENCE_ERR
+            li[take], lk[take], ei[take], ek[take] = li_h, lk_h, ei_h, ek_h
+            rest = ~take
+            if np.any(rest):
+                xs = xb[rest]
+                lk0, lk1 = _log_k_cf2(nu, xs)
+                r = _cf1_ratio(nu, xs)
+                # Wronskian I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x  =>
+                # I_nu = 1 / (x (K_{nu+1} + r K_nu))
+                li[rest] = -np.log(xs) - (lk1 + np.log1p(r * np.exp(lk0 - lk1)))
+                lk[rest] = lk0
+            log_i[m_big] = li
+            log_k[m_big] = lk
+            err_i[m_big] = ei
+            err_k[m_big] = ek
+            method[m_big] = np.where(take, HANKEL, CF1_WRONSKIAN)
+    err_i += _log_floor(log_i)
+    err_k += _log_floor(log_k)
     return log_i, log_k, err_i, err_k, method
 
 
@@ -711,13 +683,16 @@ def wronskian_residual(nus, xs) -> float:
 def uniform_asymptotic_excess(mu: float, xs):
     """(worst error / bound, largest bound) of the uniform branch at order mu.
 
-    The error of ``log_ik_uniform_asymptotic`` is taken against
-    ``log_bessel_ik``, several orders of magnitude more accurate below
-    ASYMPTOTIC_MIN_ORDER, for I and for K; the expansion stays within its
-    computed bounds when the first value is at most 1.
+    The uniform expansion, evaluated at mu whatever ASYMPTOTIC_MIN_ORDER
+    says and with the representation floor added to its bounds, is checked
+    against ``log_bessel_ik``, several orders of magnitude more accurate
+    below ASYMPTOTIC_MIN_ORDER, for I and for K; the expansion stays within
+    its computed bounds when the first value is at most 1.
     """
     li_r, lk_r, *_ = log_bessel_ik(mu, xs)
-    li_a, lk_a, ei, ek = log_ik_uniform_asymptotic(mu, xs)
+    li_a, lk_a, ei, ek = _log_ik_olver(mu, np.asarray(xs, dtype=float))
+    ei += _log_floor(li_a)
+    ek += _log_floor(lk_a)
     excess = max(float(np.max(np.abs(np.expm1(li_a - li_r)) / ei)),
                  float(np.max(np.abs(np.expm1(lk_a - lk_r)) / ek)))
     return excess, max(float(ei.max()), float(ek.max()))

@@ -55,80 +55,28 @@ def commutator_report():
     return anti_gs, anti_gt, comm_ts
 
 
-class OperatorPoly:
-    """Operator polynomial sum_{k,j} X^{-k} M_{kj} d^j with matrix coefficients.
-
-    Multiplication uses the exact commutation rule
-    d^i X^{-b} = sum_m C(i,m) (-b)(-b-1)...(-b-m+1) X^{-b-m} d^{i-m}.
-    """
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for key, mat in (terms or {}).items():
-            if not mat.is_zero_matrix:
-                self.terms[key] = sp.Matrix(mat)
-
-    @classmethod
-    def single(cls, k, j, mat):
-        return cls({(k, j): sp.Matrix(mat)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, mat in other.terms.items():
-            out[key] = out.get(key, sp.zeros(*mat.shape)) + mat
-        return OperatorPoly(out)
-
-    def __sub__(self, other):
-        return self + OperatorPoly(
-            {k: -m for k, m in other.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for (a, i), ma in self.terms.items():
-            for (b, j), mb in other.terms.items():
-                coef = mb
-                # push d^i through X^{-b}
-                for m in range(i + 1):
-                    c = sp.binomial(i, m)
-                    fall = sp.Integer(1)
-                    for r in range(m):
-                        fall *= (-b - r)
-                    key = (a + b + m, i - m + j)
-                    term = (c * fall) * (ma * coef)
-                    out[key] = out.get(key, sp.zeros(*term.shape)) + term
-        return OperatorPoly(out)
-
-    def simplify(self):
-        return OperatorPoly({k: sp.simplify(m) for k, m in self.terms.items()})
-
-    def __eq__(self, other):
-        return (self - other).simplify().terms == {}
-
-    def __repr__(self):
-        return "OperatorPoly(" + ", ".join(
-            f"X^-{k} d^{j}: {m.tolist()}"
-            for (k, j), m in sorted(self.terms.items())) + ")"
-
-
 def symbolic_square_identity():
-    """Exact expansion of D^2 for D = Gamma(d + X^{-1}S) + T.
+    """Both sides of D^2 = -d^2/dx^2 + X^{-2} S(S+1) + T^2 on a generic section.
 
-    Returns (lhs, rhs) operator polynomials over the 4x4 fiber with symbolic
-    commuting scalars a, d; lhs == rhs certifies
-    D^2 = -d^2 + X^{-2} S(S+1) + T^2 at the coefficient level.
+    D = Gamma (d/dx + S/x) + T acts on a column of four undetermined
+    functions of x, with symbolic commuting scalars a, d.  Returns the
+    expanded (D(Du), right-hand side applied to it); a differential operator
+    is fixed by its action on generic functions, so lhs == rhs certifies the
+    identity.
     """
+    x = sp.Symbol("x", positive=True)
     a, d = sp.symbols("a d", positive=True)
     _, _, _, gamma, s_sign, t_sign = build_clifford()
     s_mat = a * s_sign
     t_mat = d * t_sign
-    eye = sp.eye(4)
-    dop = (OperatorPoly.single(0, 1, gamma)
-           + OperatorPoly.single(1, 0, gamma * s_mat)
-           + OperatorPoly.single(0, 0, t_mat))
-    lhs = dop * dop
-    rhs = (OperatorPoly.single(0, 2, -eye)
-           + OperatorPoly.single(2, 0, s_mat * (s_mat + eye))
-           + OperatorPoly.single(0, 0, t_mat * t_mat))
+    u = sp.Matrix([sp.Function(f"u{k}")(x) for k in range(4)])
+
+    def dirac(v):
+        return gamma * (v.diff(x) + s_mat * v / x) + t_mat * v
+
+    lhs = dirac(dirac(u)).expand()
+    rhs = (-u.diff(x, 2) + s_mat * (s_mat + sp.eye(4)) * u / x ** 2
+           + t_mat * t_mat * u).expand()
     return lhs, rhs
 
 

@@ -57,7 +57,6 @@ class EdgeFunction:
 class ParametrixReport:
     residual_rel: float
     w11_bound: float
-    y_deriv_bound: float
     per_mode_decay: tuple
     xi_modes: tuple
     fitted_c: float
@@ -172,15 +171,12 @@ def mapping_bounds(u: EdgeFunction, nus, grid: HalfLineGrid,
     x_weight = grid.nodes.astype(float) ** (-power)
     u_norm = _edge_l2(s, grid)
     w_bound = _edge_l2(x_weight[:, None, None, None] * qu, grid)
-    dy_qu = np.fft.ifft(q_hat * (1j * xis)[None, :, None, None], axis=1)
-    y_bound = _edge_l2(x_weight[:, None, None, None] * dy_qu, grid)
     active = mode_in > 1e-28 * mode_in.max()
     ratios = np.sqrt(mode_out[active] / mode_in[active])
     envelope = (1.0 + np.abs(xis[active])) ** (-power)
     return ParametrixReport(
         residual_rel=math.sqrt(resid_num / resid_den),
         w11_bound=w_bound / u_norm,
-        y_deriv_bound=y_bound / u_norm,
         per_mode_decay=tuple(ratios),
         xi_modes=tuple(xis[active]),
         fitted_c=float(np.max(ratios / envelope)),

@@ -241,7 +241,8 @@ def same_scale_demo(a: float, n: int = 400):
     natural condition f2'(0) + a f2(0) = 0 without it ever being imposed.
 
     Returns per-eigenfunction boundary residuals |f2'(0) + a f2(0)| and
-    |f2'(0)|, both normalized by the sup norm.
+    |f2'(0)|, both normalized by the sup norm, and ``fingerprint_ratio``,
+    the least ratio of the second to the first over the eigenfunctions.
     """
     if n < 16:
         raise ConfigurationError("need at least 16 cells")
@@ -264,4 +265,6 @@ def same_scale_demo(a: float, n: int = 400):
             "resid_a_condition": abs(fp0 + a * f0) / sup,
             "resid_zero_condition": abs(fp0) / sup,
         })
-    return {"a": a, "n": n, "eigenfunctions": out}
+    ratio = min(f["resid_zero_condition"] / max(f["resid_a_condition"], 1e-300)
+                for f in out)
+    return {"a": a, "n": n, "eigenfunctions": out, "fingerprint_ratio": ratio}

@@ -3,7 +3,9 @@
 ``bench/tracing.py`` wraps the layer functions by name and reads call shapes
 from their leading arguments, so a change to a name or an argument position
 it relies on would make traced benchmark runs read zero silently.  This runs
-a small sweep cell and a small parametrix under the tracer.
+a small sweep cell, a small parametrix and one large-order Bessel value under
+the tracer; the tracer counts Bessel arguments only for functions whose
+parameters start ``(nu, x)``.
 """
 
 from pathlib import Path
@@ -14,7 +16,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 COUNTED = ("model.sweep.cells", "grids.nystrom.calls",
            "kernels.matrix.calls", "grids.operator_norm.calls",
-           "parametrix.lu_factor.calls", "parametrix.modes")
+           "parametrix.lu_factor.calls", "parametrix.modes",
+           "bessel.calls", "bessel.large_nu.args")
 
 
 def test_traced_layers_are_counted(monkeypatch):
@@ -32,6 +35,7 @@ def test_traced_layers_are_counted(monkeypatch):
         s[(grid.nodes > 0.05) & (grid.nodes < 0.8)] = 1.0
         es.parametrix.mapping_bounds(es.parametrix.EdgeFunction(s), (2.1,),
                                      grid, "first")
+        es.bessel.bessel_i(300.0, 1.0, scaled=True)
     finally:
         tracer.remove()
     metrics = tracing.layer_metrics(tracer.spans)

@@ -12,12 +12,12 @@ import pytest
 
 from edgespec.bessel import (CF1_WRONSKIAN, HANKEL, SERIES_CF2, SERIES_TEMME,
                              UNIFORM, BesselEval, _cf1_ratio,
+                             _olver_table, _u_poly_list,
                              asymptotic_error_bounds, bessel_i, bessel_k,
                              bessel_log_derivatives, log_bessel_ik,
-                             olver_eta, olver_u_polys,
-                             uniform_asymptotic_excess, wronskian_residual)
-from edgespec.errors import (ConfigurationError, DomainError, NumericalError,
-                             OverflowModeError)
+                             olver_eta, uniform_asymptotic_excess,
+                             wronskian_residual)
+from edgespec.errors import DomainError, NumericalError, OverflowModeError
 
 # (nu, x, I_nu(x), K_nu(x)) -- mpmath besseli/besselk, dps=30
 POINT_ORACLE = [
@@ -113,23 +113,27 @@ def test_log_derivatives():
 
 def test_u_polynomials_exact():
     from fractions import Fraction
-    frame = olver_u_polys(3)
-    assert frame.u_polys[0] == (Fraction(1),)
+    polys = _u_poly_list(3)
+    assert polys[0] == [Fraction(1)]
     # U_1(p) = (3p - 5p^3)/24
-    assert frame.u_polys[1] == (Fraction(0), Fraction(1, 8), Fraction(0),
-                                Fraction(-5, 24))
+    assert polys[1] == [Fraction(0), Fraction(1, 8), Fraction(0),
+                        Fraction(-5, 24)]
     # U_2(p) = (81p^2 - 462p^4 + 385p^6)/1152
-    assert frame.u_polys[2] == (Fraction(0), Fraction(0), Fraction(81, 1152),
-                                Fraction(0), Fraction(-462, 1152),
-                                Fraction(0), Fraction(385, 1152))
-    assert all(tv > 0.0 for tv in frame.tv_bounds[1:])
+    assert polys[2] == [Fraction(0), Fraction(0), Fraction(81, 1152),
+                        Fraction(0), Fraction(-462, 1152),
+                        Fraction(0), Fraction(385, 1152)]
 
 
-def test_u_poly_bad_count():
-    with pytest.raises(ConfigurationError):
-        olver_u_polys(0)
-    with pytest.raises(ConfigurationError):
-        olver_u_polys(9)
+def test_olver_table_total_variations():
+    # A sampled variation never exceeds the true one, so a missed critical
+    # point shows as a table total below this dense-grid estimate.
+    p = np.linspace(0.0, 1.0, 200001)
+    for exact, (_, _, _, cum) in zip(_u_poly_list(len(_olver_table())),
+                                     _olver_table()):
+        vals = np.polynomial.polynomial.polyval(p, [float(c) for c in exact])
+        dense = float(np.sum(np.abs(np.diff(vals))))
+        assert cum[-1] >= dense * (1.0 - 1e-12)
+        assert abs(cum[-1] - dense) <= 1e-9 * dense
 
 
 def test_eta_monotone():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.core.function import AppliedUndef
 
-from edgespec.clifford import (ModelEdgeDirac, OperatorPoly, assemble_dirac,
+from edgespec.clifford import (ModelEdgeDirac, assemble_dirac,
                                build_clifford, commutator_report,
                                dirac_square_structure, grading_operator,
                                symbolic_square_identity)
@@ -33,32 +34,27 @@ def test_grading_anticommutes_with_gamma():
     assert t_sign * g + g * t_sign == sp.zeros(4, 4)
 
 
-def test_operator_poly_commutation_rule():
-    # d X^{-1} = X^{-1} d - X^{-2}
-    one = sp.eye(1)
-    d = OperatorPoly.single(0, 1, one)
-    xinv = OperatorPoly.single(1, 0, one)
-    prod = d * xinv
-    want = OperatorPoly({(1, 1): one, (2, 0): -one})
-    assert prod == want
-    # d^2 X^{-1} = X^{-1} d^2 - 2 X^{-2} d + 2 X^{-3}
-    d2 = OperatorPoly.single(0, 2, one)
-    want2 = OperatorPoly({(1, 2): one, (2, 1): -2 * one, (3, 0): 2 * one})
-    assert d2 * xinv == want2
-
-
-def test_operator_poly_ring_ops():
-    one = sp.eye(1)
-    a = OperatorPoly.single(1, 0, one)
-    b = OperatorPoly.single(0, 1, one)
-    assert (a + b) - b == a
-    assert a - a == OperatorPoly()
-    assert repr(a * b)  # printable
-
-
 def test_symbolic_square_identity():
     lhs, rhs = symbolic_square_identity()
     assert lhs == rhs
+
+
+def test_square_identity_rejects_wrong_rhs():
+    # rebuild the right-hand side from the section and scalars lhs carries;
+    # S(S-1) in place of S(S+1) must compare unequal
+    lhs, rhs = symbolic_square_identity()
+    u = sp.Matrix(sorted(lhs.atoms(AppliedUndef), key=str))
+    x = u[0].args[0]
+    a, d = sorted(lhs.free_symbols - {x}, key=str)
+    _, _, _, _, s_sign, t_sign = build_clifford()
+    s, t = a * s_sign, d * t_sign
+
+    def side(shift):
+        return (-u.diff(x, 2) + s * (s + shift * sp.eye(4)) * u / x ** 2
+                + t * t * u).expand()
+
+    assert side(1) == rhs
+    assert side(-1) != lhs
 
 
 def test_model_validation():

@@ -115,6 +115,9 @@ def test_same_scale_demo_boundary_fingerprint():
     rep = same_scale_demo(a=1.0, n=400)
     for f in rep["eigenfunctions"]:
         assert f["resid_a_condition"] <= 0.1 * f["resid_zero_condition"]
+    assert rep["fingerprint_ratio"] == min(
+        f["resid_zero_condition"] / f["resid_a_condition"]
+        for f in rep["eigenfunctions"])
     # a = 0 flips the fingerprint: then f'(0) = 0 is the natural condition
     # (the staggered grid leaves an O(h) offset ~ k^2 h / 2 per mode)
     rep0 = same_scale_demo(a=0.0, n=400)
