@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import sympy as sp
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError, NumericalError, OverflowModeError
 
@@ -104,100 +105,51 @@ def olver_eta(x):
 # Olver coefficient polynomials U_j and their variations
 # ---------------------------------------------------------------------------
 
-def _u_poly_list(n: int):
-    """U_0..U_{n-1} as ascending Fraction coefficient lists.
-
-    U_{j+1}(p) = p^2 (1-p^2) U_j'(p) / 2 + (1/8) int_0^p (1 - 5 t^2) U_j(t) dt
-    """
-    polys = [[Fraction(1)]]
-    for _ in range(n - 1):
-        u = polys[-1]
-        du = [k * c for k, c in enumerate(u)][1:] or [Fraction(0)]
-        # p^2 (1 - p^2) U' / 2
-        a = [Fraction(0), Fraction(0)] + [c / 2 for c in du]
-        a += [Fraction(0)] * 2
-        for k, c in enumerate(du):
-            a[k + 4] -= c / 2
-        # antiderivative of (1 - 5 t^2) U
-        prod = [c for c in u] + [Fraction(0), Fraction(0)]
-        for k, c in enumerate(u):
-            prod[k + 2] -= 5 * c
-        integ = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(prod)]
-        m = max(len(a), len(integ))
-        nxt = [Fraction(0)] * m
-        for k, c in enumerate(a):
-            nxt[k] += c
-        for k, c in enumerate(integ):
-            nxt[k] += c / 8
-        while len(nxt) > 1 and nxt[-1] == 0:
-            nxt.pop()
-        polys.append(nxt)
-    return polys
-
-
-def _poly_eval(coeffs, p):
-    out = np.zeros_like(np.asarray(p, dtype=float))
-    for c in reversed(coeffs):
-        out = out * p + float(c)
-    return out
-
-
-def _critical_points(coeffs, lo=0.0, hi=1.0, tol=1e-14):
-    """Real roots of the derivative of a polynomial inside (lo, hi).
-
-    Bracketing on a fine grid followed by bisection to ``tol``.
-    """
-    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-    if not dcoeffs:
-        return []
-    grid = np.linspace(lo, hi, 4001)
-    vals = _poly_eval(dcoeffs, grid)
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0 and lo < a < hi:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            while b - a > tol:
-                m = 0.5 * (a + b)
-                fm = _poly_eval(dcoeffs, m)
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    return sorted(roots)
-
-
 @lru_cache(maxsize=1)
 def _olver_table():
     """U_0..U_ASYMPTOTIC_TERMS with their variation profiles, built once.
 
-    Entry j is (coeffs, pts, vals, cum): the float coefficients of U_j in
-    ascending powers of p; the breakpoints 0, the critical points of U_j
-    (found on its exact coefficients) and 1; U_j at them; and the cumulative
-    variation of U_j from 0, whose last entry is its total variation on
-    (0, 1).
+    sympy runs the recurrence over the rationals,
+
+    U_{j+1}(p) = p^2 (1-p^2) U_j'(p) / 2 + (1/8) int_0^p (1 - 5 t^2) U_j(t) dt,
+
+    and isolates the critical points of each U_j in (0, 1) to within 1e-18
+    by exact root isolation.  Entry j is (coeffs, pts, vals, cum, exact):
+    the float coefficients of U_j in ascending powers of p; the breakpoints
+    0, those critical points and 1; U_j at them, each evaluated exactly and
+    rounded once; the cumulative variation of U_j from 0, whose last entry
+    is its total variation on (0, 1); and U_j itself as a sympy Poly over QQ.
     """
+    p, qq = sp.Symbol("p"), sp.QQ
+    # p^2 (1 - p^2) / 2 and (1 - 5 p^2) / 8 from their coefficients, highest
+    # power first: sympy expression arithmetic would first import its tensor
+    # module, about 0.1 s
+    lift = sp.Poly([qq(-1, 2), 0, qq(1, 2), 0, 0], p, domain=qq)
+    damp = sp.Poly([qq(-5, 8), 0, qq(1, 8)], p, domain=qq)
+    polys = [sp.Poly([1], p, domain=qq)]
+    while len(polys) <= ASYMPTOTIC_TERMS:
+        u = polys[-1]
+        polys.append(lift * u.diff(p) + (damp * u).integrate(p))
     table = []
-    for exact in _u_poly_list(ASYMPTOTIC_TERMS + 1):
-        coeffs = tuple(float(c) for c in exact)
-        pts = np.array([0.0] + _critical_points(exact) + [1.0])
-        vals = _poly_eval(coeffs, pts)
+    for u in polys:
+        crit = [(lo + hi) / 2 for (lo, hi), _ in
+                u.diff(p).intervals(eps=1e-18, inf=0, sup=1)]
+        qs = [0] + [q for q in crit if 0 < q < 1] + [1]
+        coeffs = np.array([float(c) for c in reversed(u.all_coeffs())])
+        pts = np.array([float(q) for q in qs])
+        vals = np.array([float(u.eval(q)) for q in qs])
         cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(vals)))])
-        for arr in (pts, vals, cum):
+        for arr in (coeffs, pts, vals, cum):
             arr.flags.writeable = False
-        table.append((coeffs, pts, vals, cum))
+        table.append((coeffs, pts, vals, cum, u))
     return tuple(table)
 
 
 def _variation_from_zero(j: int, p):
     """Total variation of U_j over (0, p) for p in (0, 1], vectorized."""
-    coeffs, pts, vals, cum = _olver_table()[j]
+    coeffs, pts, vals, cum, _ = _olver_table()[j]
     idx = np.clip(np.searchsorted(pts, p, side="right") - 1, 0, len(pts) - 2)
-    return cum[idx] + np.abs(_poly_eval(coeffs, p) - vals[idx])
+    return cum[idx] + np.abs(polyval(p, coeffs) - vals[idx])
 
 
 def _log_floor(log_v):
@@ -520,7 +472,7 @@ def _log_ik_olver(nu: float, x: np.ndarray):
     su_i = np.zeros_like(x)
     su_k = np.zeros_like(x)
     for j in range(ASYMPTOTIC_TERMS):
-        uj = _poly_eval(table[j][0], p) / nu ** j
+        uj = polyval(p, table[j][0]) / nu ** j
         su_i += uj
         su_k += (-1.0) ** j * uj
     b_i, b_k, b_inf = _olver_bounds(nu, p)
@@ -538,8 +490,12 @@ def log_bessel_ik(nu: float, x):
     (x <= SERIES_MAX_ARG), HANKEL where Hankel's expansion reaches its
     tolerance, CF1_WRONSKIAN for the other x > SERIES_MAX_ARG, and UNIFORM
     for nu >= ASYMPTOTIC_MIN_ORDER; bessel_i and bessel_k name the branch
-    from its code.  Each value depends on its own argument alone, not on the
-    batch it is computed in.
+    from its code.  Below ASYMPTOTIC_MIN_ORDER each routine runs at most
+    once per call: the I series over x <= SERIES_MAX_ARG, Temme's K series
+    over x <= TEMME_MAX_ARG, Hankel over x > SERIES_MAX_ARG, CF2 over the
+    other K values, and CF1 plus the Wronskian over the other I values.
+    Each value depends on its own argument alone, not on the batch it is
+    computed in.
     """
     nu = _check_order(nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -551,52 +507,37 @@ def log_bessel_ik(nu: float, x):
     else:
         log_i = np.empty_like(x)
         log_k = np.empty_like(x)
-        err_i = np.empty_like(x)
-        err_k = np.empty_like(x)
-        method = np.full(x.shape, SERIES_TEMME)
-        m_small = x <= TEMME_MAX_ARG
-        m_mid = (x > TEMME_MAX_ARG) & (x <= SERIES_MAX_ARG)
-        m_big = x > SERIES_MAX_ARG
-        if np.any(m_small):
-            xs = x[m_small]
-            li, ei = _log_i_series(nu, xs)
-            lk0, lk1 = _log_k_temme(nu, xs)
-            log_i[m_small] = li
-            err_i[m_small] = ei
-            log_k[m_small] = lk0
-            err_k[m_small] = _RECURRENCE_ERR
-        if np.any(m_mid):
-            xs = x[m_mid]
-            li, ei = _log_i_series(nu, xs)
-            lk0, lk1 = _log_k_cf2(nu, xs)
-            log_i[m_mid] = li
-            err_i[m_mid] = ei
-            log_k[m_mid] = lk0
-            err_k[m_mid] = _RECURRENCE_ERR
-            method[m_mid] = SERIES_CF2
-        if np.any(m_big):
-            xb = x[m_big]
-            take, li_h, lk_h, ei_h, ek_h = _log_ik_hankel(nu, xb)
-            li = np.empty_like(xb)
-            lk = np.empty_like(xb)
-            ei = np.full_like(xb, _RECURRENCE_ERR)
-            ek = np.full_like(xb, _RECURRENCE_ERR)
-            # in the Hankel region its truncation bound replaces _RECURRENCE_ERR
-            li[take], lk[take], ei[take], ek[take] = li_h, lk_h, ei_h, ek_h
-            rest = ~take
-            if np.any(rest):
-                xs = xb[rest]
-                lk0, lk1 = _log_k_cf2(nu, xs)
-                r = _cf1_ratio(nu, xs)
-                # Wronskian I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x  =>
-                # I_nu = 1 / (x (K_{nu+1} + r K_nu))
-                li[rest] = -np.log(xs) - (lk1 + np.log1p(r * np.exp(lk0 - lk1)))
-                lk[rest] = lk0
-            log_i[m_big] = li
-            log_k[m_big] = lk
-            err_i[m_big] = ei
-            err_k[m_big] = ek
-            method[m_big] = np.where(take, HANKEL, CF1_WRONSKIAN)
+        err_i = np.full_like(x, _RECURRENCE_ERR)
+        err_k = np.full_like(x, _RECURRENCE_ERR)
+        series = x <= SERIES_MAX_ARG
+        temme = x <= TEMME_MAX_ARG
+        method = np.select([temme, series], [SERIES_TEMME, SERIES_CF2],
+                           CF1_WRONSKIAN)
+        hankel = np.zeros(x.shape, dtype=bool)
+        if series.any():
+            log_i[series], err_i[series] = _log_i_series(nu, x[series])
+        if temme.any():
+            log_k[temme] = _log_k_temme(nu, x[temme])[0]
+        if not series.all():
+            # in the Hankel region its truncation bound replaces
+            # _RECURRENCE_ERR
+            take, *vals = _log_ik_hankel(nu, x[~series])
+            hankel[~series] = take
+            log_i[hankel], log_k[hankel], err_i[hankel], err_k[hankel] = vals
+            method[hankel] = HANKEL
+        cf2 = ~temme & ~hankel
+        if cf2.any():
+            lk0, lk1 = _log_k_cf2(nu, x[cf2])
+            log_k[cf2] = lk0
+            # CF1 plus the Wronskian I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x:
+            # I_nu = 1 / (x (K_{nu+1} + r K_nu)), r = I_{nu+1} / I_nu
+            wr = cf2 & ~series
+            if wr.any():
+                w = wr[cf2]
+                xw, lk0, lk1 = x[wr], lk0[w], lk1[w]
+                r = _cf1_ratio(nu, xw)
+                log_i[wr] = (-np.log(xw)
+                             - (lk1 + np.log1p(r * np.exp(lk0 - lk1))))
     err_i += _log_floor(log_i)
     err_k += _log_floor(log_k)
     return log_i, log_k, err_i, err_k, method

@@ -36,6 +36,8 @@ from .scales import (DEFAULT_SEED, TENSOR_CHECK_TOL, intersection_scale_check,
 
 SUITES = ("bessel", "schur", "model", "parametrix", "gb", "scales", "witt",
           "all")
+# Fourier modes in y of the parametrix suite's random edge functions.
+Y_MODES = 16
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class RunConfig:
     grid_n: int = 400
     x_min: float = 1e-4
     x_max: float = 1e3
-    y_modes: int = 16
     nu: float = 2.0
     beta: float = 0.0
     spectrum: tuple = (1.6, -1.6, 2.6, -2.6)
@@ -133,8 +134,8 @@ def _suite_parametrix(cfg: RunConfig):
     mask = (grid.nodes > 0.05) & (grid.nodes < 0.8)
     for order, n_c in (("first", 2), ("second", 1)):
         t0 = time.perf_counter()
-        s = np.zeros((grid.n, cfg.y_modes, len(nus), n_c))
-        s[mask] = rng.normal(size=(int(mask.sum()), cfg.y_modes,
+        s = np.zeros((grid.n, Y_MODES, len(nus), n_c))
+        s[mask] = rng.normal(size=(int(mask.sum()), Y_MODES,
                                    len(nus), n_c))
         u = EdgeFunction(s)
         rep = mapping_bounds(u, nus, grid, order)
@@ -264,15 +265,17 @@ def _build_parser():
         description="Run numerical verification suites for the cone-edge "
                     "model-operator toolkit.")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--grid-n", type=int, default=400)
-    p.add_argument("--x-min", type=float, default=1e-4)
-    p.add_argument("--x-max", type=float, default=1e3)
-    p.add_argument("--nu", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--spectrum", type=str, default="1.6,-1.6,2.6,-2.6",
+    defaults = RunConfig()
+    p.add_argument("--grid-n", type=int, default=defaults.grid_n)
+    p.add_argument("--x-min", type=float, default=defaults.x_min)
+    p.add_argument("--x-max", type=float, default=defaults.x_max)
+    p.add_argument("--nu", type=float, default=defaults.nu)
+    p.add_argument("--beta", type=float, default=defaults.beta)
+    p.add_argument("--spectrum", type=str,
+                   default=",".join(str(v) for v in defaults.spectrum),
                    help="comma-separated fiber eigenvalues")
-    p.add_argument("--gap", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--gap", type=float, default=defaults.gap)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--output", choices=("json", "csv"), default="json")
     p.add_argument("--out", type=str, default=None)
     return p

@@ -14,8 +14,6 @@ and T = t_sign * d for commuting fiber scalars a (eigenvalue of A) and d
 -d^2/dx^2 + X^{-2} S(S+1) + T^2.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import sympy as sp
 
@@ -80,36 +78,17 @@ def symbolic_square_identity():
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class ModelEdgeDirac:
-    """Finite-fiber Gauss-Bonnet edge operator data.
-
-    a_spectrum and dy_spectrum are the eigenvalues of the commuting diagonal
-    fiber operators A and D^Y, listed per shared eigenbasis index.
-    """
-
-    a_spectrum: tuple
-    dy_spectrum: tuple
-
-    def __post_init__(self):
-        if len(self.a_spectrum) != len(self.dy_spectrum):
-            raise ConfigurationError("A and D^Y spectra must align")
-        if len(self.a_spectrum) == 0:
-            raise ConfigurationError("fiber spectra must be nonempty")
-
-
 def _dense(mat):
     return np.array(sp.matrix2numpy(mat, dtype=complex).real, dtype=float)
 
 
-def assemble_dirac(model: ModelEdgeDirac, grid, fiber_index: int = 0):
+def assemble_dirac(a: float, d: float, grid):
     """Dense 4N x 4N finite-difference matrix of D on one fiber line.
 
-    D = Gamma (d/dx + X^{-1} a s_sign) + d t_sign for the chosen fiber pair
-    (a, d); centered differences with one-sided boundary rows.
+    D = Gamma (d/dx + X^{-1} a s_sign) + d t_sign for the fiber pair (a, d),
+    the eigenvalues of A and D^Y on one shared eigenvector; centered
+    differences with one-sided boundary rows.
     """
-    a = float(model.a_spectrum[fiber_index])
-    d = float(model.dy_spectrum[fiber_index])
     _, _, _, gamma, s_sign, t_sign = build_clifford()
     g = _dense(gamma)
     s = a * _dense(s_sign)
@@ -119,8 +98,7 @@ def assemble_dirac(model: ModelEdgeDirac, grid, fiber_index: int = 0):
             + np.kron(t, np.eye(grid.n)))
 
 
-def dirac_square_structure(model: ModelEdgeDirac, u, grid,
-                           fiber_index: int = 0):
+def dirac_square_structure(a: float, d: float, u, grid):
     """Interior discrepancy between D_h(D_h u) and the closed-form square.
 
     The closed form is the diagonal operator
@@ -130,9 +108,7 @@ def dirac_square_structure(model: ModelEdgeDirac, u, grid,
     n = grid.n
     if u.shape != (4, n):
         raise ConfigurationError("expected a (4, N) section")
-    a = float(model.a_spectrum[fiber_index])
-    d = float(model.dy_spectrum[fiber_index])
-    dm = assemble_dirac(model, grid, fiber_index)
+    dm = assemble_dirac(a, d, grid)
     twice = (dm @ (dm @ u.reshape(4 * n))).reshape(4, n)
     signs = np.diag(_dense(build_clifford()[4]))
     direct = np.vstack([fd_scalar(a * a + a * signs[c], d, grid) @ u[c]

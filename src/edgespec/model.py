@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bessel import log_bessel_ik
 from .errors import ConfigurationError
 from .grids import (HalfLineGrid, build_grid, fd_assemble_model,
                     fd_first_order, fd_scalar, nystrom_assemble,
@@ -227,7 +228,6 @@ def homogeneous_solutions(nu: float, beta: float, grid: HalfLineGrid):
     x = grid.nodes
     if beta == 0.0:
         return x ** (nu + 0.5), x ** (-nu + 0.5)
-    from .bessel import log_bessel_ik
     li, lk, _, _, _ = log_bessel_ik(nu, beta * x)
     with np.errstate(over="ignore"):
         return (np.exp(0.5 * np.log(x) + li), np.exp(0.5 * np.log(x) + lk))

@@ -9,10 +9,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 
 from edgespec.bessel import (CF1_WRONSKIAN, HANKEL, SERIES_CF2, SERIES_TEMME,
                              UNIFORM, BesselEval, _cf1_ratio,
-                             _olver_table, _u_poly_list,
+                             _olver_table,
                              asymptotic_error_bounds, bessel_i, bessel_k,
                              bessel_log_derivatives, log_bessel_ik,
                              olver_eta, uniform_asymptotic_excess,
@@ -112,28 +113,39 @@ def test_log_derivatives():
 
 
 def test_u_polynomials_exact():
-    from fractions import Fraction
-    polys = _u_poly_list(3)
-    assert polys[0] == [Fraction(1)]
+    u0, u1, u2 = (entry[-1] for entry in _olver_table()[:3])
+    assert u2.domain == sp.QQ
+    assert u0.all_coeffs() == [1]
     # U_1(p) = (3p - 5p^3)/24
-    assert polys[1] == [Fraction(0), Fraction(1, 8), Fraction(0),
-                        Fraction(-5, 24)]
+    assert u1.all_coeffs() == [sp.Rational(-5, 24), 0, sp.Rational(1, 8), 0]
     # U_2(p) = (81p^2 - 462p^4 + 385p^6)/1152
-    assert polys[2] == [Fraction(0), Fraction(0), Fraction(81, 1152),
-                        Fraction(0), Fraction(-462, 1152),
-                        Fraction(0), Fraction(385, 1152)]
+    assert u2.all_coeffs() == [sp.Rational(385, 1152), 0,
+                               sp.Rational(-462, 1152), 0,
+                               sp.Rational(81, 1152), 0, 0]
 
 
 def test_olver_table_total_variations():
     # A sampled variation never exceeds the true one, so a missed critical
     # point shows as a table total below this dense-grid estimate.
     p = np.linspace(0.0, 1.0, 200001)
-    for exact, (_, _, _, cum) in zip(_u_poly_list(len(_olver_table())),
-                                     _olver_table()):
-        vals = np.polynomial.polynomial.polyval(p, [float(c) for c in exact])
+    for *_, cum, exact in _olver_table():
+        coeffs = [float(c) for c in reversed(exact.all_coeffs())]
+        vals = np.polynomial.polynomial.polyval(p, coeffs)
         dense = float(np.sum(np.abs(np.diff(vals))))
         assert cum[-1] >= dense * (1.0 - 1e-12)
         assert abs(cum[-1] - dense) <= 1e-9 * dense
+
+
+def test_olver_table_matches_exact_variation():
+    # Total variation from the exact real roots of U_j' in (0, 1), each
+    # U_j value taken to 40 digits; the table may differ by rounding only.
+    for j, (*_, cum, exact) in enumerate(_olver_table()):
+        p = exact.gen
+        roots = [r for r in exact.diff(p).real_roots() if 0 < r < 1]
+        vals = [exact.as_expr().subs(p, q).evalf(40) for q in [0, *roots, 1]]
+        total = sum(abs(b - a) for a, b in zip(vals, vals[1:]))
+        ref = float(total)
+        assert abs(cum[-1] - ref) <= 4 * np.spacing(ref), j
 
 
 def test_eta_monotone():

@@ -1,13 +1,10 @@
 import numpy as np
-import pytest
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
-from edgespec.clifford import (ModelEdgeDirac, assemble_dirac,
-                               build_clifford, commutator_report,
-                               dirac_square_structure, grading_operator,
-                               symbolic_square_identity)
-from edgespec.errors import ConfigurationError
+from edgespec.clifford import (assemble_dirac, build_clifford,
+                               commutator_report, dirac_square_structure,
+                               grading_operator, symbolic_square_identity)
 from edgespec.grids import build_grid
 
 
@@ -57,21 +54,13 @@ def test_square_identity_rejects_wrong_rhs():
     assert side(-1) != lhs
 
 
-def test_model_validation():
-    with pytest.raises(ConfigurationError):
-        ModelEdgeDirac((1.0,), (1.0, 2.0))
-    with pytest.raises(ConfigurationError):
-        ModelEdgeDirac((), ())
-
-
 def test_dirac_square_structure_numeric():
-    model = ModelEdgeDirac((1.6, 2.6), (0.7, 1.3))
     rels = {}
     for n in (300, 600):
         grid = build_grid(n, 1e-1, 10.0)
         t = np.log(grid.nodes)
         u = np.vstack([np.exp(-(t - 0.2 * c) ** 2) for c in range(4)])
-        rep = dirac_square_structure(model, u, grid, fiber_index=1)
+        rep = dirac_square_structure(2.6, 1.3, u, grid)
         rels[n] = rep["relative"]
     assert rels[300] <= 0.1
     assert rels[600] <= 0.35 * rels[300]  # about first order or better
@@ -79,6 +68,6 @@ def test_dirac_square_structure_numeric():
 
 def test_assemble_dirac_shape_and_reality():
     grid = build_grid(64, 1e-1, 10.0)
-    m = assemble_dirac(ModelEdgeDirac((1.6,), (0.5,)), grid)
+    m = assemble_dirac(1.6, 0.5, grid)
     assert m.shape == (4 * grid.n, 4 * grid.n)
     assert np.all(np.isfinite(m))

@@ -2,9 +2,9 @@
 
 Private helpers stay private to the module that defines them; shared
 machinery (the finite-difference stencils of ``grids``, for instance) is
-reached through public builders.  The Witt floor lives in one predicate,
-``kernels.require_witt_order``, the only code that raises
-``WittViolationError``.
+reached through public builders; relative imports sit at module level.
+The Witt floor lives in one predicate, ``kernels.require_witt_order``, the
+only code that raises ``WittViolationError``.
 """
 
 import ast
@@ -26,6 +26,25 @@ def test_no_cross_module_private_imports():
     found = [f"{path.name}:{line}: from .{module} import {name}"
              for path in sorted(SRC.glob("*.py"))
              for line, module, name in private_imports(path)]
+    assert found == []
+
+
+def function_level_relative_imports(path):
+    """(line, module) of every relative import inside a function body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.lineno, node.module or "")
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.ImportFrom) and node.level > 0]
+
+
+def test_no_function_level_relative_imports():
+    # a module's dependencies on the package sit at its top, where a reader
+    # (and an import cycle) sees them
+    found = [f"{path.name}:{line}: from .{module} import ..."
+             for path in sorted(SRC.glob("*.py"))
+             for line, module in function_level_relative_imports(path)]
     assert found == []
 
 
