@@ -446,7 +446,10 @@ def _olver_bounds(nu: float, p):
     v1_tot, vn_tot = table[1][3][-1], table[n][3][-1]
     v1_0p = _variation_from_zero(1, p)
     vn_0p = _variation_from_zero(n, p)
-    b_i = 2.0 * np.exp(2.0 * (v1_tot - v1_0p) / nu) * (vn_tot - vn_0p) / nu ** n
+    # near p = 1 a variation from zero can round above the total
+    v1_p1 = np.maximum(v1_tot - v1_0p, 0.0)
+    vn_p1 = np.maximum(vn_tot - vn_0p, 0.0)
+    b_i = 2.0 * np.exp(2.0 * v1_p1 / nu) * vn_p1 / nu ** n
     b_k = 2.0 * np.exp(2.0 * v1_0p / nu) * vn_0p / nu ** n
     b_inf = 2.0 * math.exp(2.0 * v1_tot / nu) * vn_tot / nu ** n
     return b_i, b_k, b_inf

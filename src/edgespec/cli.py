@@ -29,7 +29,7 @@ from .grids import (build_grid, free_column_quadrature, nystrom_assemble,
 from .kernels import (ConeKernel, WeightedAction, exact_weighted_norm,
                       free_schur_integrals)
 from .model import FiberSpectrum, check_witt, round_trip_residual
-from .parametrix import EdgeFunction, mapping_bounds
+from .parametrix import mapping_bounds, random_section
 from .scales import (DEFAULT_SEED, TENSOR_CHECK_TOL, intersection_scale_check,
                      random_generator, random_psd_block, same_scale_demo,
                      tensor_positivity_check, tensor_power_error)
@@ -131,14 +131,10 @@ def _suite_parametrix(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     grid = build_grid(max(cfg.grid_n, 200), 1e-2, 1e2)
     nus = tuple(abs(s) + 0.5 for s in cfg.spectrum if s > 0) or (2.1,)
-    mask = (grid.nodes > 0.05) & (grid.nodes < 0.8)
     for order, n_c in (("first", 2), ("second", 1)):
         t0 = time.perf_counter()
-        s = np.zeros((grid.n, Y_MODES, len(nus), n_c))
-        s[mask] = rng.normal(size=(int(mask.sum()), Y_MODES,
-                                   len(nus), n_c))
-        u = EdgeFunction(s)
-        rep = mapping_bounds(u, nus, grid, order)
+        u = random_section(grid, Y_MODES, len(nus), n_c, rng)
+        rep = mapping_bounds(u, nus, grid)
         out.append(_record(f"parametrix.residual_{order}",
                            {"order": order, "n": grid.n},
                            rep.residual_rel, 1e-8,

@@ -172,18 +172,19 @@ def verify_square_identity(nu: float, beta: float, u, grid: HalfLineGrid):
 
 
 ACTIONS = (WeightedAction(-2, 0), WeightedAction(-2, 1), WeightedAction(-2, 2))
+# spread of a ratio column that the sweep summary still calls uniform
+UNIFORM_FACTOR = 1.1
 
 
 def uniform_bound_sweep(spectrum: FiberSpectrum, betas, grid_n: int = 400,
-                        x_min: float = 1e-4, x_max: float = 1e3,
-                        uniform_factor: float = 1.1):
+                        x_min: float = 1e-4, x_max: float = 1e3):
     """Norm table of X^-2 K and its edge derivatives across (nu, beta).
 
     Every order must pass ``require_witt_order``; the smallest is checked
     before any assembly.  Each row carries the three estimated norms and the
     Schur-normalized ratios (nu^2 - 9/4) ||X^-2 K||, nu ||(X dx) X^-2 K||,
     ||(X dx)^2 X^-2 K||.  The summary flag ``uniform`` is
-    max <= uniform_factor x median per ratio column: the spread of the
+    max <= UNIFORM_FACTOR x median per ratio column: the spread of the
     Schur-normalized ratios, not a certificate that the norms are uniformly
     bounded.  The exact norms (``kernels.exact_weighted_norm``) are
     beta-independent and carry their own nu-dependence ((nu^2 - 1)^-1 for
@@ -213,7 +214,7 @@ def uniform_bound_sweep(spectrum: FiberSpectrum, betas, grid_n: int = 400,
         summary[key] = {
             "max": float(vals.max()),
             "median": float(np.median(vals)),
-            "uniform": bool(vals.max() <= uniform_factor * np.median(vals)),
+            "uniform": bool(vals.max() <= UNIFORM_FACTOR * np.median(vals)),
         }
     return {"rows": rows, "summary": summary}
 

@@ -2,14 +2,15 @@
 
 The edge R_+ x R_y is replaced by R_+ x (y-torus of period 2 pi) with b = 1,
 so the Fourier conjugation is an exact FFT over at most 64 integer modes
-xi_k.  Per mode the operator reduces to the model system on the half-line:
+xi_k.  Per mode and fiber the operator reduces to the model system on the
+half-line; the section's component count says which:
 
-    first order:  [[xi, -(d/dx - mu/x)], [d/dx + mu/x, -xi]]   (2x2 per fiber)
-    second order: -d^2/dx^2 + x^{-2}(nu^2 - 1/4) + xi^2        (scalar per fiber)
+    2 components: [[xi, -(d/dx - mu/x)], [d/dx + mu/x, -xi]]   (first order)
+    1 component:  -d^2/dx^2 + x^{-2}(nu^2 - 1/4) + xi^2       (second order)
 
-and the inverse is a dense LU solve of the same finite-difference matrix
-that defines the discrete residual, making the right-inverse property exact
-to solver tolerance.
+The inverse is a dense LU solve of the same finite-difference matrix that
+defines the discrete residual, making the right-inverse property exact to
+solver tolerance.  The mapping norms are per-mode sums (Parseval).
 """
 
 import math
@@ -67,15 +68,13 @@ def _xi_modes(n_y):
     return np.fft.fftfreq(n_y, d=1.0 / n_y)
 
 
-def _mode_matrix(nu, xi, grid, order):
-    if order == "first":
+def _mode_matrix(nu, xi, grid, n_c):
+    if n_c == 2:
         return fd_first_order(nu - 0.5, xi, grid)
-    if order == "second":
-        return fd_assemble_model(nu, abs(xi), grid).matrix
-    raise ConfigurationError(f"unknown order {order!r}")
+    return fd_assemble_model(nu, abs(xi), grid).matrix
 
 
-def _check_setup(u: EdgeFunction, nus, grid: HalfLineGrid, order):
+def _check_setup(u: EdgeFunction, nus, grid: HalfLineGrid):
     for nu in nus:
         require_witt_order(nu)
     s = np.asarray(u.samples, dtype=complex)
@@ -84,99 +83,94 @@ def _check_setup(u: EdgeFunction, nus, grid: HalfLineGrid, order):
         raise ConfigurationError("x-sample count does not match the grid")
     if n_f != len(nus):
         raise ConfigurationError("fiber count does not match the order list")
-    want = 2 if order == "first" else 1
-    if n_c != want:
+    if n_c not in (1, 2):
         raise ConfigurationError(
-            f"{order}-order parametrix expects {want} components, got {n_c}")
+            f"a section has 2 components (first order) or 1, got {n_c}")
     return s
 
 
-def _solve_modes(s, nus, grid: HalfLineGrid, order):
+def random_section(grid: HalfLineGrid, n_y, n_fibers, n_c, rng):
+    """Normal draws on the nodes 0.05 < x < 0.8, zero elsewhere."""
+    s = np.zeros((grid.n, n_y, n_fibers, n_c))
+    mask = (grid.nodes > 0.05) & (grid.nodes < 0.8)
+    s[mask] = rng.normal(size=(int(mask.sum()), n_y, n_fibers, n_c))
+    return EdgeFunction(s)
+
+
+def _solve_modes(s, nus, grid: HalfLineGrid):
     """Per-mode LU solves of the samples ``_check_setup`` returned; returns
-    (Qu-hat, xi modes, per-mode input and output norms, residual sums)."""
-    n_y = s.shape[1]
+    the transforms of u, Qu and the residual, and the xi modes."""
+    n_y, n_c = s.shape[1], s.shape[3]
     u_hat = np.fft.fft(s, axis=1)
     q_hat = np.empty_like(u_hat)
+    r_hat = np.empty_like(u_hat)
     xis = _xi_modes(n_y)
-    w = grid.weights
-    n = grid.n
-    resid_num = 0.0
-    resid_den = 0.0
-    mode_in = np.zeros(n_y)
-    mode_out = np.zeros(n_y)
+    # the second-order matrix depends on |xi| only; each matrix is factored
+    # once and dropped when the modes that share it are solved
+    keys = xis if n_c == 2 else np.abs(xis)
     for f, nu in enumerate(nus):
-        lu_cache = {}
-        for k, xi in enumerate(xis):
-            key = xi if order == "first" else abs(xi)
-            if key not in lu_cache:
-                m = _mode_matrix(nu, xi, grid, order)
-                try:
-                    lu_cache[key] = (lu_factor(m), m)
-                except Exception as exc:
-                    raise NumericalError(
-                        f"singular mode matrix at (nu={nu}, xi={xi})") from exc
-            lu, m = lu_cache[key]
-            rhs = u_hat[:, k, f, :].T.reshape(-1)
-            sol_r = lu_solve(lu, rhs.real)
-            sol_i = lu_solve(lu, rhs.imag)
-            sol = sol_r + 1j * sol_i
-            r = m @ sol - rhs
-            wide = np.tile(w, rhs.size // n)
-            resid_num += float(wide @ np.abs(r) ** 2)
-            resid_den += float(wide @ np.abs(rhs) ** 2)
-            q_hat[:, k, f, :] = sol.reshape(-1, n).T
-            mode_in[k] += float(wide @ np.abs(rhs) ** 2)
-            mode_out[k] += float(wide @ np.abs(sol) ** 2)
-    return q_hat, xis, mode_in, mode_out, resid_num, resid_den
+        for key in np.unique(keys):
+            m = _mode_matrix(nu, key, grid, n_c)
+            try:
+                lu = lu_factor(m)
+            except Exception as exc:
+                raise NumericalError(
+                    f"singular mode matrix at (nu={nu}, xi={key})") from exc
+            for k in np.flatnonzero(keys == key):
+                rhs = u_hat[:, k, f, :].T.reshape(-1)
+                sol = lu_solve(lu, np.stack([rhs.real, rhs.imag], axis=1))
+                sol = sol[:, 0] + 1j * sol[:, 1]
+                q_hat[:, k, f, :] = sol.reshape(n_c, -1).T
+                r_hat[:, k, f, :] = (m @ sol - rhs).reshape(n_c, -1).T
+    return u_hat, q_hat, r_hat, xis
 
 
-def parametrix_apply(u: EdgeFunction, nus, grid: HalfLineGrid,
-                     order: str = "first") -> EdgeFunction:
-    """Qu (order "first") or Q^2 u (order "second") by exact mode-wise solves."""
-    q_hat, *_ = _solve_modes(_check_setup(u, nus, grid, order), nus, grid,
-                             order)
+def _mode_sums(a_hat, x_weight):
+    # sum over x, fibers and components of x_weight |a_hat|^2, per y-mode
+    return np.einsum("i,ikfc->k", x_weight, np.abs(a_hat) ** 2)
+
+
+def parametrix_apply(u: EdgeFunction, nus, grid: HalfLineGrid) -> EdgeFunction:
+    """Qu (2 components) or Q^2 u (1 component) by exact mode-wise solves;
+    Qu of a real section is complex (the first-order symbol is odd in xi)."""
+    _, q_hat, _, _ = _solve_modes(_check_setup(u, nus, grid), nus, grid)
     out = np.fft.ifft(q_hat, axis=1)
-    if np.isrealobj(u.samples):
+    if np.isrealobj(u.samples) and u.samples.shape[3] == 1:
         out = out.real
     return EdgeFunction(out)
 
 
-def _edge_l2(s, grid):
-    w = grid.weights
-    dy = Y_PERIOD / s.shape[1]
-    return math.sqrt(float(np.sum(w[:, None, None, None]
-                                  * np.abs(s) ** 2)) * dy)
-
-
-def mapping_bounds(u: EdgeFunction, nus, grid: HalfLineGrid,
-                   order: str = "first") -> ParametrixReport:
+def mapping_bounds(u: EdgeFunction, nus, grid: HalfLineGrid
+                   ) -> ParametrixReport:
     """Weighted mapping norms and per-mode decay ratios of the parametrix.
 
+    The power is p = 1 for a 2-component section, p = 2 for 1 component.
     The input must be supported in x <= 1: a nonzero sample at a grid node
-    x > 1 raises PreconditionError before any mode is solved.  Asserting the
-    continuum statement is done by the caller via the fitted constant
-    C = max_k ratio_k (1+|xi_k|)^order, which must be stable under grid
-    refinement.
+    x > 1 raises PreconditionError before any mode is solved.
+    ``w11_bound`` = ||x^-p Qu|| / ||u||.  Numpy's FFT gives
+    sum_y |q|^2 = n_y^-1 sum_k |q-hat_k|^2 and the factor cancels in the
+    ratio, so both norms are per-mode sums (Parseval).  The caller asserts
+    the continuum statement via the fitted constant
+    C = max_k ratio_k (1+|xi_k|)^p, which must be stable under refinement.
     """
-    s = _check_setup(u, nus, grid, order)
+    s = _check_setup(u, nus, grid)
     if np.any(s[grid.nodes > 1.0] != 0.0):
         raise PreconditionError(
             "mapping bounds require x-support inside [0, 1]")
-    (q_hat, xis, mode_in, mode_out,
-     resid_num, resid_den) = _solve_modes(s, nus, grid, order)
-    if resid_den == 0.0:
+    u_hat, q_hat, r_hat, xis = _solve_modes(s, nus, grid)
+    w = grid.weights
+    mode_in, mode_out = _mode_sums(u_hat, w), _mode_sums(q_hat, w)
+    u_sq = float(mode_in.sum())
+    if u_sq == 0.0:
         raise PreconditionError("mapping bounds need a nonzero input")
-    qu = np.fft.ifft(q_hat, axis=1)
-    power = 1 if order == "first" else 2
-    x_weight = grid.nodes.astype(float) ** (-power)
-    u_norm = _edge_l2(s, grid)
-    w_bound = _edge_l2(x_weight[:, None, None, None] * qu, grid)
+    power = 3 - s.shape[3]
+    qx_sq = float(_mode_sums(q_hat, w * grid.nodes ** (-2 * power)).sum())
     active = mode_in > 1e-28 * mode_in.max()
     ratios = np.sqrt(mode_out[active] / mode_in[active])
     envelope = (1.0 + np.abs(xis[active])) ** (-power)
     return ParametrixReport(
-        residual_rel=math.sqrt(resid_num / resid_den),
-        w11_bound=w_bound / u_norm,
+        residual_rel=math.sqrt(float(_mode_sums(r_hat, w).sum()) / u_sq),
+        w11_bound=math.sqrt(qx_sq / u_sq),
         per_mode_decay=tuple(ratios),
         xi_modes=tuple(xis[active]),
         fitted_c=float(np.max(ratios / envelope)),

@@ -25,7 +25,8 @@ from edgespec.kernels import (ConeKernel, WeightedAction,
                               free_schur_integrals, mellin_symbol)
 from edgespec.model import (FiberSpectrum, a_identity, check_witt,
                             round_trip_residual, uniform_bound_sweep)
-from edgespec.parametrix import EdgeFunction, mapping_bounds
+from edgespec.parametrix import (EdgeFunction, mapping_bounds,
+                                 random_section)
 from edgespec.scales import (intersection_scale_check, random_generator,
                              random_psd_block, same_scale_demo,
                              tensor_generator, tensor_positivity_check)
@@ -182,19 +183,15 @@ def test_criterion_6_parametrix():
     fitted envelope constant stable to 5% between N = 200 and N = 400."""
     rng = np.random.default_rng(20240617)
     grid = build_grid(200, 1e-2, 1e2)
-    mask = (grid.nodes > 0.05) & (grid.nodes < 0.8)
     ok = True
     worst_res = 0.0
     for trial in range(20):
-        order, n_c = (("first", 2), ("second", 1))[trial % 2]
-        s = np.zeros((grid.n, 16, 1, n_c))
-        s[mask] = rng.normal(size=(int(mask.sum()), 16, 1, n_c))
-        rep = mapping_bounds(EdgeFunction(s), (2.1,),
-                             grid, order)
+        u = random_section(grid, 16, 1, 2 - trial % 2, rng)
+        rep = mapping_bounds(u, (2.1,), grid)
         worst_res = max(worst_res, rep.residual_rel)
     ok = ok and worst_res <= 1e-8
     changes = []
-    for order, n_c in (("first", 2), ("second", 1)):
+    for n_c in (2, 1):
         cs = {}
         for n in (200, 400):
             g = build_grid(n, 1e-2, 1e2)
@@ -207,8 +204,7 @@ def test_criterion_6_parametrix():
             prof = 1.0 + 0.5 * np.cos(y) + 0.25 * np.sin(2 * y)
             s = (bump[:, None, None, None] * prof[None, :, None, None]
                  * np.ones((1, 1, 1, n_c)))
-            rep = mapping_bounds(EdgeFunction(s), (2.1,),
-                                 g, order)
+            rep = mapping_bounds(EdgeFunction(s), (2.1,), g)
             cs[n] = rep.fitted_c
         change = abs(cs[400] - cs[200]) / cs[200]
         changes.append(change)

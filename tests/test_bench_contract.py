@@ -34,7 +34,7 @@ def test_traced_layers_are_counted(monkeypatch):
         s = np.zeros((grid.n, 2, 1, 2))
         s[(grid.nodes > 0.05) & (grid.nodes < 0.8)] = 1.0
         es.parametrix.mapping_bounds(es.parametrix.EdgeFunction(s), (2.1,),
-                                     grid, "first")
+                                     grid)
         es.bessel.bessel_i(300.0, 1.0, scaled=True)
     finally:
         tracer.remove()

@@ -280,3 +280,11 @@ def test_oracle_gate_no_bound_violations():
     assert methods == {"series", "temme", "cf2", "recurrence", "hankel",
                        "uniform_asymptotic"}
     assert violations == []
+
+
+@pytest.mark.parametrize("mu", [40.0, 250.0, 600.0])
+def test_asymptotic_bounds_nonnegative(mu):
+    # near p = 1 a variation from zero can round above the total variation
+    xs = np.logspace(-6, 9, 300)
+    b_i, b_k = asymptotic_error_bounds(mu, xs)
+    assert np.all(b_i >= 0.0) and np.all(b_k >= 0.0)

@@ -32,7 +32,7 @@ def test_kernel_construction_validation():
 def _parametrix(nu):
     grid = build_grid(32, 1e-2, 1e2)
     return parametrix_apply(EdgeFunction(np.ones((grid.n, 2, 1, 2))), (nu,),
-                            grid, "first")
+                            grid)
 
 
 def _sweep(nu):

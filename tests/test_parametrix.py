@@ -4,16 +4,13 @@ import pytest
 from edgespec.errors import (ConfigurationError, PreconditionError,
                              WittViolationError)
 from edgespec.grids import build_grid, fd_first_order
-from edgespec.parametrix import (EdgeFunction, mapping_bounds,
-                                 parametrix_apply)
+from edgespec.parametrix import (Y_PERIOD, EdgeFunction, mapping_bounds,
+                                 parametrix_apply, random_section)
 
 
 def _supported_input(grid, n_y, n_fiber, n_comp, seed=3):
-    rng = np.random.default_rng(seed)
-    s = np.zeros((grid.n, n_y, n_fiber, n_comp))
-    mask = (grid.nodes > 0.05) & (grid.nodes < 0.8)
-    s[mask] = rng.normal(size=(int(mask.sum()), n_y, n_fiber, n_comp))
-    return EdgeFunction(s)
+    return random_section(grid, n_y, n_fiber, n_comp,
+                          np.random.default_rng(seed))
 
 
 def test_edge_function_validation():
@@ -34,21 +31,42 @@ def test_setup_validation():
     grid = build_grid(64, 1e-2, 1e2)
     u = _supported_input(grid, 8, 1, 2)
     with pytest.raises(WittViolationError):
-        parametrix_apply(u, (1.4,), grid, "first")
+        parametrix_apply(u, (1.4,), grid)
     with pytest.raises(ConfigurationError):
-        parametrix_apply(u, (2.1, 3.0), grid, "first")  # fiber mismatch
-    with pytest.raises(ConfigurationError):
-        parametrix_apply(u, (2.1,), grid, "second")  # component mismatch
-    with pytest.raises(ConfigurationError):
-        parametrix_apply(u, (2.1,), grid, "third")
+        parametrix_apply(u, (2.1, 3.0), grid)  # fiber mismatch
+    for n_c in (0, 3):  # the order comes from 2 or 1 components only
+        with pytest.raises(ConfigurationError):
+            parametrix_apply(EdgeFunction(np.zeros((grid.n, 8, 1, n_c))),
+                             (2.1,), grid)
+        with pytest.raises(ConfigurationError):
+            mapping_bounds(_supported_input(grid, 8, 1, n_c), (2.1,), grid)
 
 
 def test_right_inverse_residual_tiny():
     grid = build_grid(200, 1e-2, 1e2)
-    for order, n_c in (("first", 2), ("second", 1)):
+    for n_c in (2, 1):
         u = _supported_input(grid, 16, 2, n_c)
-        rep = mapping_bounds(u, (2.1, 3.5), grid, order)
+        rep = mapping_bounds(u, (2.1, 3.5), grid)
         assert rep.residual_rel <= 1e-10
+
+
+@pytest.mark.parametrize("n_c", [2, 1])
+def test_w11_bound_matches_direct_norms(n_c):
+    # Parseval's per-mode sums against the direct recipe: inverse FFT,
+    # x^-p weight, weighted L^2 norms on the (x, y) lattice
+    grid = build_grid(100, 1e-2, 1e2)
+    u = _supported_input(grid, 8, 2, n_c)
+    power = 3 - n_c
+    qu = parametrix_apply(u, (2.1, 3.5), grid).samples
+    dy = Y_PERIOD / u.n_y
+
+    def l2(s):
+        return np.sqrt(np.sum(grid.weights[:, None, None, None]
+                              * np.abs(s) ** 2) * dy)
+    x_p = grid.nodes[:, None, None, None] ** (-power)
+    direct = l2(x_p * qu) / l2(u.samples)
+    rep = mapping_bounds(u, (2.1, 3.5), grid)
+    assert rep.w11_bound == pytest.approx(direct, rel=1e-12)
 
 
 def test_mapping_bounds_requires_support():
@@ -56,18 +74,18 @@ def test_mapping_bounds_requires_support():
     grid = build_grid(64, 1e-2, 1e2)
     inside = np.zeros((grid.n, 8, 1, 2))
     inside[grid.nodes <= 1.0] = 1.0
-    rep = mapping_bounds(EdgeFunction(inside), (2.1,), grid, "first")
+    rep = mapping_bounds(EdgeFunction(inside), (2.1,), grid)
     assert rep.residual_rel <= 1e-10
     with pytest.raises(PreconditionError):
         mapping_bounds(EdgeFunction(np.ones((grid.n, 8, 1, 2))), (2.1,),
-                       grid, "first")
+                       grid)
     one = np.zeros((grid.n, 8, 1, 2))
     one[-1, 3, 0, 1] = 1e-300  # a single tiny sample at x = 100
     with pytest.raises(PreconditionError):
-        mapping_bounds(EdgeFunction(one), (2.1,), grid, "first")
+        mapping_bounds(EdgeFunction(one), (2.1,), grid)
     zero = EdgeFunction(np.zeros((grid.n, 8, 1, 2)))
     with pytest.raises(PreconditionError):
-        mapping_bounds(zero, (2.1,), grid, "first")
+        mapping_bounds(zero, (2.1,), grid)
 
 
 def test_edge_function_keeps_validated_array():
@@ -77,9 +95,9 @@ def test_edge_function_keeps_validated_array():
     s[grid.nodes < 1.0] = 1.0
     u = EdgeFunction(s.tolist())
     assert isinstance(u.samples, np.ndarray) and u.n_y == 2
-    assert parametrix_apply(u, (2.1,), grid, "first").samples.shape == (
+    assert parametrix_apply(u, (2.1,), grid).samples.shape == (
         grid.n, 2, 1, 2)
-    assert mapping_bounds(u, (2.1,), grid, "first").residual_rel <= 1e-10
+    assert mapping_bounds(u, (2.1,), grid).residual_rel <= 1e-10
 
 
 def _smooth_input(grid, n_y, n_comp):
@@ -100,13 +118,11 @@ def _smooth_input(grid, n_y, n_comp):
 
 
 def test_per_mode_decay_envelope():
-    # the inverse-mode norms decay monotonically in |xi|; the (1+|xi|)^-order
+    # the inverse-mode norms decay monotonically in |xi|; the (1+|xi|)^-p
     # envelope takes over once |xi| dominates the x-part of the operator
     grid = build_grid(200, 1e-2, 1e2)
-    for order, n_c, power, drop in (("first", 2, 1, 4.5),
-                                    ("second", 1, 2, 20.0)):
-        rep = mapping_bounds(_smooth_input(grid, 64, n_c), (2.1,), grid,
-                             order)
+    for n_c, power, drop in ((2, 1, 4.5), (1, 2, 20.0)):
+        rep = mapping_bounds(_smooth_input(grid, 64, n_c), (2.1,), grid)
         ratios = np.asarray(rep.per_mode_decay)
         xis = np.asarray(rep.xi_modes)
         envelope = (1.0 + np.abs(xis)) ** (-power)
@@ -125,8 +141,7 @@ def test_mode_diagonality():
     bump = np.exp(-4.0 * (t + 1.0) ** 2) * ((x > 0.02) & (x < 0.9))
     y = np.arange(n_y) * 2 * np.pi / n_y
     s = (bump[:, None] * np.cos(3 * y)[None, :])[:, :, None, None]
-    out = parametrix_apply(EdgeFunction(s), (2.1,),
-                           grid, "second")
+    out = parametrix_apply(EdgeFunction(s), (2.1,), grid)
     o_hat = np.fft.fft(out.samples, axis=1)
     amps = np.sqrt(np.sum(np.abs(o_hat) ** 2, axis=(0, 2, 3)))
     live = {3, n_y - 3}
@@ -154,27 +169,21 @@ def test_energy_inequality_witness():
 def test_parametrix_apply_real_in_real_out():
     grid = build_grid(100, 1e-2, 1e2)
     u = _supported_input(grid, 8, 1, 1)
-    out = parametrix_apply(u, (2.1,), grid, "second")
+    out = parametrix_apply(u, (2.1,), grid)
     assert np.isrealobj(out.samples)
     assert out.samples.shape == u.samples.shape
     # the solve spreads the support beyond x = 1
     assert np.any(out.samples[grid.nodes > 1.0] != 0.0)
 
 
-def test_fitted_c_stable_under_refinement():
-    cs = {}
-    for n in (200, 400):
-        grid = build_grid(n, 1e-2, 1e2)
-        x, t = grid.nodes, np.log(grid.nodes)
-        bump = np.where((x > 0.05) & (x < 0.8),
-                        np.exp(-1.0 / np.clip((t - np.log(0.05))
-                                              * (np.log(0.8) - t),
-                                              1e-12, None)), 0.0)
-        y = np.arange(16) * 2 * np.pi / 16
-        prof = 1.0 + 0.5 * np.cos(y) + 0.25 * np.sin(2 * y)
-        s = (bump[:, None, None, None] * prof[None, :, None, None]
-             * np.ones((1, 1, 1, 2)))
-        rep = mapping_bounds(EdgeFunction(s),
-                             (2.1,), grid, "first")
-        cs[n] = rep.fitted_c
-    assert abs(cs[400] - cs[200]) / cs[200] <= 0.05
+def test_first_order_keeps_imaginary_part():
+    # the first-order mode matrix at -xi is not the one at xi, so Qu of a
+    # real section is complex; it must equal Qu of the same complex section
+    grid = build_grid(100, 1e-2, 1e2)
+    u = _supported_input(grid, 8, 1, 2)
+    out = parametrix_apply(u, (2.1,), grid).samples
+    ref = parametrix_apply(EdgeFunction(u.samples.astype(complex)), (2.1,),
+                           grid).samples
+    assert np.abs(out.imag).max() > 1e-3 * np.abs(out).max()
+    np.testing.assert_array_equal(out, ref)
+
