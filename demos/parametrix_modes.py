@@ -11,13 +11,9 @@ Run:  python3 demos/parametrix_modes.py
 import numpy as np
 
 from edgespec.grids import build_grid
-from edgespec.parametrix import EdgeFunction, mapping_bounds
+from edgespec.parametrix import mapping_bounds, smooth_section
 
 grid = build_grid(200, 1e-2, 1e2)
-x, t = grid.nodes, np.log(grid.nodes)
-bump = np.where((x > 0.05) & (x < 0.8),
-                np.exp(-1.0 / np.clip((t - np.log(0.05)) * (np.log(0.8) - t),
-                                      1e-12, None)), 0.0)
 n_y = 64
 y = np.arange(n_y) * 2 * np.pi / n_y
 prof = np.ones(n_y)
@@ -25,9 +21,7 @@ for k in range(1, n_y // 2 + 1):
     prof += np.cos(k * y) * 0.95 ** k
 
 for n_c, power in ((2, 1), (1, 2)):
-    s = (bump[:, None, None, None] * prof[None, :, None, None]
-         * np.ones((1, 1, 1, n_c)))
-    rep = mapping_bounds(EdgeFunction(s), (2.1,), grid)
+    rep = mapping_bounds(smooth_section(grid, prof, n_c), (2.1,), grid)
     print(f"order {power} ({n_c}-component section):")
     print(f"  discrete right-inverse residual: {rep.residual_rel:.2e}")
     print(f"  ||X^-{power} Qu|| / ||u||       : {rep.w11_bound:.4f}")

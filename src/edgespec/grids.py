@@ -8,18 +8,23 @@ Everything lives on a truncated half-line [x_min, x_max] with log-spaced
 nodes; in the variable t = ln x the edge derivative (x d/dx) is plain d/dt
 and the model operator -d^2/dx^2 becomes -x^{-2}(d_t^2 - d_t).
 
-The Nystrom diagonal pass evaluates the kernel only at the pairs it keeps;
-``operator_norm`` iterates on a Gram matrix formed once.
+The Nystrom diagonal pass evaluates the kernel only at the pairs it keeps,
+and the actions of one kernel can share one ``NystromFactors``: the Bessel
+factors at the nodes and at the diagonal-cell points, evaluated once.
+``operator_norm`` iterates on a Gram matrix formed once, one BLAS symmetric
+matvec per step.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import ddot, dsymv
 
 from .errors import ConfigurationError, NumericalError
-from .kernels import (ConeKernel, WeightedAction, require_witt_order,
-                      weighted_kernel, weighted_kernel_matrix)
+from .kernels import (ConeKernel, KernelFactors, WeightedAction,
+                      kernel_factors, require_witt_order, weighted_kernel,
+                      weighted_kernel_from_factors, weighted_kernel_matrix)
 
 X_MIN_DEFAULT = 1e-4
 X_MAX_DEFAULT = 1e3
@@ -100,14 +105,43 @@ class DiscreteOperator:
         return self.matrix @ np.asarray(u, dtype=float)
 
 
-def metric_adjoint_matrix(matrix, weights):
-    """Adjoint of ``matrix`` for the inner product <u, v> = sum w u v."""
-    w = np.asarray(weights, dtype=float)
-    return (matrix.T * w[None, :]) / w[:, None]
+@dataclass(frozen=True)
+class NystromFactors:
+    """Kernel factors that the Nystrom assemblies of one kernel on one grid
+    share: ``nodes`` at the grid nodes, which serve both the rows and the
+    columns, and ``cells`` at the DIAG_CELL_NODES Gauss points of each
+    node's weight cell (rows are nodes), whose weights are ``cell_weights``.
+    """
+
+    nodes: KernelFactors
+    cells: KernelFactors
+    cell_weights: np.ndarray
+
+
+def nystrom_factors(kernel: ConeKernel, grid: HalfLineGrid,
+                    actions) -> NystromFactors:
+    """The factors every action in ``actions`` reads, evaluated once.
+
+    For beta > 0 that is one log_bessel_ik call per order nu..nu+a_max at
+    the N nodes (a_max the largest edge-derivative count) and one at order
+    nu on the DIAG_CELL_NODES * N cell points.
+    """
+    orders = 1 + max(act.edge_derivatives for act in actions)
+    x = grid.nodes
+    mids = 0.5 * (x[:-1] + x[1:])
+    lo = np.concatenate(([x[0]], mids))
+    hi = np.concatenate((mids, [x[-1]]))
+    gl_x, gl_w = np.polynomial.legendre.leggauss(DIAG_CELL_NODES)
+    half = 0.5 * (hi - lo)
+    ys = 0.5 * (hi + lo)[:, None] + half[:, None] * gl_x[None, :]
+    return NystromFactors(kernel_factors(kernel, x, orders),
+                          kernel_factors(kernel, ys),
+                          half[:, None] * gl_w[None, :])
 
 
 def nystrom_assemble(kernel: ConeKernel, action: WeightedAction,
-                     grid: HalfLineGrid) -> DiscreteOperator:
+                     grid: HalfLineGrid,
+                     factors: NystromFactors = None) -> DiscreteOperator:
     """Nystrom matrix M_ij = (weighted kernel)(x_i, x_j) w_j, off the diagonal.
 
     Each diagonal entry is the product integral of the kernel over its
@@ -116,10 +150,18 @@ def nystrom_assemble(kernel: ConeKernel, action: WeightedAction,
     diagonal; once the node spacing exceeds that width the plain rule
     inflates the diagonal by the unresolved spike, while the cell integral
     remains faithful.
+
+    ``factors`` come from ``nystrom_factors`` for a set of actions that
+    includes this one; a caller assembling several actions of one kernel
+    passes the same factors to each, so no Bessel factor is evaluated
+    twice.  Without them the factors of this action alone are evaluated.
     """
-    m = weighted_kernel_matrix(kernel, action, grid.nodes, grid.nodes)
+    if factors is None:
+        factors = nystrom_factors(kernel, grid, (action,))
+    m = weighted_kernel_matrix(kernel, action, grid.nodes, grid.nodes,
+                               factors.nodes, factors.nodes)
     m = m * grid.weights[None, :]
-    np.fill_diagonal(m, _diagonal_cell_integrals(kernel, action, grid))
+    np.fill_diagonal(m, _diagonal_cell_integrals(kernel, action, factors))
     return DiscreteOperator(m, grid)
 
 
@@ -141,17 +183,12 @@ def free_column_quadrature(nu: float) -> float:
 
 
 def _diagonal_cell_integrals(kernel: ConeKernel, action: WeightedAction,
-                             grid: HalfLineGrid):
+                             factors: NystromFactors):
     """integral of the weighted kernel k(x_i, y) over the i-th weight cell."""
-    x = grid.nodes
-    mids = 0.5 * (x[:-1] + x[1:])
-    lo = np.concatenate(([x[0]], mids))
-    hi = np.concatenate((mids, [x[-1]]))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(DIAG_CELL_NODES)
-    half = 0.5 * (hi - lo)
-    ys = 0.5 * (hi + lo)[:, None] + half[:, None] * gl_x[None, :]
-    ws = half[:, None] * gl_w[None, :]
-    return np.sum(weighted_kernel(kernel, action, x[:, None], ys) * ws, axis=1)
+    vals = weighted_kernel_from_factors(kernel, action,
+                                        factors.nodes.reshape(-1, 1),
+                                        factors.cells)
+    return np.sum(vals * factors.cell_weights, axis=1)
 
 
 def _t_derivative_matrices(grid: HalfLineGrid):
@@ -224,19 +261,23 @@ def operator_norm(op: DiscreteOperator, tol: float = POWER_ITER_TOL,
 
     Power iteration on M*M (metric adjoint M* = W^{-1} M^T W) from the
     all-ones vector, run as z = W^{1/2} v on the Gram matrix B = A^T A of
-    A = W^{1/2} M W^{-1/2}, formed once: one symmetric matvec per step.
+    A = W^{1/2} M W^{-1/2}, formed once.  Each step is one BLAS ``dsymv``,
+    which reads one triangle of B, and two BLAS ``ddot`` calls (numpy's
+    ``@`` costs about three times as much at this size).  ``dsymv`` is
+    handed B^T, a Fortran-order view of the same symmetric matrix, so
+    nothing is copied.
     """
     if tol <= 0.0:
         raise ConfigurationError("tolerance must be positive")
     sw = np.sqrt(op.grid.weights)
     a = sw[:, None] * op.matrix / sw[None, :]
-    b = a.T @ a
+    b_fortran = (a.T @ a).T
     z = sw / np.linalg.norm(sw)  # v = 1 / ||1||_W
     lam = 0.0
     for it in range(max_iter):
-        bz = b @ z
-        lam_new = float(bz @ z)
-        norm_bz = math.sqrt(float(bz @ bz))
+        bz = dsymv(1.0, b_fortran, z)
+        lam_new = ddot(bz, z)
+        norm_bz = math.sqrt(ddot(bz, bz))
         if norm_bz == 0.0:
             return 0.0
         z = bz / norm_bz

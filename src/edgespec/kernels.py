@@ -13,7 +13,11 @@ analytically: by power rules for the free kernel and by the order recurrences
     (u d/du)[u^k I_m] = (k+m) u^k I_m + u^{k+1} I_{m+1},
 
 for the Bessel kernel.  ``weighted_kernel`` evaluates them at broadcastable x
-and y in log space, Bessel factors before broadcasting; underflow clamps to 0.
+and y in log space in two stages: ``kernel_factors`` takes the logarithms and
+Bessel factors at each side's points before broadcasting, and
+``weighted_kernel_from_factors`` combines them; underflow clamps to 0.  One
+set of factors at the grid nodes serves the x-side and the y-side of every
+action's matrix.
 
 ``require_witt_order`` is the one Witt floor nu > 3/2 of the toolkit: every
 layer that takes an order calls it, and nothing else raises
@@ -119,19 +123,60 @@ def _free_branch(nu, w, a, logx, logy, lower, mask):
             np.where(mask, ex * logx + ey * logy, -np.inf))
 
 
-def _bessel_x_part(nu, w, a, beta, x):
+@dataclass(frozen=True)
+class KernelFactors:
+    """Log-space factors of one kernel at an array of positive points x.
+
+    ``log_x`` = ln x serves the free kernel and the y-side of the Bessel
+    kernel.  For beta > 0, ``log_u`` = ln(beta x), and ``log_i[j]`` and
+    ``log_k[j]`` are ln I and ln K of order nu + j at beta x, j < orders:
+    the x-side of an action with a edge derivatives reads orders nu..nu+a,
+    the y-side order nu only.
+    """
+
+    x: np.ndarray
+    log_x: np.ndarray
+    log_u: np.ndarray = None
+    log_i: tuple = ()
+    log_k: tuple = ()
+
+    def reshape(self, *shape):
+        """The same factors with every array reshaped (views, no copy)."""
+        def r(arr):
+            return None if arr is None else arr.reshape(shape)
+        return KernelFactors(r(self.x), r(self.log_x), r(self.log_u),
+                             tuple(map(r, self.log_i)),
+                             tuple(map(r, self.log_k)))
+
+
+def kernel_factors(kernel: ConeKernel, x, orders: int = 1) -> KernelFactors:
+    """Factor stage of ``weighted_kernel`` at the positive points x.
+
+    For beta > 0 it makes one log_bessel_ik call per order nu..nu+orders-1
+    at beta x; the free kernel needs no Bessel factor.
+    """
+    x = np.asarray(x, float)
+    if np.any(x <= 0.0):
+        raise DomainError("kernel arguments must be positive")
+    if kernel.beta == 0.0:
+        return KernelFactors(x, np.log(x))
+    u = kernel.beta * x
+    log_ik = [log_bessel_ik(kernel.nu + off, u)[:2] for off in range(orders)]
+    return KernelFactors(x, np.log(x), np.log(u),
+                         tuple(li for li, _ in log_ik),
+                         tuple(lk for _, lk in log_ik))
+
+
+def _bessel_x_part(nu, w, a, beta, fx: KernelFactors):
     """Yield (S, lmax) of the K side, then of the I side, of the x-factor.
 
     Each side's factor is beta^{-(w+1/2)} sum_t c_t u^{k_t} B_{nu+off_t}(u)
-    with u = beta x; its value is S * exp(lmax), elementwise over x.  One
-    log_bessel_ik call per order nu..nu+a serves both sides.
+    with u = beta x; its value is S * exp(lmax), elementwise over x.  Both
+    sides read the orders nu..nu+a of the x factors ``fx``.
     """
-    u = beta * x
-    logu = np.log(u)
-    log_ik = [log_bessel_ik(nu + off, u)[:2] for off in range(a + 1)]
-    for side, pick in (("K", 1), ("I", 0)):
+    for side, log_b in (("K", fx.log_k), ("I", fx.log_i)):
         terms = _bessel_terms(nu, w, a, side)
-        logs = np.array([k * logu + log_ik[off][pick] for _, k, off in terms])
+        logs = np.array([k * fx.log_u + log_b[off] for _, k, off in terms])
         lmax = logs.max(axis=0)
         # summed term by term, in one order for every shape of x (einsum's
         # order depends on the shape), so a value does not depend on its batch
@@ -140,41 +185,65 @@ def _bessel_x_part(nu, w, a, beta, x):
         yield s, lmax - (w + 0.5) * math.log(beta)
 
 
-def weighted_kernel(kernel: ConeKernel, action: WeightedAction, x, y):
-    """[x^w (x d/dx)^a k](x, y) at broadcastable positive arrays x and y.
+def weighted_kernel_from_factors(kernel: ConeKernel, action: WeightedAction,
+                                 fx: KernelFactors, fy: KernelFactors):
+    """Combine stage of ``weighted_kernel``: [x^w (x d/dx)^a k](x, y) from
+    the factors of x (orders nu..nu+a) and of y, whose arrays broadcast.
 
-    The Bessel factors are evaluated before x and y broadcast: one
-    log_bessel_ik call per order nu..nu+a at beta x and one at beta y.
+    It makes no Bessel call, so the factors can be shared by every action.
     """
-    x, y = np.atleast_1d(np.asarray(x, float), np.asarray(y, float))
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise DomainError("kernel arguments must be positive")
     nu, w, a = kernel.nu, action.weight_power, action.edge_derivatives
-    lower = y <= x
+    lower = fy.x <= fx.x
     if kernel.beta == 0.0:
-        lx, ly = np.log(x), np.log(y)
+        lx, ly = fx.log_x, fy.log_x
         return (_free_branch(nu, w, a, lx, ly, True, lower)
                 + _free_branch(nu, w, a, lx, ly, False, ~lower))
+    if len(fx.log_i) <= a:
+        raise ConfigurationError(
+            f"x factors hold {len(fx.log_i)} orders, the action needs {a + 1}")
     beta = kernel.beta
-    (s_lo, off_lo), (s_hi, off_hi) = _bessel_x_part(nu, w, a, beta, x)
-    li, lk, _, _, _ = log_bessel_ik(nu, beta * y)
-    half_logy = 0.5 * np.log(y)
+    (s_lo, off_lo), (s_hi, off_hi) = _bessel_x_part(nu, w, a, beta, fx)
+    half_logy = 0.5 * fy.log_x
     # mask the unused branch before exponentiating: its log magnitude can
     # overflow even though the selected branch never does
-    e_lo = np.where(lower, off_lo + (half_logy + li), -np.inf)
-    e_hi = np.where(lower, -np.inf, off_hi + (half_logy + lk))
+    e_lo = np.where(lower, off_lo + (half_logy + fy.log_i[0]), -np.inf)
+    e_hi = np.where(lower, -np.inf, off_hi + (half_logy + fy.log_k[0]))
     with np.errstate(under="ignore"):
         return s_lo * np.exp(e_lo) + s_hi * np.exp(e_hi)
 
 
-def weighted_kernel_matrix(kernel: ConeKernel, action: WeightedAction, xs, ys):
+def weighted_kernel(kernel: ConeKernel, action: WeightedAction, x, y):
+    """[x^w (x d/dx)^a k](x, y) at broadcastable positive arrays x and y.
+
+    ``kernel_factors`` of x and of y, evaluated before x and y broadcast (one
+    log_bessel_ik call per order nu..nu+a at beta x and one at beta y), then
+    ``weighted_kernel_from_factors``.  Callers that evaluate several actions
+    at the same points run the two stages themselves and share the factors.
+    """
+    x, y = np.atleast_1d(np.asarray(x, float), np.asarray(y, float))
+    fx = kernel_factors(kernel, x, action.edge_derivatives + 1)
+    return weighted_kernel_from_factors(kernel, action, fx,
+                                        kernel_factors(kernel, y))
+
+
+def weighted_kernel_matrix(kernel: ConeKernel, action: WeightedAction, xs, ys,
+                           x_factors: KernelFactors = None,
+                           y_factors: KernelFactors = None):
     """Dense matrix of the weighted kernel at the node grid xs (rows) x ys.
 
     Entry (i, j) = [x^w (x d/dx)^a k](x_i, y_j); no quadrature weights are
-    applied.  Bessel evaluations are O(len(xs) + len(ys)).
+    applied.  ``x_factors`` and ``y_factors`` are the ``kernel_factors`` of
+    xs and ys; a caller that builds several actions on the same points
+    passes them so that the Bessel factors are evaluated once.  Those not
+    passed are evaluated here, O(len(xs) + len(ys)) Bessel arguments.
     """
-    return weighted_kernel(kernel, action, np.reshape(xs, (-1, 1)),
-                           np.reshape(ys, (1, -1)))
+    if x_factors is None:
+        x_factors = kernel_factors(kernel, xs, action.edge_derivatives + 1)
+    if y_factors is None:
+        y_factors = kernel_factors(kernel, ys)
+    return weighted_kernel_from_factors(kernel, action,
+                                        x_factors.reshape(-1, 1),
+                                        y_factors.reshape(1, -1))
 
 
 def weighted_kernel_eval(kernel: ConeKernel, action: WeightedAction,

@@ -25,7 +25,7 @@ from .bessel import log_bessel_ik
 from .errors import ConfigurationError
 from .grids import (HalfLineGrid, build_grid, fd_assemble_model,
                     fd_first_order, fd_scalar, nystrom_assemble,
-                    operator_norm)
+                    nystrom_factors, operator_norm)
 from .kernels import (ConeKernel, WeightedAction, require_witt_order,
                       weighted_kernel_matrix)
 
@@ -181,7 +181,9 @@ def uniform_bound_sweep(spectrum: FiberSpectrum, betas, grid_n: int = 400,
     """Norm table of X^-2 K and its edge derivatives across (nu, beta).
 
     Every order must pass ``require_witt_order``; the smallest is checked
-    before any assembly.  Each row carries the three estimated norms and the
+    before any assembly.  The three actions of a (nu, beta) cell share one
+    ``nystrom_factors``, so each Bessel factor is evaluated once per cell.
+    Each row carries the three estimated norms and the
     Schur-normalized ratios (nu^2 - 9/4) ||X^-2 K||, nu ||(X dx) X^-2 K||,
     ||(X dx)^2 X^-2 K||.  The summary flag ``uniform`` is
     max <= UNIFORM_FACTOR x median per ratio column: the spread of the
@@ -199,7 +201,8 @@ def uniform_bound_sweep(spectrum: FiberSpectrum, betas, grid_n: int = 400,
     for nu in spectrum.nu_values():
         for beta in betas:
             kern = ConeKernel(nu, beta)
-            norms = [operator_norm(nystrom_assemble(kern, act, grid))
+            factors = nystrom_factors(kern, grid, ACTIONS)
+            norms = [operator_norm(nystrom_assemble(kern, act, grid, factors))
                      for act in ACTIONS]
             rows.append({
                 "nu": nu, "beta": float(beta),

@@ -97,6 +97,24 @@ def random_section(grid: HalfLineGrid, n_y, n_fibers, n_c, rng):
     return EdgeFunction(s)
 
 
+def smooth_section(grid: HalfLineGrid, profile, n_c):
+    """One fiber of n_c equal components: a smooth x-bump times ``profile``.
+
+    The bump is exp(-1/((t - ln 0.05)(ln 0.8 - t))), t = ln x, on the nodes
+    0.05 < x < 0.8 and zero elsewhere; ``profile`` holds the samples on the
+    y-nodes.  With the same bump on every y-mode, per-mode decay ratios
+    isolate the frequency dependence of the mode solves.
+    """
+    x, t = grid.nodes, np.log(grid.nodes)
+    bump = np.where((x > 0.05) & (x < 0.8),
+                    np.exp(-1.0 / np.clip((t - np.log(0.05))
+                                          * (np.log(0.8) - t),
+                                          1e-12, None)), 0.0)
+    prof = np.asarray(profile, dtype=float)
+    return EdgeFunction(bump[:, None, None, None] * prof[None, :, None, None]
+                        * np.ones((1, 1, 1, n_c)))
+
+
 def _solve_modes(s, nus, grid: HalfLineGrid):
     """Per-mode LU solves of the samples ``_check_setup`` returned; returns
     the transforms of u, Qu and the residual, and the xi modes."""

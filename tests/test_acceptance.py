@@ -25,8 +25,8 @@ from edgespec.kernels import (ConeKernel, WeightedAction,
                               free_schur_integrals, mellin_symbol)
 from edgespec.model import (FiberSpectrum, a_identity, check_witt,
                             round_trip_residual, uniform_bound_sweep)
-from edgespec.parametrix import (EdgeFunction, mapping_bounds,
-                                 random_section)
+from edgespec.parametrix import (mapping_bounds, random_section,
+                                 smooth_section)
 from edgespec.scales import (intersection_scale_check, random_generator,
                              random_psd_block, same_scale_demo,
                              tensor_generator, tensor_positivity_check)
@@ -195,16 +195,9 @@ def test_criterion_6_parametrix():
         cs = {}
         for n in (200, 400):
             g = build_grid(n, 1e-2, 1e2)
-            x, t = g.nodes, np.log(g.nodes)
-            bump = np.where((x > 0.05) & (x < 0.8),
-                            np.exp(-1.0 / np.clip((t - np.log(0.05))
-                                                  * (np.log(0.8) - t),
-                                                  1e-12, None)), 0.0)
             y = np.arange(16) * 2 * np.pi / 16
             prof = 1.0 + 0.5 * np.cos(y) + 0.25 * np.sin(2 * y)
-            s = (bump[:, None, None, None] * prof[None, :, None, None]
-                 * np.ones((1, 1, 1, n_c)))
-            rep = mapping_bounds(EdgeFunction(s), (2.1,), g)
+            rep = mapping_bounds(smooth_section(g, prof, n_c), (2.1,), g)
             cs[n] = rep.fitted_c
         change = abs(cs[400] - cs[200]) / cs[200]
         changes.append(change)

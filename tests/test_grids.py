@@ -7,11 +7,12 @@ from edgespec.errors import (ConfigurationError, NumericalError,
                              WittViolationError)
 from edgespec.grids import (DiscreteOperator, HalfLineGrid, SobolevSpec,
                             _diagonal_cell_integrals, build_grid,
-                            fd_assemble_model, metric_adjoint_matrix,
-                            nystrom_assemble, operator_norm, sobolev_norm)
-from edgespec.kernels import (ConeKernel, WeightedAction,
+                            fd_assemble_model, nystrom_assemble,
+                            nystrom_factors, operator_norm, sobolev_norm)
+from edgespec import kernels
+from edgespec.kernels import (ConeKernel, WeightedAction, weighted_kernel,
                               weighted_kernel_matrix)
-from edgespec.model import ACTIONS
+from edgespec.model import (ACTIONS, FiberSpectrum, uniform_bound_sweep)
 
 
 def test_trapezoid_weights_telescope():
@@ -40,17 +41,6 @@ def test_grid_validation():
     g = build_grid(64, 0.1, 10.0, scheme="log_gauss_panels")
     with pytest.raises(ConfigurationError):
         g.log_step  # only defined for log_trapezoid
-
-
-def test_metric_adjoint_is_adjoint():
-    rng = np.random.default_rng(7)
-    g = build_grid(40, 0.1, 10.0)
-    m = rng.normal(size=(g.n, g.n))
-    ma = metric_adjoint_matrix(m, g.weights)
-    u, v = rng.normal(size=g.n), rng.normal(size=g.n)
-    lhs = float(g.weights @ ((m @ u) * v))
-    rhs = float(g.weights @ (u * (ma @ v)))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_operator_norm_diagonal_exact():
@@ -94,8 +84,67 @@ def test_diagonal_cell_integrals_match_dense_rows(kern, action):
     ws = half[:, None] * gl_w[None, :]
     vals = weighted_kernel_matrix(kern, action, x, ys.ravel())
     ref = np.array([vals[i, 16 * i:16 * (i + 1)] @ ws[i] for i in range(g.n)])
-    got = _diagonal_cell_integrals(kern, action, g)
+    got = _diagonal_cell_integrals(kern, action,
+                                   nystrom_factors(kern, g, (action,)))
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
+def test_sweep_cell_shares_bessel_factors(monkeypatch):
+    # one Bessel cell evaluates orders nu, nu+1, nu+2 on the N nodes and
+    # order nu on the 16 N diagonal-cell points, for all three actions
+    n = 40
+    calls = []
+
+    def counting(nu, x):
+        calls.append(np.size(x))
+        return bessel_ik(nu, x)
+
+    bessel_ik = kernels.log_bessel_ik
+    monkeypatch.setattr(kernels, "log_bessel_ik", counting)
+    uniform_bound_sweep(FiberSpectrum((2.5,)), [1.3], grid_n=n)
+    assert len(calls) == 4 and sum(calls) == 19 * n
+    monkeypatch.undo()
+
+    # each shared-factor operator is the one built per action, bit for bit
+    kern = ConeKernel(3.0, 1.3)
+    g = build_grid(n, 1e-4, 1e3)
+    x = g.nodes
+    mids = 0.5 * (x[:-1] + x[1:])
+    lo = np.concatenate(([x[0]], mids))
+    hi = np.concatenate((mids, [x[-1]]))
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * (hi - lo)
+    ys = 0.5 * (hi + lo)[:, None] + half[:, None] * gl_x[None, :]
+    ws = half[:, None] * gl_w[None, :]
+    shared = nystrom_factors(kern, g, ACTIONS)
+    for act in ACTIONS:
+        alone = weighted_kernel(kern, act, x[:, None], x[None, :]) * g.weights
+        np.fill_diagonal(alone, np.sum(
+            weighted_kernel(kern, act, x[:, None], ys) * ws, axis=1))
+        op = nystrom_assemble(kern, act, g, shared)
+        assert np.array_equal(op.matrix, alone)
+        # the BLAS power iteration agrees with a plain numpy one to rounding
+        assert operator_norm(op) == pytest.approx(_numpy_power_norm(op),
+                                                  rel=1e-12)
+    with pytest.raises(ConfigurationError):
+        nystrom_assemble(kern, ACTIONS[2], g,
+                         nystrom_factors(kern, g, ACTIONS[:1]))
+
+
+def _numpy_power_norm(op):
+    sw = np.sqrt(op.grid.weights)
+    a = sw[:, None] * op.matrix / sw[None, :]
+    b = a.T @ a
+    z = sw / np.linalg.norm(sw)
+    lam = 0.0
+    for it in range(10_000):
+        bz = b @ z
+        lam_new = float(bz @ z)
+        z = bz / math.sqrt(float(bz @ bz))
+        if it > 0 and abs(lam_new - lam) <= 1e-8 * lam_new:
+            return math.sqrt(lam_new)
+        lam = lam_new
+    raise AssertionError("reference power iteration did not converge")
 
 
 def test_nystrom_free_norm_matches_mellin_value():

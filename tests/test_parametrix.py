@@ -5,7 +5,8 @@ from edgespec.errors import (ConfigurationError, PreconditionError,
                              WittViolationError)
 from edgespec.grids import build_grid, fd_first_order
 from edgespec.parametrix import (Y_PERIOD, EdgeFunction, mapping_bounds,
-                                 parametrix_apply, random_section)
+                                 parametrix_apply, random_section,
+                                 smooth_section)
 
 
 def _supported_input(grid, n_y, n_fiber, n_comp, seed=3):
@@ -101,20 +102,12 @@ def test_edge_function_keeps_validated_array():
 
 
 def _smooth_input(grid, n_y, n_comp):
-    # same compactly supported x-bump on every y-mode, so the per-mode decay
-    # ratios isolate the frequency dependence of the mode solves
-    x, t = grid.nodes, np.log(grid.nodes)
-    bump = np.where((x > 0.05) & (x < 0.8),
-                    np.exp(-1.0 / np.clip((t - np.log(0.05))
-                                          * (np.log(0.8) - t),
-                                          1e-12, None)), 0.0)
+    # a y-profile with every mode present, decaying like 0.95^|k|
     y = np.arange(n_y) * 2 * np.pi / n_y
     prof = np.ones(n_y)
     for k in range(1, n_y // 2 + 1):
         prof += np.cos(k * y) * 0.95 ** k
-    s = (bump[:, None, None, None] * prof[None, :, None, None]
-         * np.ones((1, 1, 1, n_comp)))
-    return EdgeFunction(s)
+    return smooth_section(grid, prof, n_comp)
 
 
 def test_per_mode_decay_envelope():
