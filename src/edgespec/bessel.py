@@ -455,13 +455,6 @@ def _olver_bounds(nu: float, p):
     return b_i, b_k, b_inf
 
 
-def asymptotic_error_bounds(nu: float, x):
-    """Error-term bounds (bound_i, bound_k) of the uniform expansions at x."""
-    nu = _check_order(nu)
-    p = 1.0 / np.hypot(1.0, np.asarray(x, dtype=float) / nu)
-    return _olver_bounds(nu, p)[:2]
-
-
 def _log_ik_olver(nu: float, x: np.ndarray):
     """Uniform large-order asymptotics with total-variation error bounds.
 
@@ -588,24 +581,6 @@ def bessel_k(nu: float, x: float, scaled: bool = False) -> BesselEval:
     "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).
     """
     return _bessel_eval("K", nu, x, scaled)
-
-
-def bessel_log_derivatives(nu: float, x: float):
-    """((x d/dx) I_nu(x), (x d/dx) K_nu(x)) via the order recurrences.
-
-    (x d/dx) I_nu = x I_{nu+1} + nu I_nu   (equivalently x I_{nu-1} - nu I_nu)
-    (x d/dx) K_nu = nu K_nu - x K_{nu+1}
-    """
-    nu = _check_order(nu)
-    xarr = np.array([float(x)])
-    li0, lk0, _, _, _ = log_bessel_ik(nu, xarr)
-    li1, lk1, _, _, _ = log_bessel_ik(nu + 1.0, xarr)
-    li0, lk0, li1, lk1 = float(li0[0]), float(lk0[0]), float(li1[0]), float(lk1[0])
-    if max(li0, li1 + math.log(x)) > _LOG_MAX:
-        raise OverflowModeError("derivative overflows; work with log values")
-    xdi = x * math.exp(li1) + nu * math.exp(li0)
-    xdk = nu * math.exp(lk0) - x * math.exp(lk1)
-    return xdi, xdk
 
 
 def wronskian_residual(nus, xs) -> float:

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -24,11 +23,11 @@ import numpy as np
 from .bessel import uniform_asymptotic_excess, wronskian_residual
 from .clifford import commutator_report
 from .errors import EdgespecError, PreconditionError
-from .grids import (build_grid, free_column_quadrature, nystrom_assemble,
-                    operator_norm)
+from .grids import (X_MAX_DEFAULT, X_MIN_DEFAULT, build_grid,
+                    free_column_quadrature, nystrom_assemble, operator_norm)
 from .kernels import (ConeKernel, WeightedAction, exact_weighted_norm,
                       free_schur_integrals)
-from .model import FiberSpectrum, check_witt, round_trip_residual
+from .model import DEFAULT_GAP, FiberSpectrum, check_witt, round_trip_residual
 from .parametrix import mapping_bounds, random_section
 from .scales import (DEFAULT_SEED, TENSOR_CHECK_TOL, intersection_scale_check,
                      random_generator, random_psd_block, same_scale_demo,
@@ -61,12 +60,12 @@ class CheckRecord:
 @dataclass
 class RunConfig:
     grid_n: int = 400
-    x_min: float = 1e-4
-    x_max: float = 1e3
+    x_min: float = X_MIN_DEFAULT
+    x_max: float = X_MAX_DEFAULT
     nu: float = 2.0
     beta: float = 0.0
     spectrum: tuple = (1.6, -1.6, 2.6, -2.6)
-    gap: float = 1.0
+    gap: float = DEFAULT_GAP
     seed: int = DEFAULT_SEED
 
 
@@ -285,17 +284,9 @@ def main(argv=None):
         print("error: --spectrum must be a comma-separated list of reals",
               file=sys.stderr)
         return 2
-    seed = args.seed
-    env_seed = os.environ.get("EDGESPEC_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            print("error: EDGESPEC_SEED must be an integer", file=sys.stderr)
-            return 2
     cfg = RunConfig(grid_n=args.grid_n, x_min=args.x_min, x_max=args.x_max,
                     nu=args.nu, beta=args.beta, spectrum=spectrum,
-                    gap=args.gap, seed=seed)
+                    gap=args.gap, seed=args.seed)
     try:
         records = run_suite(args.suite, cfg)
         payload = emit(records, args.output)

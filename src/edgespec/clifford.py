@@ -12,14 +12,14 @@ The model-edge operator is D = Gamma (d/dx + X^{-1} S) + T with S = s_sign * a
 and T = t_sign * d for commuting fiber scalars a (eigenvalue of A) and d
 (eigenvalue of D^Y); its square collapses to
 -d^2/dx^2 + X^{-2} S(S+1) + T^2.
+
+The module is exact only: no floating point and no discretization.  The
+numerical square check of the first-order model is
+``model.verify_square_identity``, on the finite-difference builders of
+``grids``.
 """
 
-import numpy as np
 import sympy as sp
-
-from .errors import ConfigurationError
-from .grids import fd_dx, fd_scalar
-from .model import interior_discrepancy
 
 
 def build_clifford():
@@ -31,12 +31,6 @@ def build_clifford():
     s_sign = sp.Matrix(sp.kronecker_product(omega, omega))
     t_sign = sp.Matrix(sp.kronecker_product(sigma1, sigma1))
     return sigma1, sigma2, omega, gamma, s_sign, t_sign
-
-
-def grading_operator():
-    """diag(I2, -I2), the form-degree parity on the 4-component fiber."""
-    return sp.Matrix(sp.kronecker_product(sp.Matrix([[1, 0], [0, -1]]),
-                                          sp.eye(2)))
 
 
 def commutator_report():
@@ -76,41 +70,3 @@ def symbolic_square_identity():
     rhs = (-u.diff(x, 2) + s_mat * (s_mat + sp.eye(4)) * u / x ** 2
            + t_mat * t_mat * u).expand()
     return lhs, rhs
-
-
-def _dense(mat):
-    return np.array(sp.matrix2numpy(mat, dtype=complex).real, dtype=float)
-
-
-def assemble_dirac(a: float, d: float, grid):
-    """Dense 4N x 4N finite-difference matrix of D on one fiber line.
-
-    D = Gamma (d/dx + X^{-1} a s_sign) + d t_sign for the fiber pair (a, d),
-    the eigenvalues of A and D^Y on one shared eigenvector; centered
-    differences with one-sided boundary rows.
-    """
-    _, _, _, gamma, s_sign, t_sign = build_clifford()
-    g = _dense(gamma)
-    s = a * _dense(s_sign)
-    t = d * _dense(t_sign)
-    inv_x = np.diag(1.0 / grid.nodes)
-    return (np.kron(g, fd_dx(grid)) + np.kron(g @ s, inv_x)
-            + np.kron(t, np.eye(grid.n)))
-
-
-def dirac_square_structure(a: float, d: float, u, grid):
-    """Interior discrepancy between D_h(D_h u) and the closed-form square.
-
-    The closed form is the diagonal operator
-    -d^2/dx^2 + X^{-2}(a^2 I + a s_sign) + d^2 I applied componentwise.
-    """
-    u = np.asarray(u, dtype=float)
-    n = grid.n
-    if u.shape != (4, n):
-        raise ConfigurationError("expected a (4, N) section")
-    dm = assemble_dirac(a, d, grid)
-    twice = (dm @ (dm @ u.reshape(4 * n))).reshape(4, n)
-    signs = np.diag(_dense(build_clifford()[4]))
-    direct = np.vstack([fd_scalar(a * a + a * signs[c], d, grid) @ u[c]
-                        for c in range(4)])
-    return interior_discrepancy(twice, direct)

@@ -1,8 +1,8 @@
 """Half-line grids, quadrature, Nystrom/finite-difference assembly, norms.
 
-This module is the one home of the finite-difference stencils: the model,
-parametrix and Clifford layers build their FD matrices with ``fd_dx``,
-``fd_scalar`` and ``fd_first_order``.
+This module is the one home of the finite-difference stencils: the model
+and parametrix layers build their FD matrices with ``fd_dx``, ``fd_scalar``
+and ``fd_first_order``.
 
 Everything lives on a truncated half-line [x_min, x_max] with log-spaced
 nodes; in the variable t = ln x the edge derivative (x d/dx) is plain d/dt
@@ -287,50 +287,3 @@ def operator_norm(op: DiscreteOperator, tol: float = POWER_ITER_TOL,
     raise NumericalError(
         f"power iteration did not converge in {max_iter} steps; "
         f"last eigenvalue estimate {lam:.6e}")
-
-
-@dataclass(frozen=True)
-class SobolevSpec:
-    """Discrete weighted edge Sobolev norm W^{s,delta}."""
-
-    s: int
-    delta: float = 0.0
-    fiber_weights: tuple = (1.0,)
-
-    def __post_init__(self):
-        if self.s not in (0, 1, 2):
-            raise ConfigurationError("Sobolev order s must be 0, 1 or 2")
-        if len(self.fiber_weights) == 0 or min(self.fiber_weights) <= 0.0:
-            raise ConfigurationError("fiber weights must be positive")
-
-
-def sobolev_norm(u, spec: SobolevSpec, grid: HalfLineGrid) -> float:
-    """Discrete W^{s,delta} norm of a fiber-indexed grid function.
-
-    ||u||^2 = sum_{a<=s} ||(x d/dx)^a (x^{-delta} u)||^2
-            + sum_j nu_j^{2s} ||(x^{-delta} u)_j||^2   (s >= 1),
-
-    with (x d/dx) realized as d/dt by centered differences.  At s = 0 the
-    intersection defining W^s is trivial and the norm is plain weighted L^2.
-    """
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[0] != len(spec.fiber_weights):
-        raise ConfigurationError(
-            f"expected {len(spec.fiber_weights)} fiber rows, got {u.shape[0]}")
-    if u.shape[1] != grid.n:
-        raise ConfigurationError("grid-function length does not match grid")
-    if not np.all(np.isfinite(u)):
-        raise ConfigurationError("grid function must be finite")
-    v = u * grid.nodes[None, :] ** (-spec.delta)
-    w = grid.weights
-    total = float(np.sum(w[None, :] * v ** 2))
-    if spec.s >= 1:
-        d1, _ = _t_derivative_matrices(grid)
-        dv = v
-        for _ in range(spec.s):
-            dv = dv @ d1.T
-            total += float(np.sum(w[None, :] * dv ** 2))
-        nus = np.asarray(spec.fiber_weights, dtype=float)
-        total += float(np.sum((nus ** (2 * spec.s))[:, None]
-                              * w[None, :] * v ** 2))
-    return math.sqrt(total)

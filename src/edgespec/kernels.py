@@ -246,17 +246,6 @@ def weighted_kernel_matrix(kernel: ConeKernel, action: WeightedAction, xs, ys,
                                         y_factors.reshape(1, -1))
 
 
-def weighted_kernel_eval(kernel: ConeKernel, action: WeightedAction,
-                         x: float, y: float) -> float:
-    """Pointwise value of x^w (x d/dx)^a k at (x, y)."""
-    return float(weighted_kernel(kernel, action, x, y)[0])
-
-
-def kernel_eval(kernel: ConeKernel, x: float, y: float) -> float:
-    """Two-branch kernel value k(x, y); symmetric in its arguments."""
-    return weighted_kernel_eval(kernel, IDENTITY_ACTION, x, y)
-
-
 def free_schur_integrals(nu: float):
     """Closed-form Schur test integrals of the weighted free kernel.
 
@@ -308,30 +297,6 @@ def exact_weighted_norm(nu: float, a: int) -> float:
         s = max(0.0, (math.sqrt(16 * big_a * big_a - 8 * big_a - 15) - 1) / 4)
         return 0.5 * math.sqrt((1 + 4 * s) / ((big_a + s) ** 2 + 4 * s))
     return ((nu + 1.5) ** 2 / (nu + 1) + (nu - 1.5) ** 2 / (nu - 1)) / (2 * nu)
-
-
-def product_bound_check(nu: float, alpha: int, beta: float,
-                        x: float, y: float):
-    """Measured/claimed pair for the Bessel product decay estimates.
-
-    alpha = 0: lhs = |K_nu(beta x) I_nu(beta y)|,       rhs = (1/nu)(y/x)^nu,
-    alpha = 1: lhs = |x K_{nu+1}(beta x) I_nu(beta y)|, rhs = (y/x)^nu.
-
-    The claim lhs <= C rhs holds with a constant depending only on the gap
-    nu - 3/2; the harness fits C empirically over sweeps.
-    """
-    if alpha not in (0, 1):
-        raise ConfigurationError("alpha must be 0 or 1")
-    if y > x:
-        raise PreconditionError("product bound requires y <= x")
-    if beta <= 0.0 or x <= 0.0 or y <= 0.0:
-        raise DomainError("beta, x, y must be positive")
-    li, _, _, _, _ = log_bessel_ik(nu, np.array([beta * y]))
-    _, lk, _, _, _ = log_bessel_ik(nu + alpha, np.array([beta * x]))
-    log_lhs = float(li[0] + lk[0]) + (math.log(x) if alpha == 1 else 0.0)
-    log_rhs = nu * math.log(y / x) - (math.log(nu) if alpha == 0 else 0.0)
-    with np.errstate(under="ignore"):
-        return float(np.exp(log_lhs)), float(np.exp(log_rhs))
 
 
 def decay_estimate_check(kernel: ConeKernel, y_nodes, y_weights, u_values,

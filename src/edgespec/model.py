@@ -21,11 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import log_bessel_ik
 from .errors import ConfigurationError
-from .grids import (HalfLineGrid, build_grid, fd_assemble_model,
-                    fd_first_order, fd_scalar, nystrom_assemble,
-                    nystrom_factors, operator_norm)
+from .grids import (X_MAX_DEFAULT, X_MIN_DEFAULT, HalfLineGrid, build_grid,
+                    fd_assemble_model, fd_first_order, fd_scalar,
+                    nystrom_assemble, nystrom_factors, operator_norm)
 from .kernels import (ConeKernel, WeightedAction, require_witt_order,
                       weighted_kernel_matrix)
 
@@ -116,29 +115,6 @@ def round_trip_residual(nu: float, beta: float, grid: HalfLineGrid) -> float:
     return math.sqrt(float(w @ resid[sl] ** 2) / float(w @ g[sl] ** 2))
 
 
-def block_matrix(nu: float, xi_norm: float, grid: HalfLineGrid):
-    """Dense 2N x 2N finite-difference matrix of the first-order 2x2 system.
-
-    ``nu`` must pass ``require_witt_order``; ``xi_norm`` = |xi| is tested as
-    ``not xi_norm >= 0`` so that NaN fails.
-    """
-    require_witt_order(nu)
-    if not xi_norm >= 0.0:
-        raise ConfigurationError("xi_norm must be nonnegative")
-    return fd_first_order(nu - 0.5, xi_norm, grid)
-
-
-def block_apply(nu: float, xi_norm: float, f, grid: HalfLineGrid):
-    """Apply the discretized 2x2 first-order system to a 2-component function."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (2, grid.n):
-        raise ConfigurationError("expected a (2, N) component array")
-    if not np.all(np.isfinite(f)):
-        raise ConfigurationError("components must be finite")
-    out = block_matrix(nu, xi_norm, grid) @ f.reshape(2 * grid.n)
-    return out.reshape(2, grid.n)
-
-
 def interior_slice(n: int):
     """Central 80% of the nodes, excluding boundary-closure artifacts."""
     skip = int(round(0.5 * (1.0 - 0.8) * n))
@@ -156,13 +132,22 @@ def interior_discrepancy(approx, exact):
 def verify_square_identity(nu: float, beta: float, u, grid: HalfLineGrid):
     """Compare (2x2 block applied twice) with the direct scalar squares.
 
-    Composing centered first differences is only O(h) accurate against the
-    second-order scalar assembly; the report carries the interior max
-    discrepancy so callers can record the refinement order.
+    The block is ``fd_first_order(nu - 1/2, beta, grid)`` on a finite (2, N)
+    section u.  ``nu`` must pass ``require_witt_order``; ``beta`` = |xi| is
+    tested as ``not beta >= 0`` so that NaN fails.  Composing centered first
+    differences is only O(h) accurate against the second-order scalar
+    assembly; the report carries the interior max discrepancy so callers can
+    record the refinement order.
     """
+    require_witt_order(nu)
+    if not beta >= 0.0:
+        raise ConfigurationError("beta must be nonnegative")
     u = np.asarray(u, dtype=float)
-    twice = block_apply(nu, beta, block_apply(nu, beta, u, grid), grid)
+    if u.shape != (2, grid.n) or not np.all(np.isfinite(u)):
+        raise ConfigurationError("expected a finite (2, N) section")
     mu = nu - 0.5
+    block = fd_first_order(mu, beta, grid)
+    twice = (block @ (block @ u.reshape(2 * grid.n))).reshape(2, grid.n)
     direct = np.vstack([
         fd_scalar(mu * (mu + 1.0), beta, grid) @ u[0],
         fd_scalar(mu * (mu - 1.0), beta, grid) @ u[1],
@@ -177,7 +162,8 @@ UNIFORM_FACTOR = 1.1
 
 
 def uniform_bound_sweep(spectrum: FiberSpectrum, betas, grid_n: int = 400,
-                        x_min: float = 1e-4, x_max: float = 1e3):
+                        x_min: float = X_MIN_DEFAULT,
+                        x_max: float = X_MAX_DEFAULT):
     """Norm table of X^-2 K and its edge derivatives across (nu, beta).
 
     Every order must pass ``require_witt_order``; the smallest is checked
@@ -220,18 +206,3 @@ def uniform_bound_sweep(spectrum: FiberSpectrum, betas, grid_n: int = 400,
             "uniform": bool(vals.max() <= UNIFORM_FACTOR * np.median(vals)),
         }
     return {"rows": rows, "summary": summary}
-
-
-def homogeneous_solutions(nu: float, beta: float, grid: HalfLineGrid):
-    """Samples of the two homogeneous solutions of the scalar model operator.
-
-    beta = 0: x^{nu + 1/2} and x^{-nu + 1/2};
-    beta > 0: sqrt(x) I_nu(beta x) and sqrt(x) K_nu(beta x).
-    Neither lies in W^{2,2}; their truncated norms diverge under widening.
-    """
-    x = grid.nodes
-    if beta == 0.0:
-        return x ** (nu + 0.5), x ** (-nu + 0.5)
-    li, lk, _, _, _ = log_bessel_ik(nu, beta * x)
-    with np.errstate(over="ignore"):
-        return (np.exp(0.5 * np.log(x) + li), np.exp(0.5 * np.log(x) + lk))

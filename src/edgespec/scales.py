@@ -62,16 +62,6 @@ def random_generator(d: int, rng) -> ScaleGenerator:
     return ScaleGenerator(g @ g.T + (d + 1.0) * np.eye(d))
 
 
-def scale_norm(g: ScaleGenerator, s: float, x) -> float:
-    """||Lambda^s x||, the H^s norm of the scale generated by Lambda."""
-    if s < 0.0:
-        raise ConfigurationError("scale order s must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    evals, vecs = g.eig
-    coeffs = vecs.T @ x
-    return math.sqrt(float(np.sum((evals ** (2.0 * s)) * coeffs ** 2)))
-
-
 TENSOR_CHECK_ORDERS = (0.3, 0.5, 1.0, 1.7, 2.0)
 
 

@@ -13,9 +13,8 @@ import sympy as sp
 
 from edgespec.bessel import (CF1_WRONSKIAN, HANKEL, SERIES_CF2, SERIES_TEMME,
                              UNIFORM, BesselEval, _cf1_ratio,
-                             _olver_table,
-                             asymptotic_error_bounds, bessel_i, bessel_k,
-                             bessel_log_derivatives, log_bessel_ik,
+                             _olver_bounds, _olver_table, bessel_i, bessel_k,
+                             log_bessel_ik,
                              olver_eta, uniform_asymptotic_excess,
                              wronskian_residual)
 from edgespec.errors import DomainError, NumericalError, OverflowModeError
@@ -105,13 +104,6 @@ def test_domain_errors():
         log_bessel_ik(2.0, np.array([1.0, -3.0]))
 
 
-def test_log_derivatives():
-    # x I_3(3) + 2 I_2(3) and 2 K_2(3) - 3 K_3(3), mpmath dps=30
-    xdi, xdk = bessel_log_derivatives(2.0, 3.0)
-    assert abs(xdi - 7.36968577034792588) <= 1e-9 * abs(7.36968577034792588)
-    assert abs(xdk - (-0.243490210328066628)) <= 1e-9 * 0.243490210328066628
-
-
 def test_u_polynomials_exact():
     u0, u1, u2 = (entry[-1] for entry in _olver_table()[:3])
     assert u2.domain == sp.QQ
@@ -167,8 +159,10 @@ def test_olver_branch_within_bounds():
 
 
 def test_asymptotic_bounds_scale():
-    b10 = max(asymptotic_error_bounds(10.0, 5.0))
-    b20 = max(asymptotic_error_bounds(20.0, 10.0))
+    # x = nu/2 at both orders, so p = (1 + (x/nu)^2)^(-1/2) is shared
+    p = 1.0 / math.hypot(1.0, 0.5)
+    b10 = max(_olver_bounds(10.0, p)[:2])
+    b20 = max(_olver_bounds(20.0, p)[:2])
     ratio = b10 / b20
     assert 8.0 <= ratio <= 32.0  # nu^-4 scaling within a factor of 2
 
@@ -286,5 +280,5 @@ def test_oracle_gate_no_bound_violations():
 def test_asymptotic_bounds_nonnegative(mu):
     # near p = 1 a variation from zero can round above the total variation
     xs = np.logspace(-6, 9, 300)
-    b_i, b_k = asymptotic_error_bounds(mu, xs)
+    b_i, b_k, _ = _olver_bounds(mu, 1.0 / np.hypot(1.0, xs / mu))
     assert np.all(b_i >= 0.0) and np.all(b_k >= 0.0)

@@ -88,13 +88,6 @@ def test_main_exit_codes(capsys, tmp_path):
     assert json.loads(out.read_text())
 
 
-def test_env_seed_override(monkeypatch):
-    monkeypatch.setenv("EDGESPEC_SEED", "not-an-int")
-    assert main(["gb"]) == 2
-    monkeypatch.setenv("EDGESPEC_SEED", "123")
-    assert main(["gb"]) == 0
-
-
 def test_schur_example_record():
     records = run_suite("schur", RunConfig(nu=2.0, beta=0.0))
     by_check = {r.check: r for r in records}

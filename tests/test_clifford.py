@@ -1,11 +1,8 @@
-import numpy as np
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
-from edgespec.clifford import (assemble_dirac, build_clifford,
-                               commutator_report, dirac_square_structure,
-                               grading_operator, symbolic_square_identity)
-from edgespec.grids import build_grid
+from edgespec.clifford import (build_clifford, commutator_report,
+                               symbolic_square_identity)
 
 
 def test_generators_exact():
@@ -26,7 +23,7 @@ def test_structure_relations_exactly_zero():
 
 def test_grading_anticommutes_with_gamma():
     _, _, _, gamma, _, t_sign = build_clifford()
-    g = grading_operator()
+    g = sp.diag(1, 1, -1, -1)  # form-degree parity on the fiber
     assert gamma * g + g * gamma == sp.zeros(4, 4)
     assert t_sign * g + g * t_sign == sp.zeros(4, 4)
 
@@ -52,22 +49,3 @@ def test_square_identity_rejects_wrong_rhs():
 
     assert side(1) == rhs
     assert side(-1) != lhs
-
-
-def test_dirac_square_structure_numeric():
-    rels = {}
-    for n in (300, 600):
-        grid = build_grid(n, 1e-1, 10.0)
-        t = np.log(grid.nodes)
-        u = np.vstack([np.exp(-(t - 0.2 * c) ** 2) for c in range(4)])
-        rep = dirac_square_structure(2.6, 1.3, u, grid)
-        rels[n] = rep["relative"]
-    assert rels[300] <= 0.1
-    assert rels[600] <= 0.35 * rels[300]  # about first order or better
-
-
-def test_assemble_dirac_shape_and_reality():
-    grid = build_grid(64, 1e-1, 10.0)
-    m = assemble_dirac(1.6, 0.5, grid)
-    assert m.shape == (4 * grid.n, 4 * grid.n)
-    assert np.all(np.isfinite(m))

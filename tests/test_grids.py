@@ -5,10 +5,10 @@ import pytest
 
 from edgespec.errors import (ConfigurationError, NumericalError,
                              WittViolationError)
-from edgespec.grids import (DiscreteOperator, HalfLineGrid, SobolevSpec,
+from edgespec.grids import (DiscreteOperator, HalfLineGrid,
                             _diagonal_cell_integrals, build_grid,
                             fd_assemble_model, nystrom_assemble,
-                            nystrom_factors, operator_norm, sobolev_norm)
+                            nystrom_factors, operator_norm)
 from edgespec import kernels
 from edgespec.kernels import (ConeKernel, WeightedAction, weighted_kernel,
                               weighted_kernel_matrix)
@@ -189,45 +189,3 @@ def test_fd_model_validation():
     coarse = build_grid(16, 1e-4, 1e3)
     with pytest.raises(ConfigurationError):
         fd_assemble_model(2.0, 0.0, coarse)
-
-
-def test_sobolev_norm_constant_profile():
-    # u = x^delta gives v = 1: derivatives vanish exactly (the one-sided
-    # boundary rows are exact on constants) and the norm collapses to
-    # sqrt((1 + sum nu_j^2s) * (x_max - x_min))
-    g = build_grid(100, 0.5, 2.0)
-    length = 2.0 - 0.5
-    u = np.vstack([g.nodes ** 0.3, g.nodes ** 0.3])
-    for s in (0, 1, 2):
-        spec = SobolevSpec(s, delta=0.3, fiber_weights=(2.0, 3.0))
-        got = sobolev_norm(u, spec, g)
-        if s == 0:
-            want = math.sqrt(2.0 * length)
-        else:
-            want = math.sqrt((2.0 + 2.0 ** (2 * s) + 3.0 ** (2 * s)) * length)
-        assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_sobolev_validation():
-    g = build_grid(50, 0.5, 2.0)
-    with pytest.raises(ConfigurationError):
-        SobolevSpec(3)
-    with pytest.raises(ConfigurationError):
-        SobolevSpec(1, fiber_weights=())
-    spec = SobolevSpec(1, fiber_weights=(2.0,))
-    with pytest.raises(ConfigurationError):
-        sobolev_norm(np.ones((2, g.n)), spec, g)
-    with pytest.raises(ConfigurationError):
-        sobolev_norm(np.ones(g.n - 1), spec, g)
-    bad = np.ones(g.n)
-    bad[3] = np.inf
-    with pytest.raises(ConfigurationError):
-        sobolev_norm(bad, spec, g)
-
-
-def test_sobolev_norm_monotone_in_order():
-    g = build_grid(80, 0.2, 5.0)
-    u = np.sin(np.log(g.nodes))
-    norms = [sobolev_norm(u, SobolevSpec(s, fiber_weights=(1.7,)), g)
-             for s in (0, 1, 2)]
-    assert norms[0] < norms[1] < norms[2]

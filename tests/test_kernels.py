@@ -9,20 +9,20 @@ from edgespec.errors import (ConfigurationError, DomainError,
                              PreconditionError, WittViolationError)
 from edgespec.grids import (build_grid, fd_assemble_model,
                             free_column_quadrature)
-from edgespec.kernels import (ConeKernel, WeightedAction,
+from edgespec.kernels import (IDENTITY_ACTION, ConeKernel, WeightedAction,
                               decay_estimate_check, exact_weighted_norm,
-                              free_schur_integrals, kernel_eval,
-                              product_bound_check, weighted_kernel,
-                              weighted_kernel_eval, weighted_kernel_matrix)
-from edgespec.model import (ACTIONS, block_matrix, solve_scalar,
-                            uniform_bound_sweep)
+                              free_schur_integrals, weighted_kernel,
+                              weighted_kernel_matrix)
+from edgespec.model import (ACTIONS, solve_scalar, uniform_bound_sweep,
+                            verify_square_identity)
 from edgespec.parametrix import EdgeFunction, parametrix_apply
 
 
 def test_kernel_construction_validation():
     # beta = 0 is the free kernel and beta > 0 the Bessel kernel; a negative
     # or NaN beta is neither
-    assert kernel_eval(ConeKernel(2.0, 0.0), 1.0, 1.0) == 0.25
+    free = ConeKernel(2.0, 0.0)
+    assert weighted_kernel(free, IDENTITY_ACTION, 1.0, 1.0)[0] == 0.25
     assert ConeKernel(2.0, 1.0).beta == 1.0
     for beta in (-1.0, math.nan):
         with pytest.raises(ConfigurationError):
@@ -46,14 +46,14 @@ WITT_FLOOR_CALLS = {
     "ConeKernel": ConeKernel,
     "solve_scalar": lambda nu: solve_scalar(
         nu, 0.0, np.ones(32), build_grid(32, 1e-1, 10.0)),
-    "block_matrix": lambda nu: block_matrix(
-        nu, 1.0, build_grid(32, 1e-1, 10.0)),
     "fd_assemble_model": lambda nu: fd_assemble_model(
         nu, 0.0, build_grid(32, 1e-1, 10.0)),
     "parametrix_apply": _parametrix,
     "free_schur_integrals": free_schur_integrals,
     "exact_weighted_norm": lambda nu: exact_weighted_norm(nu, 0),
     "uniform_bound_sweep": _sweep,
+    "verify_square_identity": lambda nu: verify_square_identity(
+        nu, 1.0, np.ones((2, 32)), build_grid(32, 1e-1, 10.0)),
 }
 
 
@@ -69,30 +69,35 @@ def test_one_witt_floor(name):
 
 def test_free_kernel_point_value():
     k = ConeKernel(2.0)
-    assert kernel_eval(k, 1.0, 1.0) == pytest.approx(0.25, rel=1e-14)
+    assert weighted_kernel(k, IDENTITY_ACTION, 1.0, 1.0)[0] == pytest.approx(
+        0.25, rel=1e-14)
 
 
 def test_kernel_symmetry():
     pts = [(0.3, 1.7), (2.0, 0.01), (5.0, 5.0), (100.0, 0.2)]
     for kern in (ConeKernel(2.5), ConeKernel(2.5, 1.3)):
         for x, y in pts:
-            assert kernel_eval(kern, x, y) == pytest.approx(
-                kernel_eval(kern, y, x), rel=1e-12)
+            forward = weighted_kernel(kern, IDENTITY_ACTION, x, y)[0]
+            back = weighted_kernel(kern, IDENTITY_ACTION, y, x)[0]
+            assert forward == pytest.approx(back, rel=1e-12)
 
 
 def test_bessel_kernel_point_value():
-    # sqrt(2) I_2(1) K_2(2), mpmath dps=30
+    # sqrt(2) I_2(1) K_2(2) and I_5(1) K_5(1), mpmath dps=30
     k = ConeKernel(2.0, 1.0)
-    assert kernel_eval(k, 2.0, 1.0) == pytest.approx(
+    assert weighted_kernel(k, IDENTITY_ACTION, 2.0, 1.0)[0] == pytest.approx(
         0.048715832289423085, rel=1e-10)
+    k5 = ConeKernel(5.0, 1.0)
+    assert weighted_kernel(k5, IDENTITY_ACTION, 1.0, 1.0)[0] == pytest.approx(
+        0.0979875008292421248, rel=1e-10)
 
 
 def test_free_weighted_derivative_closed_form():
     # on the y < x branch, (x d/dx)[x^-2 k] = (-nu - 3/2) x^-2 k
     nu = 2.0
     k = ConeKernel(nu)
-    base = weighted_kernel_eval(k, WeightedAction(-2, 0), 3.0, 1.0)
-    once = weighted_kernel_eval(k, WeightedAction(-2, 1), 3.0, 1.0)
+    base = weighted_kernel(k, WeightedAction(-2, 0), 3.0, 1.0)[0]
+    once = weighted_kernel(k, WeightedAction(-2, 1), 3.0, 1.0)[0]
     assert once == pytest.approx((-nu - 1.5) * base, rel=1e-13)
 
 
@@ -103,7 +108,7 @@ def test_derivative_kernels_match_finite_differences(kern, weight, nder):
     h = 1e-4
 
     def f(z):
-        return z ** weight * kernel_eval(kern, z, y)
+        return z ** weight * weighted_kernel(kern, IDENTITY_ACTION, z, y)[0]
 
     if nder == 1:
         fd = x * (f(x * (1 + h)) - f(x * (1 - h))) / (2 * h * x)
@@ -112,7 +117,7 @@ def test_derivative_kernels_match_finite_differences(kern, weight, nder):
         # (x d/dx)^2 in log coordinates: d^2/dt^2 of f(e^t)
         v = [math.exp(l) for l in lf]
         fd = (v[0] - 2 * v[1] + v[2]) / h ** 2
-    analytic = weighted_kernel_eval(kern, WeightedAction(weight, nder), x, y)
+    analytic = weighted_kernel(kern, WeightedAction(weight, nder), x, y)[0]
     assert analytic == pytest.approx(fd, rel=1e-6)
 
 
@@ -132,32 +137,6 @@ def test_schur_integrals_match_quadrature():
     for nu in (1.6, 2.0, 3.0, 5.0, 10.0):
         _, col = free_schur_integrals(nu)
         assert free_column_quadrature(nu) == pytest.approx(col, rel=1e-8)
-
-
-def test_product_bound_values():
-    lhs, rhs = product_bound_check(5.0, 0, 1.0, 1.0, 1.0)
-    assert lhs == pytest.approx(0.0979875008292421248, rel=1e-10)
-    assert rhs == pytest.approx(0.2, rel=1e-15)
-    with pytest.raises(PreconditionError):
-        product_bound_check(5.0, 0, 1.0, 1.0, 2.0)
-    with pytest.raises(ConfigurationError):
-        product_bound_check(5.0, 2, 1.0, 1.0, 1.0)
-
-
-def test_product_bound_uniform_in_order():
-    ratios = []
-    for nu in (2.0, 5.0, 10.0, 20.0, 50.0):
-        lhs, rhs = product_bound_check(nu, 0, 1.0, 2.0, 1.0)
-        ratios.append(lhs / rhs)
-    assert max(ratios) <= 2.0  # single modest constant across the sweep
-
-
-def test_product_bound_small_ratio_limit():
-    vals = []
-    for y in (0.5, 0.1, 1e-3, 1e-6):
-        lhs, rhs = product_bound_check(2.0, 0, 1.0, 1.0, y)
-        vals.append(lhs / rhs)
-    assert max(vals) <= 2.0
 
 
 def test_decay_estimate_exact_power_integral():
@@ -186,13 +165,17 @@ def test_decay_estimate_preconditions():
 
 
 def test_bessel_kernel_dominated_by_free_envelope():
-    # |K_nu(bx) I_nu(by)| <= C (1/nu)(y/x)^nu for y <= x
-    nu, beta, x = 3.0, 1.0, 10.0
-    kb = ConeKernel(nu, beta)
-    kf = ConeKernel(nu)
-    for y in (0.1, 1.0, 5.0, 9.0):
-        ratio = kernel_eval(kb, x, y) / kernel_eval(kf, x, y)
-        assert ratio <= 2.0 * nu  # envelope with a modest constant
+    # for y <= x the ratio of the two kernels is 2 K_nu(bx) I_nu(by) over
+    # (1/nu)(y/x)^nu, so the Bessel product estimate
+    # |K_nu(bx) I_nu(by)| <= C (1/nu)(y/x)^nu holds with one modest constant
+    # (C = 2) across orders and down to small y/x
+    points = ([(3.0, 10.0, y) for y in (0.1, 1.0, 5.0, 9.0)]
+              + [(nu, 2.0, 1.0) for nu in (2.0, 5.0, 10.0, 20.0, 50.0)]
+              + [(2.0, 1.0, y) for y in (0.5, 0.1, 1e-3, 1e-6)])
+    for nu, x, y in points:
+        kb = weighted_kernel(ConeKernel(nu, 1.0), IDENTITY_ACTION, x, y)[0]
+        kf = weighted_kernel(ConeKernel(nu), IDENTITY_ACTION, x, y)[0]
+        assert kb / kf <= 2.0 * 2.0
 
 
 def test_extreme_parameters_no_overflow():
@@ -202,10 +185,10 @@ def test_extreme_parameters_no_overflow():
                                np.array([1e-4, 1.0, 1e3]))
     assert np.all(np.isfinite(m))
     # deep underflow clamps to zero rather than raising
-    v = kernel_eval(ConeKernel(100.0), 1e3, 1e-3)
+    v = weighted_kernel(ConeKernel(100.0), IDENTITY_ACTION, 1e3, 1e-3)[0]
     assert v == 0.0
     with pytest.raises(DomainError):
-        kernel_eval(k, -1.0, 1.0)
+        weighted_kernel(k, IDENTITY_ACTION, -1.0, 1.0)
 
 
 @pytest.mark.parametrize("kern", [ConeKernel(2.5), ConeKernel(2.5, 1.3)])
@@ -220,7 +203,7 @@ def test_weighted_kernel_pairs_equal_matrix_entries(kern, action):
     full = weighted_kernel_matrix(kern, action, x, y)
     assert np.array_equal(pairs, np.diag(full))
     # a value does not depend on the batch it is computed in
-    assert weighted_kernel_eval(kern, action, x[7], y[7]) == full[7, 7]
+    assert weighted_kernel(kern, action, x[7], y[7])[0] == full[7, 7]
 
 
 @pytest.mark.parametrize("a", [0, 1, 2])

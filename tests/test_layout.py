@@ -4,13 +4,15 @@ Private helpers stay private to the module that defines them; shared
 machinery (the finite-difference stencils of ``grids``, for instance) is
 reached through public builders; relative imports sit at module level.
 The Witt floor lives in one predicate, ``kernels.require_witt_order``, the
-only code that raises ``WittViolationError``.
+only code that raises ``WittViolationError``.  Every public top-level name of
+the package has a reader besides its own unit tests.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "edgespec"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "edgespec"
 
 
 def private_imports(path):
@@ -72,3 +74,46 @@ def test_one_witt_floor_raise():
     found = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
              for scope in witt_raises(path)]
     assert found == [("kernels.py", "require_witt_order")]
+
+
+# (module, name, reason): public names whose only readers are unit tests
+UNREAD_EXEMPT = (
+    ("parametrix", "parametrix_apply",
+     "the right inverse Q that the module exists to provide; its unit tests "
+     "are the only direct check of the Qu that the mode solves return"),
+)
+
+
+def public_definitions(path):
+    """Names of the public top-level functions and classes of a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def names_read(path):
+    """Every name a module reads, as a Name, an Attribute or an import."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_public_name_read_only_by_its_unit_tests():
+    # the library, the demos, the benchmark and the acceptance gate are the
+    # readers; a unit test alone does not keep a public name alive
+    readers = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+               *(ROOT / "bench").glob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    read = {name for path in readers for name in names_read(path)}
+    exempt = {(module, name) for module, name, _ in UNREAD_EXEMPT}
+    unread = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+              for name in public_definitions(path)
+              if name not in read and (path.stem, name) not in exempt]
+    assert unread == []

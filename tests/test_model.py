@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from edgespec.errors import ConfigurationError
-from edgespec.grids import build_grid, fd_assemble_model
-from edgespec.model import (FiberSpectrum, a_identity, block_apply,
-                            block_matrix, check_witt, homogeneous_solutions,
-                            interior_slice, round_trip_residual,
-                            solve_scalar, verify_square_identity)
+from edgespec.grids import build_grid
+from edgespec.model import (FiberSpectrum, a_identity, check_witt,
+                            round_trip_residual, solve_scalar,
+                            verify_square_identity)
 
 
 def test_witt_pass_and_fail():
@@ -53,9 +52,7 @@ def test_model_block_validation():
         with pytest.raises(ConfigurationError):
             solve_scalar(2.0, bad, np.ones(grid.n), grid)
         with pytest.raises(ConfigurationError):
-            block_matrix(2.0, bad, grid)
-        with pytest.raises(ConfigurationError):
-            block_apply(2.0, bad, np.ones((2, grid.n)), grid)
+            verify_square_identity(2.0, bad, np.ones((2, grid.n)), grid)
 
 
 @pytest.mark.parametrize("nu,beta", [(1.6, 0.0), (2.1, 1.0), (5.0, 1.0)])
@@ -77,43 +74,11 @@ def test_block_square_matches_scalar_squares():
     assert rep2["relative"] <= 0.6 * rep["relative"]
 
 
-def test_block_apply_shape_checks():
+def test_square_identity_shape_checks():
     grid = build_grid(64, 1e-1, 10.0)
     with pytest.raises(ConfigurationError):
-        block_apply(2.0, 1.0, np.ones(grid.n), grid)
+        verify_square_identity(2.0, 1.0, np.ones(grid.n), grid)
     with pytest.raises(ConfigurationError):
-        block_apply(2.0, 1.0, np.full((2, grid.n), np.nan), grid)
-    m = block_matrix(2.0, 1.0, grid)
-    assert m.shape == (2 * grid.n, 2 * grid.n)
-
-
-def test_homogeneous_solutions_annihilated():
-    # both families solve the ODE; the FD residual is pure truncation error
-    # and shrinks at second order under grid refinement
-    for beta in (0.0, 1.0):
-        resids = {}
-        for n in (600, 1200):
-            grid = build_grid(n, 1e-1, 10.0)
-            sl = interior_slice(grid.n)
-            op = fd_assemble_model(2.5, beta, grid)
-            worst = 0.0
-            for sol in homogeneous_solutions(2.5, beta, grid):
-                scale = np.max(np.abs(sol[sl] / grid.nodes[sl] ** 2))
-                worst = max(worst,
-                            np.max(np.abs(op.apply(sol)[sl])) / scale)
-            resids[n] = worst
-        assert resids[600] <= 5e-2
-        assert resids[1200] <= 0.3 * resids[600]
-
-
-def test_homogeneous_solutions_not_square_integrable():
-    # truncated L2 norms diverge as the window widens
-    grow_norms, decay_norms = [], []
-    for span in (1e2, 1e4):
-        grid = build_grid(400, 1.0 / span, span)
-        grow, decay = homogeneous_solutions(2.0, 0.0, grid)
-        grow_norms.append(float(grid.weights @ grow ** 2))
-        decay_norms.append(float(grid.weights @ decay ** 2))
-    # x^{nu+1/2} blows up at infinity, x^{-nu+1/2} at zero
-    assert grow_norms[1] > 1e3 * grow_norms[0]
-    assert decay_norms[1] > 1e3 * decay_norms[0]
+        verify_square_identity(2.0, 1.0, np.full((2, grid.n), np.nan), grid)
+    rep = verify_square_identity(2.0, 1.0, np.ones((2, grid.n)), grid)
+    assert set(rep) == {"max_discrepancy", "relative", "interior_nodes"}

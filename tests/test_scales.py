@@ -6,7 +6,7 @@ from edgespec.errors import ConfigurationError
 from edgespec.scales import (BlockMatrix, DEFAULT_SEED, ScaleGenerator,
                              blockwise_tensor, intersection_scale_check,
                              random_generator, random_psd_block,
-                             same_scale_demo, scale_norm, tensor_generator,
+                             same_scale_demo, tensor_generator,
                              tensor_positivity_check)
 
 
@@ -30,24 +30,6 @@ def test_power_consistency():
     half = g.power(0.5)
     assert np.allclose(half @ half, g.lam, rtol=1e-12)
     assert np.allclose(g.power(0.0), np.eye(5), atol=1e-12)
-
-
-def test_scale_norm_diagonal_case():
-    g = ScaleGenerator(np.diag([1.0, 2.0]))
-    assert scale_norm(g, 2.0, [0.0, 1.0]) == pytest.approx(4.0, rel=1e-14)
-    assert scale_norm(g, 0.0, [3.0, 4.0]) == pytest.approx(5.0, rel=1e-14)
-    with pytest.raises(ConfigurationError):
-        scale_norm(g, -1.0, [1.0, 0.0])
-
-
-def test_scale_norm_log_convex():
-    g = _generator(6, seed=4)
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        x = rng.normal(size=6)
-        s, t = rng.uniform(0.0, 2.0, size=2)
-        mid = scale_norm(g, 0.5 * (s + t), x)
-        assert mid ** 2 <= scale_norm(g, s, x) * scale_norm(g, t, x) * (1 + 1e-12)
 
 
 def test_tensor_generator_identity():
