@@ -235,12 +235,16 @@ def fd_first_order(mu: float, xi: float, grid: HalfLineGrid):
     """
     n = grid.n
     dx = fd_dx(grid)
-    mu_over_x = np.diag(mu / grid.nodes)
+    mu_over_x = mu / grid.nodes
+    i = np.arange(n)
     m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = xi * np.eye(n)
-    m[:n, n:] = -(dx - mu_over_x)
-    m[n:, :n] = dx + mu_over_x
-    m[n:, n:] = -xi * np.eye(n)
+    m[:n, n:] = -dx
+    m[n:, :n] = dx
+    # -(dx_ii - mu/x_i) == mu/x_i - dx_ii: IEEE rounding is sign-symmetric
+    m[i, i + n] += mu_over_x
+    m[i + n, i] += mu_over_x
+    m[i, i] = xi
+    m[i + n, i + n] = -xi
     return m
 
 

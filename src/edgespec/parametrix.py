@@ -10,7 +10,13 @@ half-line; the section's component count says which:
 
 The inverse is a dense LU solve of the same finite-difference matrix that
 defines the discrete residual, making the right-inverse property exact to
-solver tolerance.  The mapping norms are per-mode sums (Parseval).
+solver tolerance.  Each fiber factors one matrix per |xi|: the second-order
+matrix depends on |xi| only, and with sigma = diag(I, -I) the first-order
+matrices satisfy M(mu, -xi) = -sigma M(mu, xi) sigma bit for bit.  So the
++|xi| factors solve the -xi mode too: M(mu, -xi) x = r is M y = r' with
+y = sigma x and r' = -sigma r, and the residual M(mu, -xi) x - r is
+-sigma (M y - r').  The modes of one |xi| share one multi-column solve.  The
+mapping norms are per-mode sums (Parseval).
 """
 
 import math
@@ -64,14 +70,15 @@ class ParametrixReport:
 
 
 def _xi_modes(n_y):
-    # integer frequencies on the 2 pi torus
-    return np.fft.fftfreq(n_y, d=1.0 / n_y)
+    # the dual frequencies of the y-torus: integers times 2 pi / Y_PERIOD,
+    # which is exactly 1.0
+    return np.fft.fftfreq(n_y, d=1.0 / n_y) * (2.0 * math.pi / Y_PERIOD)
 
 
-def _mode_matrix(nu, xi, grid, n_c):
+def _mode_matrix(nu, xi_abs, grid, n_c):
     if n_c == 2:
-        return fd_first_order(nu - 0.5, xi, grid)
-    return fd_assemble_model(nu, abs(xi), grid).matrix
+        return fd_first_order(nu - 0.5, xi_abs, grid)
+    return fd_assemble_model(nu, xi_abs, grid).matrix
 
 
 def _check_setup(u: EdgeFunction, nus, grid: HalfLineGrid):
@@ -116,30 +123,43 @@ def smooth_section(grid: HalfLineGrid, profile, n_c):
 
 
 def _solve_modes(s, nus, grid: HalfLineGrid):
-    """Per-mode LU solves of the samples ``_check_setup`` returned; returns
+    """Per-|xi| LU solves of the samples ``_check_setup`` returned; returns
     the transforms of u, Qu and the residual, and the xi modes."""
-    n_y, n_c = s.shape[1], s.shape[3]
+    n_x, n_y, _, n_c = s.shape
     u_hat = np.fft.fft(s, axis=1)
     q_hat = np.empty_like(u_hat)
     r_hat = np.empty_like(u_hat)
     xis = _xi_modes(n_y)
-    # the second-order matrix depends on |xi| only; each matrix is factored
-    # once and dropped when the modes that share it are solved
-    keys = xis if n_c == 2 else np.abs(xis)
+    xi_abs = np.abs(xis)
+    # A first-order mode with xi < 0 is solved with the +|xi| matrix M:
+    # M(-xi) x = r is M y = r' with r' = -sigma r = (-r1, r2), x = sigma y =
+    # (y1, -y2), and the residual M(-xi) x - r is -sigma (M y - r').  The
+    # signs per (mode, component): r' = s_in r, x = s_out y, residual
+    # s_in (M y - r'); all ones for the second order.
+    s_in, s_out = np.ones((n_y, n_c)), np.ones((n_y, n_c))
+    if n_c == 2:
+        s_in[xis < 0, 0] = -1.0
+        s_out[xis < 0, 1] = -1.0
     for f, nu in enumerate(nus):
-        for key in np.unique(keys):
+        rhs = u_hat[:, :, f, :] * s_in
+        for key in np.unique(xi_abs):
             m = _mode_matrix(nu, key, grid, n_c)
             try:
                 lu = lu_factor(m)
             except Exception as exc:
                 raise NumericalError(
-                    f"singular mode matrix at (nu={nu}, xi={key})") from exc
-            for k in np.flatnonzero(keys == key):
-                rhs = u_hat[:, k, f, :].T.reshape(-1)
-                sol = lu_solve(lu, np.stack([rhs.real, rhs.imag], axis=1))
-                sol = sol[:, 0] + 1j * sol[:, 1]
-                q_hat[:, k, f, :] = sol.reshape(n_c, -1).T
-                r_hat[:, k, f, :] = (m @ sol - rhs).reshape(n_c, -1).T
+                    f"singular mode matrix at (nu={nu}, |xi|={key})") from exc
+            ks = np.flatnonzero(xi_abs == key)
+            # the modes' columns (component-major), real parts then
+            # imaginary parts: one real solve and one real product
+            b = rhs[:, ks, :].transpose(2, 0, 1).reshape(n_c * n_x, -1)
+            b = np.concatenate([b.real, b.imag], axis=1)
+            y = lu_solve(lu, b)
+            for out, cols in ((q_hat, y), (r_hat, m @ y - b)):
+                z = cols[:, :ks.size] + 1j * cols[:, ks.size:]
+                out[:, ks, f, :] = z.reshape(n_c, n_x, -1).transpose(1, 2, 0)
+        q_hat[:, :, f, :] *= s_out
+        r_hat[:, :, f, :] *= s_in
     return u_hat, q_hat, r_hat, xis
 
 

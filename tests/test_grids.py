@@ -7,7 +7,8 @@ from edgespec.errors import (ConfigurationError, NumericalError,
                              WittViolationError)
 from edgespec.grids import (DiscreteOperator, HalfLineGrid,
                             _diagonal_cell_integrals, build_grid,
-                            fd_assemble_model, nystrom_assemble,
+                            fd_assemble_model, fd_dx, fd_first_order,
+                            nystrom_assemble,
                             nystrom_factors, operator_norm)
 from edgespec import kernels
 from edgespec.kernels import (ConeKernel, WeightedAction, weighted_kernel,
@@ -189,3 +190,20 @@ def test_fd_model_validation():
     coarse = build_grid(16, 1e-4, 1e3)
     with pytest.raises(ConfigurationError):
         fd_assemble_model(2.0, 0.0, coarse)
+
+
+def test_fd_first_order_matches_block_formula():
+    # the in-place diagonals equal the block formula built from fd_dx, and
+    # M(mu, -xi) = -sigma M(mu, xi) sigma, sigma = diag(I, -I), bit for bit
+    g = build_grid(64, 1e-2, 1e2)
+    dx, eye = fd_dx(g), np.eye(g.n)
+    sigma = np.r_[np.ones(g.n), -np.ones(g.n)]
+    for mu in (0.0, 1.6, -0.7):
+        mu_over_x = np.diag(mu / g.nodes)
+        for xi in (0.0, 3.0, -5.0, 0.37):
+            m = fd_first_order(mu, xi, g)
+            block = np.block([[xi * eye, -(dx - mu_over_x)],
+                              [dx + mu_over_x, -xi * eye]])
+            assert np.array_equal(m, block)
+            assert np.array_equal(fd_first_order(mu, -xi, g),
+                                  -(sigma[:, None] * m * sigma[None, :]))

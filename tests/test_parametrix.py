@@ -3,10 +3,11 @@ import pytest
 
 from edgespec.errors import (ConfigurationError, PreconditionError,
                              WittViolationError)
-from edgespec.grids import build_grid, fd_first_order
-from edgespec.parametrix import (Y_PERIOD, EdgeFunction, mapping_bounds,
-                                 parametrix_apply, random_section,
-                                 smooth_section)
+from edgespec import parametrix
+from edgespec.grids import build_grid, fd_assemble_model, fd_first_order
+from edgespec.parametrix import (Y_PERIOD, EdgeFunction, _xi_modes,
+                                 mapping_bounds, parametrix_apply,
+                                 random_section, smooth_section)
 
 
 def _supported_input(grid, n_y, n_fiber, n_comp, seed=3):
@@ -180,3 +181,42 @@ def test_first_order_keeps_imaginary_part():
     assert np.abs(out.imag).max() > 1e-3 * np.abs(out).max()
     np.testing.assert_array_equal(out, ref)
 
+
+def test_xi_modes_are_exact_integers():
+    assert (_xi_modes(16) == np.r_[0:8, -8:0]).all()
+
+
+@pytest.mark.parametrize("n_c", [2, 1])
+def test_each_mode_solves_its_signed_matrix(n_c):
+    # every mode's transform solves the matrix of its own signed xi, built
+    # here without the sigma-conjugation the solver uses for xi < 0
+    grid = build_grid(100, 1e-2, 1e2)
+    nus = (2.1, 3.5)
+    u = _supported_input(grid, 8, 2, n_c)
+    q_hat = np.fft.fft(parametrix_apply(u, nus, grid).samples, axis=1)
+    u_hat = np.fft.fft(u.samples, axis=1)
+    for f, nu in enumerate(nus):
+        for k, xi in enumerate(np.r_[0:4, -4:0]):
+            if n_c == 2:
+                m = fd_first_order(nu - 0.5, xi, grid)
+            else:
+                m = fd_assemble_model(nu, abs(xi), grid).matrix
+            q = q_hat[:, k, f, :].T.reshape(-1)
+            rhs = u_hat[:, k, f, :].T.reshape(-1)
+            assert (np.linalg.norm(m @ q - rhs)
+                    <= 1e-10 * np.linalg.norm(rhs))
+
+
+@pytest.mark.parametrize("n_c", [2, 1])
+def test_one_factorization_per_abs_xi(monkeypatch, n_c):
+    # 16 modes have 9 distinct |xi|: one factorization and one solve per
+    # (fiber, |xi|), for either order
+    calls = {"lu_factor": 0, "lu_solve": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(parametrix, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(parametrix, name, counted)
+    grid = build_grid(64, 1e-2, 1e2)
+    mapping_bounds(_supported_input(grid, 16, 2, n_c), (2.1, 3.5), grid)
+    assert calls == {"lu_factor": 18, "lu_solve": 18}
