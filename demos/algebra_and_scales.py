@@ -8,9 +8,10 @@ import sympy as sp
 
 from edgespec.clifford import (build_clifford, commutator_report,
                                symbolic_square_identity)
-from edgespec.scales import (intersection_scale_check, random_generator,
-                             random_psd_block, same_scale_demo,
-                             tensor_generator, tensor_positivity_check)
+from edgespec.scales import (TENSOR_CHECK_TOL, intersection_scale_check,
+                             random_generator, random_psd_block,
+                             same_scale_demo, tensor_positivity_check,
+                             tensor_power_error)
 
 print("Clifford structure (exact sympy arithmetic):")
 _, _, _, gamma, s_sign, t_sign = build_clifford()
@@ -26,9 +27,9 @@ print("  D^2 = -d^2 + X^-2 S(S+1) + T^2 (on a generic section):", lhs == rhs)
 print("\nInterpolation scales:")
 rng = np.random.default_rng(20240617)
 g1, g2 = random_generator(5, rng), random_generator(4, rng)
-tensor_generator(g1, g2)  # raises if the power identity fails
+ok = tensor_power_error(g1, g2) <= TENSOR_CHECK_TOL
 print("  tensor power identity (Lambda1 x Lambda2)^s = "
-      "Lambda1^s x Lambda2^s: ok")
+      f"Lambda1^s x Lambda2^s: {'ok' if ok else 'FAILED'}")
 rep = intersection_scale_check(g1, g2, s=1.3, theta=0.4, trials=200)
 print(f"  sandwich / theta inequalities: {rep['violations']} violations "
       f"in {rep['trials']} trials")

@@ -69,11 +69,10 @@ _METHOD_LABELS = {
 class BesselEval:
     """Value of I_nu or K_nu together with a guaranteed relative error bound.
 
-    When ``log_scaled`` is set, ``value`` is I_nu(x)*exp(-nu*eta(x/nu)) or
-    K_nu(x)*exp(+nu*eta(x/nu)) respectively.
+    From ``bessel_i``/``bessel_k`` with ``scaled=True``, ``value`` is
+    I_nu(x)*exp(-nu*eta(x/nu)) or K_nu(x)*exp(+nu*eta(x/nu)) respectively.
     """
 
-    log_scaled: bool
     value: float
     err_bound: float
     method: str
@@ -554,11 +553,11 @@ def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
     method = _METHOD_LABELS[kind][int(meth[0])]
     if scaled:
         scale = float(_scale_exponent(nu, np.array([x]))[0])
-        return BesselEval(True, math.exp(log_v + sign * scale), err, method)
+        return BesselEval(math.exp(log_v + sign * scale), err, method)
     if log_v > _LOG_MAX:
         raise OverflowModeError(
             f"{kind}_{nu}({x}) overflows double precision; use scaled=True")
-    return BesselEval(False, math.exp(log_v), err, method)
+    return BesselEval(math.exp(log_v), err, method)
 
 
 def bessel_i(nu: float, x: float, scaled: bool = False) -> BesselEval:

@@ -101,7 +101,7 @@ def _suite_schur(cfg: RunConfig):
     t0 = time.perf_counter()
     grid = build_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
     op = nystrom_assemble(ConeKernel(nu, beta), WeightedAction(-2, 0), grid)
-    measured = operator_norm(op)
+    measured = operator_norm(op, grid.weights)
     # the exact norm is beta-independent; the truncated window approaches
     # it from below
     bound = (1.0 + 1e-6) * exact_weighted_norm(nu, 0)
@@ -129,7 +129,7 @@ def _suite_parametrix(cfg: RunConfig):
     out = []
     rng = np.random.default_rng(cfg.seed)
     grid = build_grid(max(cfg.grid_n, 200), 1e-2, 1e2)
-    nus = tuple(abs(s) + 0.5 for s in cfg.spectrum if s > 0) or (2.1,)
+    nus = FiberSpectrum(tuple(cfg.spectrum)).nu_values()
     for order, n_c in (("first", 2), ("second", 1)):
         t0 = time.perf_counter()
         u = random_section(grid, Y_MODES, len(nus), n_c, rng)

@@ -4,9 +4,13 @@ This module is the one home of the finite-difference stencils: the model
 and parametrix layers build their FD matrices with ``fd_dx``, ``fd_scalar``
 and ``fd_first_order``.
 
-Everything lives on a truncated half-line [x_min, x_max] with log-spaced
-nodes; in the variable t = ln x the edge derivative (x d/dx) is plain d/dt
-and the model operator -d^2/dx^2 becomes -x^{-2}(d_t^2 - d_t).
+Everything lives on a truncated half-line [x_min, x_max]: ``build_grid``
+gives log-uniform nodes with trapezoid weights, and ``log_gauss_rule`` gives
+log-Gauss panels for the quadratures that need them.  In the variable
+t = ln x the edge derivative (x d/dx) is plain d/dt and the model operator
+-d^2/dx^2 becomes -x^{-2}(d_t^2 - d_t).  Assembly returns plain matrices
+acting on grid samples; ``operator_norm`` measures them in the metric of the
+grid weights.
 
 The Nystrom diagonal pass evaluates the kernel only at the pairs it keeps,
 and the actions of one kernel can share one ``NystromFactors``: the Bessel
@@ -38,11 +42,10 @@ POWER_ITER_MAX = 10_000
 
 @dataclass(frozen=True)
 class HalfLineGrid:
+    """Log-uniform nodes on [nodes[0], nodes[-1]] with trapezoid weights."""
+
     nodes: np.ndarray
     weights: np.ndarray
-    scheme: str
-    x_min: float
-    x_max: float
 
     @property
     def n(self):
@@ -50,59 +53,48 @@ class HalfLineGrid:
 
     @property
     def log_step(self):
-        """Uniform spacing in t = ln x (log_trapezoid grids only)."""
-        if self.scheme != "log_trapezoid":
-            raise ConfigurationError("log_step defined for log_trapezoid grids")
+        """Uniform spacing in t = ln x."""
         t = np.log(self.nodes)
         return float(t[1] - t[0])
 
 
-def build_grid(n: int, x_min: float = X_MIN_DEFAULT,
-               x_max: float = X_MAX_DEFAULT,
-               scheme: str = "log_trapezoid") -> HalfLineGrid:
-    """Log-spaced quadrature grid for integrals over [x_min, x_max].
-
-    log_trapezoid: n log-uniform nodes including the endpoints, trapezoid
-    weights in x (sum of weights = x_max - x_min exactly).
-    log_gauss_panels: Gauss-Legendre panels of 32 nodes in t = ln x, one
-    panel per decade-sized chunk, about n nodes in total.
-    """
+def _check_window(n: int, x_min: float, x_max: float):
     if n < 16:
         raise ConfigurationError("grid size must be at least 16")
     if not (0.0 < x_min < x_max):
         raise ConfigurationError("need 0 < x_min < x_max")
-    t0, t1 = math.log(x_min), math.log(x_max)
-    if scheme == "log_trapezoid":
-        nodes = np.exp(np.linspace(t0, t1, n))
-        nodes[0], nodes[-1] = x_min, x_max
-        w = np.empty(n)
-        w[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
-        w[0] = 0.5 * (nodes[1] - nodes[0])
-        w[-1] = 0.5 * (nodes[-1] - nodes[-2])
-        return HalfLineGrid(nodes, w, scheme, x_min, x_max)
-    if scheme == "log_gauss_panels":
-        panels = max(1, round(n / GAUSS_PANEL_NODES))
-        gl_x, gl_w = np.polynomial.legendre.leggauss(GAUSS_PANEL_NODES)
-        edges = np.linspace(t0, t1, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = np.exp((mid[:, None] + half[:, None] * gl_x).ravel())
-        # dx = x dt turns the t-panel weights into weights for dx-integrals
-        w = (half[:, None] * gl_w).ravel() * nodes
-        return HalfLineGrid(nodes, w, scheme, x_min, x_max)
-    raise ConfigurationError(f"unknown grid scheme {scheme!r}")
 
 
-@dataclass(frozen=True)
-class DiscreteOperator:
-    """Dense matrix acting on grid samples; the metric is the grid's
-    quadrature weights."""
+def build_grid(n: int, x_min: float = X_MIN_DEFAULT,
+               x_max: float = X_MAX_DEFAULT) -> HalfLineGrid:
+    """n log-uniform nodes on [x_min, x_max], endpoints included, with
+    trapezoid weights in x (sum of weights = x_max - x_min exactly)."""
+    _check_window(n, x_min, x_max)
+    nodes = np.exp(np.linspace(math.log(x_min), math.log(x_max), n))
+    nodes[0], nodes[-1] = x_min, x_max
+    w = np.empty(n)
+    w[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
+    w[0] = 0.5 * (nodes[1] - nodes[0])
+    w[-1] = 0.5 * (nodes[-1] - nodes[-2])
+    return HalfLineGrid(nodes, w)
 
-    matrix: np.ndarray
-    grid: HalfLineGrid
 
-    def apply(self, u):
-        return self.matrix @ np.asarray(u, dtype=float)
+def log_gauss_rule(n: int, lo: float, hi: float):
+    """(nodes, weights) of Gauss-Legendre panels in t = ln x on [lo, hi].
+
+    GAUSS_PANEL_NODES nodes per panel, about n nodes in total; the weights
+    integrate in x, so sum(weights * f(nodes)) approximates the integral of
+    f over [lo, hi].
+    """
+    _check_window(n, lo, hi)
+    panels = max(1, round(n / GAUSS_PANEL_NODES))
+    gl_x, gl_w = np.polynomial.legendre.leggauss(GAUSS_PANEL_NODES)
+    edges = np.linspace(math.log(lo), math.log(hi), panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = np.exp((mid[:, None] + half[:, None] * gl_x).ravel())
+    # dx = x dt turns the t-panel weights into weights for dx-integrals
+    return nodes, (half[:, None] * gl_w).ravel() * nodes
 
 
 @dataclass(frozen=True)
@@ -141,7 +133,7 @@ def nystrom_factors(kernel: ConeKernel, grid: HalfLineGrid,
 
 def nystrom_assemble(kernel: ConeKernel, action: WeightedAction,
                      grid: HalfLineGrid,
-                     factors: NystromFactors = None) -> DiscreteOperator:
+                     factors: NystromFactors = None) -> np.ndarray:
     """Nystrom matrix M_ij = (weighted kernel)(x_i, x_j) w_j, off the diagonal.
 
     Each diagonal entry is the product integral of the kernel over its
@@ -162,7 +154,7 @@ def nystrom_assemble(kernel: ConeKernel, action: WeightedAction,
                                factors.nodes, factors.nodes)
     m = m * grid.weights[None, :]
     np.fill_diagonal(m, _diagonal_cell_integrals(kernel, action, factors))
-    return DiscreteOperator(m, grid)
+    return m
 
 
 def free_column_quadrature(nu: float) -> float:
@@ -176,9 +168,9 @@ def free_column_quadrature(nu: float) -> float:
     kern = ConeKernel(nu)
     total = 0.0
     for lo, hi in ((1e-10, 1.0), (1.0, 1e8)):
-        quad = build_grid(1024, lo, hi, scheme="log_gauss_panels")
-        vals = weighted_kernel(kern, WeightedAction(-2, 0), quad.nodes, 1.0)
-        total += float(vals @ quad.weights)
+        nodes, weights = log_gauss_rule(1024, lo, hi)
+        vals = weighted_kernel(kern, WeightedAction(-2, 0), nodes, 1.0)
+        total += float(vals @ weights)
     return total
 
 
@@ -249,19 +241,19 @@ def fd_first_order(mu: float, xi: float, grid: HalfLineGrid):
 
 
 def fd_assemble_model(nu: float, beta: float,
-                      grid: HalfLineGrid) -> DiscreteOperator:
+                      grid: HalfLineGrid) -> np.ndarray:
     """Finite-difference matrix for -d^2/dx^2 + x^{-2}(nu^2 - 1/4) + beta^2."""
     require_witt_order(nu)
     h = grid.log_step
     if h > 0.25:
         raise ConfigurationError(
             f"log spacing {h:.3f} too coarse to resolve the 1/x^2 potential")
-    return DiscreteOperator(fd_scalar(nu * nu - 0.25, beta, grid), grid)
+    return fd_scalar(nu * nu - 0.25, beta, grid)
 
 
-def operator_norm(op: DiscreteOperator, tol: float = POWER_ITER_TOL,
-                  max_iter: int = POWER_ITER_MAX) -> float:
-    """Largest singular value w.r.t. the weighted inner product.
+def operator_norm(m: np.ndarray, weights: np.ndarray) -> float:
+    """Largest singular value of the matrix m in the inner product of the
+    quadrature weights, W = diag(weights).
 
     Power iteration on M*M (metric adjoint M* = W^{-1} M^T W) from the
     all-ones vector, run as z = W^{1/2} v on the Gram matrix B = A^T A of
@@ -269,25 +261,26 @@ def operator_norm(op: DiscreteOperator, tol: float = POWER_ITER_TOL,
     which reads one triangle of B, and two BLAS ``ddot`` calls (numpy's
     ``@`` costs about three times as much at this size).  ``dsymv`` is
     handed B^T, a Fortran-order view of the same symmetric matrix, so
-    nothing is copied.
+    nothing is copied.  The iteration stops once lambda changes by at most
+    POWER_ITER_TOL relative and raises NumericalError after POWER_ITER_MAX
+    steps.
     """
-    if tol <= 0.0:
-        raise ConfigurationError("tolerance must be positive")
-    sw = np.sqrt(op.grid.weights)
-    a = sw[:, None] * op.matrix / sw[None, :]
+    sw = np.sqrt(weights)
+    a = sw[:, None] * m / sw[None, :]
     b_fortran = (a.T @ a).T
     z = sw / np.linalg.norm(sw)  # v = 1 / ||1||_W
     lam = 0.0
-    for it in range(max_iter):
+    for it in range(POWER_ITER_MAX):
         bz = dsymv(1.0, b_fortran, z)
         lam_new = ddot(bz, z)
         norm_bz = math.sqrt(ddot(bz, bz))
         if norm_bz == 0.0:
             return 0.0
         z = bz / norm_bz
-        if it > 0 and abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
+        if (it > 0 and abs(lam_new - lam)
+                <= POWER_ITER_TOL * max(lam_new, 1e-300)):
             return math.sqrt(max(lam_new, 0.0))
         lam = lam_new
     raise NumericalError(
-        f"power iteration did not converge in {max_iter} steps; "
+        f"power iteration did not converge in {POWER_ITER_MAX} steps; "
         f"last eigenvalue estimate {lam:.6e}")

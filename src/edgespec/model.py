@@ -109,7 +109,7 @@ def round_trip_residual(nu: float, beta: float, grid: HalfLineGrid) -> float:
     """
     g = np.exp(-np.log(grid.nodes) ** 2)
     f = solve_scalar(nu, beta, g, grid)
-    resid = fd_assemble_model(nu, beta, grid).apply(f) - g
+    resid = fd_assemble_model(nu, beta, grid) @ f - g
     sl = interior_slice(grid.n)
     w = grid.weights[sl]
     return math.sqrt(float(w @ resid[sl] ** 2) / float(w @ g[sl] ** 2))
@@ -188,7 +188,8 @@ def uniform_bound_sweep(spectrum: FiberSpectrum, betas, grid_n: int = 400,
         for beta in betas:
             kern = ConeKernel(nu, beta)
             factors = nystrom_factors(kern, grid, ACTIONS)
-            norms = [operator_norm(nystrom_assemble(kern, act, grid, factors))
+            norms = [operator_norm(nystrom_assemble(kern, act, grid, factors),
+                                   grid.weights)
                      for act in ACTIONS]
             rows.append({
                 "nu": nu, "beta": float(beta),

@@ -78,7 +78,7 @@ def _xi_modes(n_y):
 def _mode_matrix(nu, xi_abs, grid, n_c):
     if n_c == 2:
         return fd_first_order(nu - 0.5, xi_abs, grid)
-    return fd_assemble_model(nu, xi_abs, grid).matrix
+    return fd_assemble_model(nu, xi_abs, grid)
 
 
 def _check_setup(u: EdgeFunction, nus, grid: HalfLineGrid):

@@ -19,7 +19,7 @@ DEFAULT_SEED = 20_240_617
 SYMMETRY_TOL = 1e-12
 POSITIVITY_SLACK = 1e-10
 TENSOR_DIM_LIMIT = 4096
-# largest relative error tensor_generator accepts in the power identity
+# largest tensor_power_error that the tensor-power checks accept
 TENSOR_CHECK_TOL = 1e-10
 
 
@@ -65,8 +65,13 @@ def random_generator(d: int, rng) -> ScaleGenerator:
 TENSOR_CHECK_ORDERS = (0.3, 0.5, 1.0, 1.7, 2.0)
 
 
-def _tensor_power_check(g1: ScaleGenerator, g2: ScaleGenerator):
-    """(Kronecker-product generator, worst power-identity error)."""
+def tensor_power_error(g1: ScaleGenerator, g2: ScaleGenerator) -> float:
+    """Worst relative error of (Lambda1 (x) Lambda2)^s = Lambda1^s (x) Lambda2^s.
+
+    The Kronecker product must itself be a valid ScaleGenerator.  The error
+    is the maximum over the orders in TENSOR_CHECK_ORDERS of the entrywise
+    error, relative to max(1, largest entry of the right-hand side).
+    """
     if g1.dim * g2.dim > TENSOR_DIM_LIMIT:
         raise ConfigurationError(
             f"tensor dimension {g1.dim * g2.dim} exceeds {TENSOR_DIM_LIMIT}")
@@ -76,30 +81,7 @@ def _tensor_power_check(g1: ScaleGenerator, g2: ScaleGenerator):
         lhs = out.power(s)
         rhs = np.kron(g1.power(s), g2.power(s))
         errs.append(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
-    return out, float(np.max(errs))
-
-
-def tensor_power_error(g1: ScaleGenerator, g2: ScaleGenerator) -> float:
-    """Worst relative error of (Lambda1 (x) Lambda2)^s = Lambda1^s (x) Lambda2^s.
-
-    The maximum over the orders in TENSOR_CHECK_ORDERS of the entrywise
-    error, relative to max(1, largest entry of the right-hand side).
-    """
-    return _tensor_power_check(g1, g2)[1]
-
-
-def tensor_generator(g1: ScaleGenerator, g2: ScaleGenerator) -> ScaleGenerator:
-    """Kronecker-product generator, with the power identity verified.
-
-    tensor_power_error must not exceed TENSOR_CHECK_TOL before the generator
-    is returned.
-    """
-    out, err = _tensor_power_check(g1, g2)
-    if err > TENSOR_CHECK_TOL:
-        raise ConfigurationError(
-            f"tensor power identity violated: worst error {err:.3e} over "
-            f"s in {TENSOR_CHECK_ORDERS}")
-    return out
+    return float(np.max(errs))
 
 
 def intersection_scale_check(g1: ScaleGenerator, g2: ScaleGenerator,

@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from edgespec import cli
 from edgespec.cli import CheckRecord, RunConfig, emit, main, run_suite
 from edgespec.errors import PreconditionError
 from edgespec.kernels import exact_weighted_norm
@@ -107,3 +109,27 @@ def test_schur_suite_matches_acceptance(nu):
 
 def test_schur_just_above_witt_floor():
     assert main(["schur", "--nu", "1.52"]) == 0
+
+
+@pytest.mark.parametrize("spectrum, nus", [
+    ("1.6,-1.6,2.6,-2.6", (2.1, 3.1)),  # the default spectrum
+    ("-5.0", (5.5,)),
+    ("3.0,-4.0", (3.5, 4.5)),
+])
+def test_parametrix_orders_from_every_fiber_eigenvalue(monkeypatch, spectrum,
+                                                       nus):
+    # nu = |s| + 1/2 for negative fiber eigenvalues too, as FiberSpectrum has
+    seen = []
+
+    def recording(u, orders, grid):
+        seen.append(tuple(orders))
+        return SimpleNamespace(residual_rel=0.0, fitted_c=1.0)
+
+    monkeypatch.setattr(cli, "mapping_bounds", recording)
+    assert main(["parametrix", "--spectrum", spectrum]) == 0
+    assert seen == [nus, nus]
+
+
+def test_parametrix_empty_spectrum_rejected(capsys):
+    assert main(["parametrix", "--spectrum", ""]) == 2
+    assert "spectrum" in capsys.readouterr().err

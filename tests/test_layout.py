@@ -5,7 +5,7 @@ machinery (the finite-difference stencils of ``grids``, for instance) is
 reached through public builders; relative imports sit at module level.
 The Witt floor lives in one predicate, ``kernels.require_witt_order``, the
 only code that raises ``WittViolationError``.  Every public top-level name of
-the package has a reader besides its own unit tests.
+the package, constants included, has a reader besides its own unit tests.
 """
 
 import ast
@@ -85,21 +85,32 @@ UNREAD_EXEMPT = (
 
 
 def public_definitions(path):
-    """Names of the public top-level functions and classes of a module."""
+    """Public top-level functions, classes and constants of a module (the
+    Name targets of module-level assignments)."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")]
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names.extend(name.id for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return [name for name in names if not name.startswith("_")]
 
 
 def names_read(path):
-    """Every name a module reads, as a Name, an Attribute or an import."""
+    """Every name a module reads (loads), as a Name, an Attribute or an
+    import; an assignment to a name does not read it."""
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name

@@ -200,7 +200,7 @@ def test_each_mode_solves_its_signed_matrix(n_c):
             if n_c == 2:
                 m = fd_first_order(nu - 0.5, xi, grid)
             else:
-                m = fd_assemble_model(nu, abs(xi), grid).matrix
+                m = fd_assemble_model(nu, abs(xi), grid)
             q = q_hat[:, k, f, :].T.reshape(-1)
             rhs = u_hat[:, k, f, :].T.reshape(-1)
             assert (np.linalg.norm(m @ q - rhs)

@@ -4,10 +4,10 @@ import pytest
 
 from edgespec.errors import ConfigurationError
 from edgespec.scales import (BlockMatrix, DEFAULT_SEED, ScaleGenerator,
-                             blockwise_tensor, intersection_scale_check,
-                             random_generator, random_psd_block,
-                             same_scale_demo, tensor_generator,
-                             tensor_positivity_check)
+                             TENSOR_CHECK_TOL, blockwise_tensor,
+                             intersection_scale_check, random_generator,
+                             random_psd_block, same_scale_demo,
+                             tensor_positivity_check, tensor_power_error)
 
 
 def _generator(dim, seed=11):
@@ -32,11 +32,11 @@ def test_power_consistency():
     assert np.allclose(g.power(0.0), np.eye(5), atol=1e-12)
 
 
-def test_tensor_generator_identity():
-    g = tensor_generator(_generator(4), _generator(3, seed=12))
-    assert g.dim == 12
+def test_tensor_power_identity():
+    err = tensor_power_error(_generator(4), _generator(3, seed=12))
+    assert err <= TENSOR_CHECK_TOL
     with pytest.raises(ConfigurationError):
-        tensor_generator(_generator(70), _generator(70, seed=12))
+        tensor_power_error(_generator(70), _generator(70, seed=12))
 
 
 def test_intersection_scale_check_clean():
