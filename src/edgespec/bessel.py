@@ -14,6 +14,9 @@ The evaluator combines four branches:
 All core routines are vectorized over the argument ``x`` for a fixed order
 ``nu``; results are carried in log scale internally so that products such as
 ``I_nu(beta*y) * K_nu(beta*x)`` stay computable for extreme parameters.
+``log_bessel_ik`` returns both functions; the scalar ``bessel_i`` and
+``bessel_k`` evaluate only the one they return, except where a branch
+(CF1 plus the Wronskian, Hankel, uniform) computes both from shared terms.
 Every iterative loop stops each element at its own convergence test, so a
 value does not depend on the batch it is computed in, and raises
 ``NumericalError`` when it reaches its iteration cap.
@@ -478,24 +481,26 @@ def _log_ik_olver(nu: float, x: np.ndarray):
     return log_i, log_k, err_i, err_k
 
 
-def log_bessel_ik(nu: float, x):
-    """(log I_nu, log K_nu, err_i, err_k, branch codes) vectorized over x.
-
-    Branch codes: SERIES_TEMME (x <= TEMME_MAX_ARG), SERIES_CF2
-    (x <= SERIES_MAX_ARG), HANKEL where Hankel's expansion reaches its
-    tolerance, CF1_WRONSKIAN for the other x > SERIES_MAX_ARG, and UNIFORM
-    for nu >= ASYMPTOTIC_MIN_ORDER; bessel_i and bessel_k name the branch
-    from its code.  Below ASYMPTOTIC_MIN_ORDER each routine runs at most
-    once per call: the I series over x <= SERIES_MAX_ARG, Temme's K series
-    over x <= TEMME_MAX_ARG, Hankel over x > SERIES_MAX_ARG, CF2 over the
-    other K values, and CF1 plus the Wronskian over the other I values.
-    Each value depends on its own argument alone, not on the batch it is
-    computed in.
-    """
+def _check_args(nu: float, x):
+    """The order and the arguments as a 1-d float array, both validated."""
     nu = _check_order(nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise DomainError("argument must be positive and finite")
+    return nu, x
+
+
+def _log_bessel(nu: float, x: np.ndarray, sides: str):
+    """log_bessel_ik on checked arguments, filling the sides ("I", "K") asked.
+
+    Branch codes do not depend on ``sides``.  Up to SERIES_MAX_ARG the two
+    sides are independent: I alone runs only the I series, K alone only
+    Temme's series or CF2.  Above it K alone skips CF1, while Hankel, the
+    CF2 values that CF1's Wronskian needs and the uniform branch compute
+    both sides, which share their terms.  The log and error of a side not
+    asked for are None.
+    """
+    want_i, want_k = "I" in sides, "K" in sides
     if nu >= ASYMPTOTIC_MIN_ORDER:
         log_i, log_k, err_i, err_k = _log_ik_olver(nu, x)
         method = np.full(x.shape, UNIFORM)
@@ -506,12 +511,12 @@ def log_bessel_ik(nu: float, x):
         err_k = np.full_like(x, _RECURRENCE_ERR)
         series = x <= SERIES_MAX_ARG
         temme = x <= TEMME_MAX_ARG
-        method = np.select([temme, series], [SERIES_TEMME, SERIES_CF2],
-                           CF1_WRONSKIAN)
+        method = np.where(temme, SERIES_TEMME,
+                          np.where(series, SERIES_CF2, CF1_WRONSKIAN))
         hankel = np.zeros(x.shape, dtype=bool)
-        if series.any():
+        if want_i and series.any():
             log_i[series], err_i[series] = _log_i_series(nu, x[series])
-        if temme.any():
+        if want_k and temme.any():
             log_k[temme] = _log_k_temme(nu, x[temme])[0]
         if not series.all():
             # in the Hankel region its truncation bound replaces
@@ -520,22 +525,47 @@ def log_bessel_ik(nu: float, x):
             hankel[~series] = take
             log_i[hankel], log_k[hankel], err_i[hankel], err_k[hankel] = vals
             method[hankel] = HANKEL
-        cf2 = ~temme & ~hankel
+        wr = ~series & ~hankel & want_i
+        cf2 = (~temme & ~hankel & want_k) | wr
         if cf2.any():
             lk0, lk1 = _log_k_cf2(nu, x[cf2])
             log_k[cf2] = lk0
             # CF1 plus the Wronskian I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x:
             # I_nu = 1 / (x (K_{nu+1} + r K_nu)), r = I_{nu+1} / I_nu
-            wr = cf2 & ~series
             if wr.any():
                 w = wr[cf2]
                 xw, lk0, lk1 = x[wr], lk0[w], lk1[w]
                 r = _cf1_ratio(nu, xw)
                 log_i[wr] = (-np.log(xw)
                              - (lk1 + np.log1p(r * np.exp(lk0 - lk1))))
-    err_i += _log_floor(log_i)
-    err_k += _log_floor(log_k)
+    # a side not asked for may hold unfilled np.empty entries: no floor
+    if want_i:
+        err_i += _log_floor(log_i)
+    else:
+        log_i = err_i = None
+    if want_k:
+        err_k += _log_floor(log_k)
+    else:
+        log_k = err_k = None
     return log_i, log_k, err_i, err_k, method
+
+
+def log_bessel_ik(nu: float, x):
+    """(log I_nu, log K_nu, err_i, err_k, branch codes) vectorized over x.
+
+    Branch codes: SERIES_TEMME (x <= TEMME_MAX_ARG), SERIES_CF2
+    (x <= SERIES_MAX_ARG), HANKEL where Hankel's expansion reaches its
+    tolerance, CF1_WRONSKIAN for the other x > SERIES_MAX_ARG, and UNIFORM
+    for nu >= ASYMPTOTIC_MIN_ORDER; bessel_i and bessel_k name the branch
+    from its code.  Both sides are computed.  Below ASYMPTOTIC_MIN_ORDER
+    each routine runs at most once per call: the I series over
+    x <= SERIES_MAX_ARG, Temme's K series over x <= TEMME_MAX_ARG, Hankel
+    over x > SERIES_MAX_ARG, CF2 over the other K values, and CF1 plus the
+    Wronskian over the other I values.  Each value depends on its own
+    argument alone, not on the batch it is computed in.
+    """
+    nu, x = _check_args(nu, x)
+    return _log_bessel(nu, x, "IK")
 
 
 def _scale_exponent(nu: float, x: np.ndarray):
@@ -543,9 +573,12 @@ def _scale_exponent(nu: float, x: np.ndarray):
 
 
 def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
-    """Shared body of bessel_i (kind "I") and bessel_k (kind "K")."""
-    nu = _check_order(nu)
-    li, lk, ei, ek, meth = log_bessel_ik(nu, x)
+    """Shared body of bessel_i (kind "I") and bessel_k (kind "K").
+
+    Only the side ``kind`` is evaluated, to the same bits as log_bessel_ik.
+    """
+    nu, xs = _check_args(nu, x)
+    li, lk, ei, ek, meth = _log_bessel(nu, xs, kind)
     if kind == "I":
         log_v, err, sign = float(li[0]), float(ei[0]), -1.0
     else:
@@ -566,7 +599,9 @@ def bessel_i(nu: float, x: float, scaled: bool = False) -> BesselEval:
     ``method`` is "series" (x <= SERIES_MAX_ARG), "hankel" (Hankel's
     large-argument expansion, where its bound reaches a few ulps),
     "recurrence" (CF1 plus the Wronskian, the other x > SERIES_MAX_ARG) or
-    "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).
+    "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).  No K routine runs
+    for "series"; "recurrence" also runs CF2 for K_nu and K_{nu+1}, and
+    Hankel and the uniform branch give I and K from shared terms.
     """
     return _bessel_eval("I", nu, x, scaled)
 
@@ -577,7 +612,9 @@ def bessel_k(nu: float, x: float, scaled: bool = False) -> BesselEval:
     ``method`` is "temme" (x <= TEMME_MAX_ARG), "hankel" (Hankel's
     large-argument expansion, where its bound reaches a few ulps), "cf2"
     (Steed's continued fraction, the other x > TEMME_MAX_ARG) or
-    "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).
+    "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).  "temme" and "cf2"
+    run no I routine; Hankel and the uniform branch give I and K from
+    shared terms.
     """
     return _bessel_eval("K", nu, x, scaled)
 

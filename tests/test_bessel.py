@@ -5,12 +5,14 @@ are compared absolutely (log error ~ relative error of the function value).
 """
 
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
+from edgespec import bessel
 from edgespec.bessel import (CF1_WRONSKIAN, HANKEL, SERIES_CF2, SERIES_TEMME,
                              UNIFORM, BesselEval, _cf1_ratio,
                              _olver_bounds, _olver_table, bessel_i, bessel_k,
@@ -179,6 +181,10 @@ def test_method_reporting():
     assert bessel_k(2.0, 50.0).method == "hankel"
     assert bessel_k(300.0, 1.0, scaled=True).method == "uniform_asymptotic"
     assert isinstance(bessel_i(2.0, 1.0), BesselEval)
+    for (nu, x), methods in THRESHOLD_METHODS.items():
+        got = tuple(fn(nu, x, scaled=True).method
+                    for fn in (bessel_i, bessel_k))
+        assert got == methods, (nu, x)
 
 
 def test_cf1_cap_raises():
@@ -205,6 +211,54 @@ def test_values_independent_of_batch(nu, xs):
             assert np.array_equal(part_batch[j:j + 1], part_alone)
 
 
+# (nu, x) in every branch: I series/K Temme, I series/K CF2, CF1 plus the
+# Wronskian/K CF2 (at two orders), Hankel, uniform
+BRANCH_POINTS = [(2.0, 1.0), (2.0, 5.0), (2.0, 15.0), (40.0, 50.0),
+                 (2.0, 50.0), (300.0, 500.0)]
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_scalar_calls_equal_log_bessel_ik(scaled):
+    # bessel_i and bessel_k evaluate one side alone; that side must carry
+    # the same bits as the two-sided log_bessel_ik
+    methods = set()
+    for nu, x in BRANCH_POINTS:
+        li, lk, ei, ek, _ = log_bessel_ik(nu, np.array([x]))
+        scale = float(nu * olver_eta(np.array([x]) / nu)[0]) if scaled else 0.0
+        for fn, log_v, err, sign in ((bessel_i, li, ei, -1.0),
+                                     (bessel_k, lk, ek, 1.0)):
+            ev = fn(nu, x, scaled=scaled)
+            methods.add(ev.method)
+            assert ev.value == math.exp(float(log_v[0]) + sign * scale)
+            assert ev.err_bound == float(err[0])
+    assert methods == {"series", "temme", "cf2", "recurrence", "hankel",
+                       "uniform_asymptotic"}
+
+
+def test_scalar_calls_run_only_their_side(monkeypatch):
+    calls = Counter()
+    for name in ("_log_i_series", "_log_k_temme", "_log_k_cf2",
+                 "_cf1_ratio"):
+        def counted(*args, _fn=getattr(bessel, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(bessel, name, counted)
+
+    def routines(call, *args):
+        calls.clear()
+        call(*args)
+        return set(calls)
+
+    assert routines(bessel_i, 2.0, 1.0) == {"_log_i_series"}
+    assert routines(bessel_k, 2.0, 1.0) == {"_log_k_temme"}
+    assert routines(bessel_k, 2.0, 5.0) == {"_log_k_cf2"}
+    assert routines(bessel_k, 40.0, 50.0) == {"_log_k_cf2"}
+    # CF1's Wronskian reads CF2's K values
+    assert routines(bessel_i, 40.0, 50.0) == {"_log_k_cf2", "_cf1_ratio"}
+    assert routines(log_bessel_ik, 40.0, np.array([1.0, 5.0, 50.0])) == {
+        "_log_i_series", "_log_k_temme", "_log_k_cf2", "_cf1_ratio"}
+
+
 # ---------------------------------------------------------------------------
 # Oracle gate: every evaluation within its own err_bound against mpmath
 # ---------------------------------------------------------------------------
@@ -217,6 +271,18 @@ DEFECT_POINTS = [(2.0, 1e8), (2.0, 1e9), (0.3, 3e7)]
 BOUNDARY_POINTS = [(0.5, 2.0), (5.0, 2.0), (50.0, 2.0), (0.5, 10.0),
                    (5.0, 10.0), (50.0, 10.0), (250.0, 1.0), (250.0, 1e3)]
 SWITCH_ORDERS = (0.05, 0.5, 2.0, 12.0, 100.0, 249.0)
+# (I, K) methods just below and above x = 2 and x = 10, where the scalar
+# calls' one-sided evaluation splits
+THRESHOLD_METHODS = {
+    (nu, x): methods
+    for nu in (0.5, 5.0)
+    for x, methods in (
+        (2.0 * (1.0 - 1e-9), ("series", "temme")),
+        (2.0 * (1.0 + 1e-9), ("series", "cf2")),
+        (10.0 * (1.0 - 1e-9), ("series", "cf2")),
+        (10.0 * (1.0 + 1e-9), ("recurrence", "cf2")),
+    )
+}
 
 
 def _mp_scaled(nu, x):
@@ -254,7 +320,7 @@ def _gate_points():
     rng = np.random.default_rng(20240611)
     nus = np.exp(rng.uniform(math.log(0.05), math.log(600.0), 40))
     xs = np.exp(rng.uniform(math.log(1e-6), math.log(1e9), 40))
-    pts = list(DEFECT_POINTS) + list(BOUNDARY_POINTS)
+    pts = [*DEFECT_POINTS, *BOUNDARY_POINTS, *THRESHOLD_METHODS]
     for nu in SWITCH_ORDERS:
         pts += _switch_points(nu)
     return pts + [(float(n), float(x)) for n, x in zip(nus, xs)]
