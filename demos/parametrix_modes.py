@@ -32,6 +32,6 @@ for n_c, power in ((2, 1), (1, 2)):
     for xi in (0, 2, 8, 32):
         r = ratios[np.abs(xis) == xi].max()
         env = rep.fitted_c * (1 + xi) ** (-power)
-        bar = "#" * max(1, int(50 * r / ratios.max()))
+        bar = "#" * max(1, int(50 * (r / ratios.max())))
         print(f"    xi = {xi:3d}:  {r:.4f}  <= {env:.4f}  {bar}")
     print()

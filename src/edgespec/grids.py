@@ -2,7 +2,9 @@
 
 This module is the one home of the finite-difference stencils: the model
 and parametrix layers build their FD matrices with ``fd_dx``, ``fd_scalar``
-and ``fd_first_order``.
+and ``fd_first_order``.  ``fd_band`` reads such a matrix into LAPACK band
+storage, which ``band_lu_factor`` and ``band_lu_solve`` factor and solve in
+O(N).
 
 Everything lives on a truncated half-line [x_min, x_max]: ``build_grid``
 gives log-uniform nodes with trapezoid weights, and ``log_gauss_rule`` gives
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import ddot, dsymv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConfigurationError, NumericalError
 from .kernels import (ConeKernel, KernelFactors, WeightedAction,
@@ -183,6 +186,11 @@ def _diagonal_cell_integrals(kernel: ConeKernel, action: WeightedAction,
     return np.sum(vals * factors.cell_weights, axis=1)
 
 
+# the stencils below reach at most this many nodes off the diagonal (the
+# one-sided d^2/dt^2 rows at the two ends)
+_FD_REACH = 3
+
+
 def _t_derivative_matrices(grid: HalfLineGrid):
     """(D1, D2): second-order d/dt and d^2/dt^2 on the log-uniform grid.
 
@@ -249,6 +257,75 @@ def fd_assemble_model(nu: float, beta: float,
         raise ConfigurationError(
             f"log spacing {h:.3f} too coarse to resolve the 1/x^2 potential")
     return fd_scalar(nu * nu - 0.25, beta, grid)
+
+
+@dataclass(frozen=True)
+class BandMatrix:
+    """A square matrix with w sub- and w super-diagonals in the band
+    storage of LAPACK's dgbtrf: a[i, j] = ab[2w + i - j, j].  The first w
+    rows of ``ab`` hold no entries; they are the room that the fill-in of
+    partial pivoting takes.  ``band @ y`` multiplies a column stack y from
+    the band.
+    """
+
+    ab: np.ndarray
+    w: int
+
+    def __matmul__(self, y):
+        # a sum over diagonals: a[i, i + k] = ab[2w - k, i + k]
+        w, n = self.w, self.ab.shape[1]
+        out = np.zeros_like(y)
+        for k in range(-w, w + 1):
+            lo, hi = max(k, 0), n + min(k, 0)
+            out[lo - k:hi - k] += self.ab[2 * w - k, lo:hi, None] * y[lo:hi]
+        return out
+
+
+def fd_band(m: np.ndarray, n_c: int) -> BandMatrix:
+    """The band of an FD matrix of n_c x n_c node blocks, in node-major order.
+
+    ``m`` is component-major, as ``fd_first_order`` (n_c = 2) and
+    ``fd_assemble_model`` (n_c = 1) build it: unknown (node i, component c)
+    sits at index c N + i.  The band puts it at n_c i + c, so a block entry k
+    nodes off the diagonal lands n_c k + d - c places off, and the stencils'
+    reach of _FD_REACH nodes gives w = n_c (_FD_REACH + 1) - 1.  The band is
+    read off the block diagonals, O(N) gathers; a nonzero of ``m`` outside
+    them raises ConfigurationError rather than being dropped.
+    """
+    n = m.shape[0] // n_c
+    w = n_c * (_FD_REACH + 1) - 1
+    ab = np.zeros((3 * w + 1, n_c * n))
+    for c in range(n_c):
+        for d in range(n_c):
+            block = m[c * n:(c + 1) * n, d * n:(d + 1) * n]
+            for k in range(-_FD_REACH, _FD_REACH + 1):
+                diag = block.diagonal(k)
+                lo = max(k, 0)  # first block column of the diagonal
+                ab[2 * w - n_c * k - d + c,
+                   n_c * lo + d:n_c * (lo + diag.size):n_c] = diag
+    if np.count_nonzero(ab) != np.count_nonzero(m):
+        raise ConfigurationError(
+            f"FD matrix has nonzeros outside its band of width {w}")
+    return BandMatrix(ab, w)
+
+
+def band_lu_factor(a: BandMatrix):
+    """(lu, piv, w): the LU factors of ``a`` with partial pivoting in
+    dgbtrf's layout, for ``band_lu_solve``.  Raises NumericalError on an
+    exactly zero pivot."""
+    lu, piv, info = dgbtrf(a.ab, a.w, a.w)
+    if info > 0:
+        raise NumericalError(f"singular band matrix: zero pivot U[{info - 1}, "
+                             f"{info - 1}]")
+    return lu, piv, a.w
+
+
+def band_lu_solve(factors, b: np.ndarray) -> np.ndarray:
+    """The solution of a x = b for every column of b (dgbtrs), from the
+    ``band_lu_factor`` factors of a."""
+    lu, piv, w = factors
+    x, _ = dgbtrs(lu, w, w, b, piv)
+    return x
 
 
 def operator_norm(m: np.ndarray, weights: np.ndarray) -> float:

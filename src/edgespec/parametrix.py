@@ -8,25 +8,32 @@ half-line; the section's component count says which:
     2 components: [[xi, -(d/dx - mu/x)], [d/dx + mu/x, -xi]]   (first order)
     1 component:  -d^2/dx^2 + x^{-2}(nu^2 - 1/4) + xi^2       (second order)
 
-The inverse is a dense LU solve of the same finite-difference matrix that
+The inverse is a banded LU solve of the same finite-difference matrix that
 defines the discrete residual, making the right-inverse property exact to
-solver tolerance.  Each fiber factors one matrix per |xi|: the second-order
-matrix depends on |xi| only, and with sigma = diag(I, -I) the first-order
-matrices satisfy M(mu, -xi) = -sigma M(mu, xi) sigma bit for bit.  So the
-+|xi| factors solve the -xi mode too: M(mu, -xi) x = r is M y = r' with
-y = sigma x and r' = -sigma r, and the residual M(mu, -xi) x - r is
--sigma (M y - r').  The modes of one |xi| share one multi-column solve.  The
-mapping norms are per-mode sums (Parseval).
+solver tolerance.  The unknowns are taken in node-major order, (node i,
+component c) at n_c i + c, so the 3- and 4-point stencils give a band of
+width w = 7 (2 components) or 3 (1 component): O(N) work per mode, and the
+residual is a sum over the band's diagonals.  Each fiber factors one matrix
+per |xi|: the second-order matrix depends on |xi| only, and with
+sigma = diag(I, -I) the first-order matrices satisfy
+M(mu, -xi) = -sigma M(mu, xi) sigma bit for bit.  So the +|xi| factors
+solve the -xi mode too: M(mu, -xi) x = r is M y = r' with y = sigma x and
+r' = -sigma r, and the residual M(mu, -xi) x - r is -sigma (M y - r').  The
+modes of one |xi| share one multi-column solve.  The mapping norms are
+per-mode sums (Parseval).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConfigurationError, NumericalError, PreconditionError
-from .grids import HalfLineGrid, fd_assemble_model, fd_first_order
+# The benchmark's tracer looks the factorization and the solve up by these
+# two names until the library records its own spans (ROADMAP item 1).
+from .grids import band_lu_factor as lu_factor
+from .grids import band_lu_solve as lu_solve
+from .grids import HalfLineGrid, fd_assemble_model, fd_band, fd_first_order
 from .kernels import require_witt_order
 
 Y_PERIOD = 2.0 * math.pi
@@ -123,8 +130,10 @@ def smooth_section(grid: HalfLineGrid, profile, n_c):
 
 
 def _solve_modes(s, nus, grid: HalfLineGrid):
-    """Per-|xi| LU solves of the samples ``_check_setup`` returned; returns
-    the transforms of u, Qu and the residual, and the xi modes."""
+    """Per-(fiber, |xi|) banded LU solves of the samples ``_check_setup``
+    returned; returns the transforms of u, Qu and the residual, and the xi
+    modes.  Each (fiber, |xi|) makes one ``lu_factor`` and one ``lu_solve``
+    call, and its residual M y - b comes from the same band."""
     n_x, n_y, _, n_c = s.shape
     u_hat = np.fft.fft(s, axis=1)
     q_hat = np.empty_like(u_hat)
@@ -143,21 +152,21 @@ def _solve_modes(s, nus, grid: HalfLineGrid):
     for f, nu in enumerate(nus):
         rhs = u_hat[:, :, f, :] * s_in
         for key in np.unique(xi_abs):
-            m = _mode_matrix(nu, key, grid, n_c)
+            band = fd_band(_mode_matrix(nu, key, grid, n_c), n_c)
             try:
-                lu = lu_factor(m)
-            except Exception as exc:
+                lu = lu_factor(band)
+            except NumericalError as exc:
                 raise NumericalError(
                     f"singular mode matrix at (nu={nu}, |xi|={key})") from exc
             ks = np.flatnonzero(xi_abs == key)
-            # the modes' columns (component-major), real parts then
-            # imaginary parts: one real solve and one real product
-            b = rhs[:, ks, :].transpose(2, 0, 1).reshape(n_c * n_x, -1)
+            # the modes' columns (node-major), real parts then imaginary
+            # parts: one real solve and one real product
+            b = rhs[:, ks, :].transpose(0, 2, 1).reshape(n_x * n_c, -1)
             b = np.concatenate([b.real, b.imag], axis=1)
             y = lu_solve(lu, b)
-            for out, cols in ((q_hat, y), (r_hat, m @ y - b)):
+            for out, cols in ((q_hat, y), (r_hat, band @ y - b)):
                 z = cols[:, :ks.size] + 1j * cols[:, ks.size:]
-                out[:, ks, f, :] = z.reshape(n_c, n_x, -1).transpose(1, 2, 0)
+                out[:, ks, f, :] = z.reshape(n_x, n_c, -1).transpose(0, 2, 1)
         q_hat[:, :, f, :] *= s_out
         r_hat[:, :, f, :] *= s_in
     return u_hat, q_hat, r_hat, xis

@@ -1,10 +1,19 @@
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
-from edgespec.errors import (ConfigurationError, PreconditionError,
-                             WittViolationError)
+from edgespec.errors import (ConfigurationError, NumericalError,
+                             PreconditionError, WittViolationError)
 from edgespec import parametrix
-from edgespec.grids import build_grid, fd_assemble_model, fd_first_order
+from edgespec.grids import (build_grid, fd_assemble_model, fd_band,
+                            fd_first_order)
 from edgespec.parametrix import (Y_PERIOD, EdgeFunction, _xi_modes,
                                  mapping_bounds, parametrix_apply,
                                  random_section, smooth_section)
@@ -220,3 +229,92 @@ def test_one_factorization_per_abs_xi(monkeypatch, n_c):
     grid = build_grid(64, 1e-2, 1e2)
     mapping_bounds(_supported_input(grid, 16, 2, n_c), (2.1, 3.5), grid)
     assert calls == {"lu_factor": 18, "lu_solve": 18}
+
+
+def _dense_from_band(band, n_c):
+    # undo the band storage and the node-major order
+    n = band.ab.shape[1]
+    w = band.w
+    node_major = np.zeros((n, n))
+    for k in range(-w, w + 1):
+        lo, hi = max(k, 0), n + min(k, 0)
+        node_major[np.arange(lo - k, hi - k), np.arange(lo, hi)] = (
+            band.ab[2 * w - k, lo:hi])
+    # the node-major index of each component-major one
+    order = np.arange(n).reshape(-1, n_c).T.reshape(-1)
+    return node_major[np.ix_(order, order)]
+
+
+@pytest.mark.parametrize("n_c, nu", [(2, 2.1), (2, 3.5), (1, 2.1), (1, 3.5)])
+def test_band_storage_round_trips(n_c, nu):
+    grid = build_grid(64, 1e-2, 1e2)
+    for xi_abs in (0.0, 1.0, 7.0):
+        m = parametrix._mode_matrix(nu, xi_abs, grid, n_c)
+        band = fd_band(m, n_c)
+        assert band.w == (7 if n_c == 2 else 3)
+        assert (_dense_from_band(band, n_c) == m).all()
+
+
+@pytest.mark.parametrize("n_c", [2, 1])
+def test_band_storage_rejects_entry_outside(n_c):
+    # (row, column) in component-major order of node-major (0, off)
+    grid = build_grid(64, 1e-2, 1e2)
+    m = parametrix._mode_matrix(2.1, 1.0, grid, n_c)
+    w = fd_band(m, n_c).w
+
+    def at_offset(off):
+        return off % n_c * grid.n + off // n_c
+
+    inside = m.copy()
+    inside[0, at_offset(w)] = 1.0
+    assert (_dense_from_band(fd_band(inside, n_c), n_c) == inside).all()
+    outside = m.copy()
+    outside[0, at_offset(w + 1)] = 1.0
+    with pytest.raises(ConfigurationError):
+        fd_band(outside, n_c)
+
+
+@pytest.mark.parametrize("n_c", [2, 1])
+def test_singular_mode_matrix_raises(monkeypatch, n_c):
+    # an exactly singular mode matrix fails as a typed error, not through
+    # a LinAlgWarning that the test configuration turns into an error
+    def zero_row(*args):
+        m = mode_matrix(*args)
+        m[5] = 0.0
+        return m
+
+    mode_matrix = parametrix._mode_matrix
+    monkeypatch.setattr(parametrix, "_mode_matrix", zero_row)
+    grid = build_grid(64, 1e-2, 1e2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        with pytest.raises(NumericalError, match="singular mode matrix"):
+            mapping_bounds(_supported_input(grid, 8, 1, n_c), (2.1,), grid)
+
+
+_SUITE_RECORDS = """
+import json
+from edgespec import cli
+records = [r.as_dict() for r in cli.run_suite("parametrix",
+                                              cli.RunConfig(seed=0))]
+for r in records:
+    del r["runtime_ms"]
+print(json.dumps(records))
+"""
+
+
+def test_records_independent_of_blas_threads():
+    # the banded solves give the same bits at one and two BLAS threads
+    src = str(Path(parametrix.__file__).resolve().parents[1])
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        procs.append(subprocess.Popen([sys.executable, "-c", _SUITE_RECORDS],
+                                      env=env, stdout=subprocess.PIPE,
+                                      text=True))
+    one, two = (json.loads(p.communicate(timeout=60)[0]) for p in procs)
+    assert all(p.returncode == 0 for p in procs)
+    assert len(one) == 4 and one == two
