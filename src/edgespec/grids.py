@@ -1,18 +1,20 @@
 """Half-line grids, quadrature, Nystrom/finite-difference assembly, norms.
 
 This module is the one home of the finite-difference stencils: the model
-and parametrix layers build their FD matrices with ``fd_dx``, ``fd_scalar``
-and ``fd_first_order``.  ``fd_band`` reads such a matrix into LAPACK band
-storage, which ``band_lu_factor`` and ``band_lu_solve`` factor and solve in
-O(N).
+and parametrix layers build their FD operators with ``fd_scalar``,
+``fd_first_order`` and ``fd_assemble_model``.  Stencils are built as bands;
+no dense FD matrix is formed.  The stencil table holds d/dt and d^2/dt^2
+by diagonals, and the builders place its node blocks straight into the
+LAPACK band storage of ``BandMatrix``, which ``band_lu_factor`` and
+``band_lu_solve`` factor and solve in O(N).
 
 Everything lives on a truncated half-line [x_min, x_max]: ``build_grid``
 gives log-uniform nodes with trapezoid weights, and ``log_gauss_rule`` gives
 log-Gauss panels for the quadratures that need them.  In the variable
 t = ln x the edge derivative (x d/dx) is plain d/dt and the model operator
--d^2/dx^2 becomes -x^{-2}(d_t^2 - d_t).  Assembly returns plain matrices
-acting on grid samples; ``operator_norm`` measures them in the metric of the
-grid weights.
+-d^2/dx^2 becomes -x^{-2}(d_t^2 - d_t).  Nystrom assembly returns plain
+matrices acting on grid samples; ``operator_norm`` measures them in the
+metric of the grid weights.
 
 The Nystrom diagonal pass evaluates the kernel only at the pairs it keeps,
 and the actions of one kernel can share one ``NystromFactors``: the Bessel
@@ -186,77 +188,26 @@ def _diagonal_cell_integrals(kernel: ConeKernel, action: WeightedAction,
     return np.sum(vals * factors.cell_weights, axis=1)
 
 
-# the stencils below reach at most this many nodes off the diagonal (the
-# one-sided d^2/dt^2 rows at the two ends)
-_FD_REACH = 3
-
-
-def _t_derivative_matrices(grid: HalfLineGrid):
-    """(D1, D2): second-order d/dt and d^2/dt^2 on the log-uniform grid.
+def _t_stencils(grid: HalfLineGrid):
+    """(D1, D2): second-order d/dt and d^2/dt^2 on the log-uniform grid, by
+    diagonals: d[3 + k, i] = D[i, i + k].
 
     One-sided second-order stencils at the two boundary rows; no ghost
-    points (Dirichlet-type closure for decaying solutions).
+    points (Dirichlet-type closure for decaying solutions).  Those rows set
+    the reach: D1 reaches 2 nodes off the diagonal, D2 reaches 3.
     """
     h = grid.log_step
     n = grid.n
-    d1 = np.zeros((n, n))
-    d2 = np.zeros((n, n))
-    i = np.arange(1, n - 1)
-    d1[i, i - 1], d1[i, i + 1] = -0.5 / h, 0.5 / h
-    d1[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-    d1[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
+    d1 = np.zeros((7, n))
+    d2 = np.zeros((7, n))
+    d1[2, 1:-1], d1[4, 1:-1] = -0.5 / h, 0.5 / h
+    d1[3:6, 0] = np.array([-1.5, 2.0, -0.5]) / h
+    d1[1:4, -1] = np.array([0.5, -2.0, 1.5]) / h
     hh = h * h
-    d2[i, i - 1], d2[i, i], d2[i, i + 1] = 1.0 / hh, -2.0 / hh, 1.0 / hh
-    d2[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / hh
-    d2[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / hh
+    d2[2, 1:-1], d2[3, 1:-1], d2[4, 1:-1] = 1.0 / hh, -2.0 / hh, 1.0 / hh
+    d2[3:7, 0] = np.array([2.0, -5.0, 4.0, -1.0]) / hh
+    d2[0:4, -1] = np.array([-1.0, 4.0, -5.0, 2.0]) / hh
     return d1, d2
-
-
-def fd_dx(grid: HalfLineGrid):
-    """FD matrix of d/dx = x^{-1} d/dt."""
-    d1, _ = _t_derivative_matrices(grid)
-    return d1 / grid.nodes[:, None]
-
-
-def fd_scalar(coef: float, beta: float, grid: HalfLineGrid):
-    """FD matrix of -d^2/dx^2 + coef/x^2 + beta^2 (no Witt validation)."""
-    d1, d2 = _t_derivative_matrices(grid)
-    inv_x2 = 1.0 / grid.nodes ** 2
-    m = -inv_x2[:, None] * (d2 - d1)
-    m[np.diag_indices_from(m)] += coef * inv_x2 + beta * beta
-    return m
-
-
-def fd_first_order(mu: float, xi: float, grid: HalfLineGrid):
-    """Dense 2N x 2N FD matrix of [[xi, -(d/dx - mu/x)], [d/dx + mu/x, -xi]].
-
-    xi is a signed frequency; its square is
-    diag(-d^2/dx^2 + mu(mu+1)/x^2 + xi^2, -d^2/dx^2 + mu(mu-1)/x^2 + xi^2).
-    """
-    n = grid.n
-    dx = fd_dx(grid)
-    mu_over_x = mu / grid.nodes
-    i = np.arange(n)
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, n:] = -dx
-    m[n:, :n] = dx
-    # -(dx_ii - mu/x_i) == mu/x_i - dx_ii: IEEE rounding is sign-symmetric
-    m[i, i + n] += mu_over_x
-    m[i + n, i] += mu_over_x
-    m[i, i] = xi
-    m[i + n, i + n] = -xi
-    return m
-
-
-def fd_assemble_model(nu: float, beta: float,
-                      grid: HalfLineGrid) -> np.ndarray:
-    """Finite-difference matrix for -d^2/dx^2 + x^{-2}(nu^2 - 1/4) + beta^2."""
-    require_witt_order(nu)
-    h = grid.log_step
-    if h > 0.25:
-        raise ConfigurationError(
-            f"log spacing {h:.3f} too coarse to resolve the 1/x^2 potential")
-    return fd_scalar(nu * nu - 0.25, beta, grid)
 
 
 @dataclass(frozen=True)
@@ -264,8 +215,8 @@ class BandMatrix:
     """A square matrix with w sub- and w super-diagonals in the band
     storage of LAPACK's dgbtrf: a[i, j] = ab[2w + i - j, j].  The first w
     rows of ``ab`` hold no entries; they are the room that the fill-in of
-    partial pivoting takes.  ``band @ y`` multiplies a column stack y from
-    the band.
+    partial pivoting takes.  ``band @ y`` multiplies a vector or a column
+    stack y from the band.
     """
 
     ab: np.ndarray
@@ -277,36 +228,71 @@ class BandMatrix:
         out = np.zeros_like(y)
         for k in range(-w, w + 1):
             lo, hi = max(k, 0), n + min(k, 0)
-            out[lo - k:hi - k] += self.ab[2 * w - k, lo:hi, None] * y[lo:hi]
+            out[lo - k:hi - k] += (self.ab[2 * w - k, lo:hi] * y[lo:hi].T).T
         return out
 
 
-def fd_band(m: np.ndarray, n_c: int) -> BandMatrix:
-    """The band of an FD matrix of n_c x n_c node blocks, in node-major order.
+def _band(blocks, reach: int) -> BandMatrix:
+    """The band of a matrix of n_c x n_c node blocks, in node-major order.
 
-    ``m`` is component-major, as ``fd_first_order`` (n_c = 2) and
-    ``fd_assemble_model`` (n_c = 1) build it: unknown (node i, component c)
-    sits at index c N + i.  The band puts it at n_c i + c, so a block entry k
-    nodes off the diagonal lands n_c k + d - c places off, and the stencils'
-    reach of _FD_REACH nodes gives w = n_c (_FD_REACH + 1) - 1.  The band is
-    read off the block diagonals, O(N) gathers; a nonzero of ``m`` outside
-    them raises ConfigurationError rather than being dropped.
+    ``blocks[c][d]`` holds block (c, d) by diagonals, as ``_t_stencils``
+    gives them: blocks[c][d][3 + k, i] couples (node i, component c) to
+    (node i + k, component d), for |k| <= reach.  Unknown (node i,
+    component c) sits at n_c i + c, so that entry lies n_c k + d - c places
+    off the diagonal and the band has w = n_c (reach + 1) - 1.
     """
-    n = m.shape[0] // n_c
-    w = n_c * (_FD_REACH + 1) - 1
+    n_c = len(blocks)
+    n = blocks[0][0].shape[1]
+    w = n_c * (reach + 1) - 1
     ab = np.zeros((3 * w + 1, n_c * n))
     for c in range(n_c):
         for d in range(n_c):
-            block = m[c * n:(c + 1) * n, d * n:(d + 1) * n]
-            for k in range(-_FD_REACH, _FD_REACH + 1):
-                diag = block.diagonal(k)
-                lo = max(k, 0)  # first block column of the diagonal
-                ab[2 * w - n_c * k - d + c,
-                   n_c * lo + d:n_c * (lo + diag.size):n_c] = diag
-    if np.count_nonzero(ab) != np.count_nonzero(m):
-        raise ConfigurationError(
-            f"FD matrix has nonzeros outside its band of width {w}")
+            for k in range(-reach, reach + 1):
+                lo, hi = max(k, 0), n + min(k, 0)  # block columns i + k
+                ab[2 * w - n_c * k + c - d, n_c * lo + d:n_c * hi:n_c] = (
+                    blocks[c][d][3 + k, lo - k:hi - k])
     return BandMatrix(ab, w)
+
+
+def fd_scalar(coef: float, beta: float, grid: HalfLineGrid) -> BandMatrix:
+    """Band of the FD matrix of -d^2/dx^2 + coef/x^2 + beta^2 (no Witt
+    validation); D2 reaches 3 nodes, so w = 3."""
+    d1, d2 = _t_stencils(grid)
+    inv_x2 = 1.0 / grid.nodes ** 2
+    m = -inv_x2 * (d2 - d1)
+    m[3] += coef * inv_x2 + beta * beta
+    return _band([[m]], 3)
+
+
+def fd_first_order(mu: float, xi: float, grid: HalfLineGrid) -> BandMatrix:
+    """Band of the 2N x 2N FD matrix of
+    [[xi, -(d/dx - mu/x)], [d/dx + mu/x, -xi]], node-major; d/dx is
+    x^{-1} D1, which reaches 2 nodes, so w = 5.
+
+    xi is a signed frequency; its square is
+    diag(-d^2/dx^2 + mu(mu+1)/x^2 + xi^2, -d^2/dx^2 + mu(mu-1)/x^2 + xi^2).
+    """
+    d1, _ = _t_stencils(grid)
+    plus = d1 / grid.nodes
+    minus = -plus
+    mu_over_x = mu / grid.nodes
+    # -(dx_ii - mu/x_i) == mu/x_i - dx_ii: IEEE rounding is sign-symmetric
+    plus[3] += mu_over_x
+    minus[3] += mu_over_x
+    top, bottom = np.zeros_like(d1), np.zeros_like(d1)
+    top[3], bottom[3] = xi, -xi
+    return _band([[top, minus], [plus, bottom]], 2)
+
+
+def fd_assemble_model(nu: float, beta: float,
+                      grid: HalfLineGrid) -> BandMatrix:
+    """Band of the FD matrix of -d^2/dx^2 + x^{-2}(nu^2 - 1/4) + beta^2."""
+    require_witt_order(nu)
+    h = grid.log_step
+    if h > 0.25:
+        raise ConfigurationError(
+            f"log spacing {h:.3f} too coarse to resolve the 1/x^2 potential")
+    return fd_scalar(nu * nu - 0.25, beta, grid)
 
 
 def band_lu_factor(a: BandMatrix):

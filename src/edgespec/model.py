@@ -43,6 +43,8 @@ class FiberSpectrum:
             raise ConfigurationError("fiber spectrum must be nonempty")
         if not all(math.isfinite(float(s)) for s in self.eigenvalues):
             raise ConfigurationError("fiber eigenvalues must be finite")
+        if not (math.isfinite(float(self.gap)) and self.gap >= 0):
+            raise ConfigurationError("the Witt gap must be finite and >= 0")
 
     def nu_values(self):
         """Distinct Bessel orders nu = |s| + 1/2, sorted."""
@@ -132,12 +134,14 @@ def interior_discrepancy(approx, exact):
 def verify_square_identity(nu: float, beta: float, u, grid: HalfLineGrid):
     """Compare (2x2 block applied twice) with the direct scalar squares.
 
-    The block is ``fd_first_order(nu - 1/2, beta, grid)`` on a finite (2, N)
-    section u.  ``nu`` must pass ``require_witt_order``; ``beta`` = |xi| is
-    tested as ``not beta >= 0`` so that NaN fails.  Composing centered first
-    differences is only O(h) accurate against the second-order scalar
-    assembly; the report carries the interior max discrepancy so callers can
-    record the refinement order.
+    The block is the band ``fd_first_order(nu - 1/2, beta, grid)``, applied
+    to a finite (2, N) section u in its node-major layout (node i,
+    component c at 2i + c); stencils are built as bands, no dense FD
+    matrix is formed.  ``nu`` must pass ``require_witt_order``; ``beta`` =
+    |xi| is tested as ``not beta >= 0`` so that NaN fails.  Composing
+    centered first differences is only O(h) accurate against the
+    second-order scalar assembly; the report carries the interior max
+    discrepancy so callers can record the refinement order.
     """
     require_witt_order(nu)
     if not beta >= 0.0:
@@ -147,7 +151,7 @@ def verify_square_identity(nu: float, beta: float, u, grid: HalfLineGrid):
         raise ConfigurationError("expected a finite (2, N) section")
     mu = nu - 0.5
     block = fd_first_order(mu, beta, grid)
-    twice = (block @ (block @ u.reshape(2 * grid.n))).reshape(2, grid.n)
+    twice = (block @ (block @ u.T.reshape(-1))).reshape(grid.n, 2).T
     direct = np.vstack([
         fd_scalar(mu * (mu + 1.0), beta, grid) @ u[0],
         fd_scalar(mu * (mu - 1.0), beta, grid) @ u[1],

@@ -10,12 +10,14 @@ half-line; the section's component count says which:
 
 The inverse is a banded LU solve of the same finite-difference matrix that
 defines the discrete residual, making the right-inverse property exact to
-solver tolerance.  The unknowns are taken in node-major order, (node i,
-component c) at n_c i + c, so the 3- and 4-point stencils give a band of
-width w = 7 (2 components) or 3 (1 component): O(N) work per mode, and the
-residual is a sum over the band's diagonals.  Each fiber factors one matrix
-per |xi|: the second-order matrix depends on |xi| only, and with
-sigma = diag(I, -I) the first-order matrices satisfy
+solver tolerance.  Stencils are built as bands; no dense FD matrix is
+formed.  The unknowns are taken in node-major order, (node i, component c)
+at n_c i + c, so the first differences (reach 2 nodes) give a band of
+width w = 5 (2 components) and the second differences (reach 3) w = 3
+(1 component): O(N) work per mode, and the residual is a sum over the
+band's diagonals.  Each fiber factors one matrix per |xi|: the
+second-order matrix depends on |xi| only, and with sigma = diag(I, -I)
+the first-order matrices satisfy
 M(mu, -xi) = -sigma M(mu, xi) sigma bit for bit.  So the +|xi| factors
 solve the -xi mode too: M(mu, -xi) x = r is M y = r' with y = sigma x and
 r' = -sigma r, and the residual M(mu, -xi) x - r is -sigma (M y - r').  The
@@ -33,7 +35,7 @@ from .errors import ConfigurationError, NumericalError, PreconditionError
 # two names until the library records its own spans (ROADMAP item 1).
 from .grids import band_lu_factor as lu_factor
 from .grids import band_lu_solve as lu_solve
-from .grids import HalfLineGrid, fd_assemble_model, fd_band, fd_first_order
+from .grids import HalfLineGrid, fd_assemble_model, fd_first_order
 from .kernels import require_witt_order
 
 Y_PERIOD = 2.0 * math.pi
@@ -152,7 +154,7 @@ def _solve_modes(s, nus, grid: HalfLineGrid):
     for f, nu in enumerate(nus):
         rhs = u_hat[:, :, f, :] * s_in
         for key in np.unique(xi_abs):
-            band = fd_band(_mode_matrix(nu, key, grid, n_c), n_c)
+            band = _mode_matrix(nu, key, grid, n_c)
             try:
                 lu = lu_factor(band)
             except NumericalError as exc:

@@ -16,8 +16,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 COUNTED = ("model.sweep.cells", "grids.nystrom.calls",
            "kernels.matrix.calls", "grids.operator_norm.calls",
-           "parametrix.lu_factor.calls", "parametrix.modes",
-           "bessel.calls", "bessel.large_nu.args")
+           "grids.fd_assemble.calls", "parametrix.lu_factor.calls",
+           "parametrix.modes", "bessel.calls", "bessel.large_nu.args")
 
 
 def test_traced_layers_are_counted(monkeypatch):
@@ -30,11 +30,14 @@ def test_traced_layers_are_counted(monkeypatch):
     try:
         es.model.uniform_bound_sweep(es.model.FiberSpectrum((1.1,)), [1.0],
                                      grid_n=32)
-        grid = es.grids.build_grid(32, 1e-2, 1e2)
-        s = np.zeros((grid.n, 2, 1, 2))
-        s[(grid.nodes > 0.05) & (grid.nodes < 0.8)] = 1.0
-        es.parametrix.mapping_bounds(es.parametrix.EdgeFunction(s), (2.1,),
-                                     grid)
+        grid = es.grids.build_grid(64, 1e-2, 1e2)
+        # 2 components build the first-order modes, 1 the second-order ones
+        # through fd_assemble_model
+        for n_c in (2, 1):
+            s = np.zeros((grid.n, 2, 1, n_c))
+            s[(grid.nodes > 0.05) & (grid.nodes < 0.8)] = 1.0
+            es.parametrix.mapping_bounds(es.parametrix.EdgeFunction(s),
+                                         (2.1,), grid)
         es.bessel.bessel_i(300.0, 1.0, scaled=True)
     finally:
         tracer.remove()

@@ -82,6 +82,7 @@ def test_main_exit_codes(capsys, tmp_path):
     assert main(["witt", "--spectrum", "1.0,-1.0"]) == 1
     captured = capsys.readouterr()
     assert "FAIL" in captured.err
+    assert main(["witt", "--gap", "nan"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["nosuchsuite"])
     assert exc.value.code == 2

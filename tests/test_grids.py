@@ -1,18 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from edgespec.errors import (ConfigurationError, NumericalError,
                              WittViolationError)
-from edgespec.grids import (_diagonal_cell_integrals, build_grid,
-                            fd_assemble_model, fd_dx, fd_first_order,
+from edgespec.grids import (_diagonal_cell_integrals, band_lu_factor,
+                            build_grid, fd_assemble_model, fd_first_order,
                             log_gauss_rule, nystrom_assemble,
                             nystrom_factors, operator_norm)
 from edgespec import grids, kernels
 from edgespec.kernels import (ConeKernel, WeightedAction, weighted_kernel,
                               weighted_kernel_matrix)
 from edgespec.model import (ACTIONS, FiberSpectrum, uniform_bound_sweep)
+from test_parametrix import _dense_from_band
 
 
 def test_trapezoid_weights_telescope():
@@ -189,18 +191,66 @@ def test_fd_model_validation():
         fd_assemble_model(2.0, 0.0, coarse)
 
 
+def _dense_t_derivatives(g):
+    # the reference: d/dt and d^2/dt^2 as dense N x N matrices, one-sided
+    # at the two boundary rows
+    h, n = g.log_step, g.n
+    d1, d2 = np.zeros((n, n)), np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    d1[i, i - 1], d1[i, i + 1] = -0.5 / h, 0.5 / h
+    d1[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+    d1[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
+    hh = h * h
+    d2[i, i - 1], d2[i, i], d2[i, i + 1] = 1.0 / hh, -2.0 / hh, 1.0 / hh
+    d2[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / hh
+    d2[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / hh
+    return d1, d2
+
+
 def test_fd_first_order_matches_block_formula():
-    # the in-place diagonals equal the block formula built from fd_dx, and
+    # the band equals the block formula built from a dense d/dx, and
     # M(mu, -xi) = -sigma M(mu, xi) sigma, sigma = diag(I, -I), bit for bit
     g = build_grid(64, 1e-2, 1e2)
-    dx, eye = fd_dx(g), np.eye(g.n)
+    d1, _ = _dense_t_derivatives(g)
+    dx, eye = d1 / g.nodes[:, None], np.eye(g.n)
     sigma = np.r_[np.ones(g.n), -np.ones(g.n)]
     for mu in (0.0, 1.6, -0.7):
         mu_over_x = np.diag(mu / g.nodes)
         for xi in (0.0, 3.0, -5.0, 0.37):
-            m = fd_first_order(mu, xi, g)
+            band = fd_first_order(mu, xi, g)
+            assert band.w == 5
+            m = _dense_from_band(band, 2)
             block = np.block([[xi * eye, -(dx - mu_over_x)],
                               [dx + mu_over_x, -xi * eye]])
             assert np.array_equal(m, block)
-            assert np.array_equal(fd_first_order(mu, -xi, g),
+            assert np.array_equal(_dense_from_band(fd_first_order(mu, -xi, g),
+                                                   2),
                                   -(sigma[:, None] * m * sigma[None, :]))
+
+
+def test_fd_assemble_model_matches_formula():
+    # the band equals -(1/x^2)(D2 - D1) + diag((nu^2 - 1/4)/x^2 + beta^2)
+    # built dense, bit for bit
+    g = build_grid(64, 1e-2, 1e2)
+    d1, d2 = _dense_t_derivatives(g)
+    inv_x2 = 1.0 / g.nodes ** 2
+    for nu, beta in ((1.6, 0.0), (2.1, 1.0), (3.5, 7.0)):
+        m = -inv_x2[:, None] * (d2 - d1)
+        m[np.diag_indices_from(m)] += (nu * nu - 0.25) * inv_x2 + beta * beta
+        band = fd_assemble_model(nu, beta, g)
+        assert band.w == 3
+        assert np.array_equal(_dense_from_band(band, 1), m)
+
+
+def test_fd_bands_are_linear_in_memory():
+    # N = 2000 dense mode matrices would take 122 MiB (2N x 2N) and 31 MiB
+    # (N x N); the bands and their LU factors take well under 1 MiB each
+    g = build_grid(2000, 1e-2, 1e2)
+    tracemalloc.start()
+    try:
+        band_lu_factor(fd_first_order(1.6, 1.0, g))
+        band_lu_factor(fd_assemble_model(2.1, 1.0, g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20

@@ -43,6 +43,9 @@ def test_fiber_spectrum_nu_values():
         FiberSpectrum(())
     with pytest.raises(ConfigurationError):
         FiberSpectrum((1.0, math.inf))
+    for gap in (math.nan, math.inf, -1.0):
+        with pytest.raises(ConfigurationError):
+            FiberSpectrum((1.6,), gap=gap)
 
 
 def test_model_block_validation():

@@ -12,8 +12,7 @@ from scipy.linalg import LinAlgWarning
 from edgespec.errors import (ConfigurationError, NumericalError,
                              PreconditionError, WittViolationError)
 from edgespec import parametrix
-from edgespec.grids import (build_grid, fd_assemble_model, fd_band,
-                            fd_first_order)
+from edgespec.grids import build_grid, fd_assemble_model, fd_first_order
 from edgespec.parametrix import (Y_PERIOD, EdgeFunction, _xi_modes,
                                  mapping_bounds, parametrix_apply,
                                  random_section, smooth_section)
@@ -159,8 +158,8 @@ def test_energy_inequality_witness():
     x, t = grid.nodes, np.log(grid.nodes)
     v1 = np.exp(-6.0 * (t + 1.0) ** 2) * ((x > 0.02) & (x < 0.9))
     v2 = np.exp(-6.0 * (t + 1.5) ** 2) * ((x > 0.02) & (x < 0.9))
-    v = np.concatenate([v1, v2])
-    w = np.tile(grid.weights, 2)
+    v = np.column_stack([v1, v2]).reshape(-1)  # node-major
+    w = np.repeat(grid.weights, 2)
     for xi in (1.0, 4.0, 8.0, -4.0):
         m = fd_first_order(1.6, xi, grid)
         lv = m @ v
@@ -210,8 +209,8 @@ def test_each_mode_solves_its_signed_matrix(n_c):
                 m = fd_first_order(nu - 0.5, xi, grid)
             else:
                 m = fd_assemble_model(nu, abs(xi), grid)
-            q = q_hat[:, k, f, :].T.reshape(-1)
-            rhs = u_hat[:, k, f, :].T.reshape(-1)
+            q = q_hat[:, k, f, :].reshape(-1)  # node-major
+            rhs = u_hat[:, k, f, :].reshape(-1)
             assert (np.linalg.norm(m @ q - rhs)
                     <= 1e-10 * np.linalg.norm(rhs))
 
@@ -247,44 +246,40 @@ def _dense_from_band(band, n_c):
 
 @pytest.mark.parametrize("n_c, nu", [(2, 2.1), (2, 3.5), (1, 2.1), (1, 3.5)])
 def test_band_storage_round_trips(n_c, nu):
+    # the band product equals the product with the matrix the band stores,
+    # read back out of the band storage and the node-major order, to the
+    # rounding of a sum of at most 2w + 1 terms
     grid = build_grid(64, 1e-2, 1e2)
+    y = np.random.default_rng(5).normal(size=(n_c * grid.n, 3))
+    # the node-major index of each component-major one
+    order = np.arange(n_c * grid.n).reshape(-1, n_c).T.reshape(-1)
     for xi_abs in (0.0, 1.0, 7.0):
-        m = parametrix._mode_matrix(nu, xi_abs, grid, n_c)
-        band = fd_band(m, n_c)
-        assert band.w == (7 if n_c == 2 else 3)
-        assert (_dense_from_band(band, n_c) == m).all()
+        band = parametrix._mode_matrix(nu, xi_abs, grid, n_c)
+        assert band.w == (5 if n_c == 2 else 3)
+        dense = _dense_from_band(band, n_c)
+        ref = dense @ y[order]
+        scale = np.abs(dense) @ np.abs(y[order])
+        assert (np.abs((band @ y)[order] - ref) <= 1e-14 * scale).all()
 
 
-@pytest.mark.parametrize("n_c", [2, 1])
-def test_band_storage_rejects_entry_outside(n_c):
-    # (row, column) in component-major order of node-major (0, off)
+def test_band_product_of_a_vector():
     grid = build_grid(64, 1e-2, 1e2)
-    m = parametrix._mode_matrix(2.1, 1.0, grid, n_c)
-    w = fd_band(m, n_c).w
-
-    def at_offset(off):
-        return off % n_c * grid.n + off // n_c
-
-    inside = m.copy()
-    inside[0, at_offset(w)] = 1.0
-    assert (_dense_from_band(fd_band(inside, n_c), n_c) == inside).all()
-    outside = m.copy()
-    outside[0, at_offset(w + 1)] = 1.0
-    with pytest.raises(ConfigurationError):
-        fd_band(outside, n_c)
+    band = fd_first_order(1.6, 3.0, grid)
+    v = np.random.default_rng(6).normal(size=2 * grid.n)
+    assert np.array_equal(band @ v, (band @ v[:, None])[:, 0])
 
 
 @pytest.mark.parametrize("n_c", [2, 1])
 def test_singular_mode_matrix_raises(monkeypatch, n_c):
     # an exactly singular mode matrix fails as a typed error, not through
     # a LinAlgWarning that the test configuration turns into an error
-    def zero_row(*args):
-        m = mode_matrix(*args)
-        m[5] = 0.0
-        return m
+    def zero_column(*args):
+        band = mode_matrix(*args)
+        band.ab[:, 5] = 0.0
+        return band
 
     mode_matrix = parametrix._mode_matrix
-    monkeypatch.setattr(parametrix, "_mode_matrix", zero_row)
+    monkeypatch.setattr(parametrix, "_mode_matrix", zero_column)
     grid = build_grid(64, 1e-2, 1e2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
