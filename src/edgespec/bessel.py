@@ -85,6 +85,12 @@ def _check_order(nu: float) -> float:
     nu = float(nu)
     if not math.isfinite(nu) or nu <= 0.0:
         raise DomainError(f"order must be a positive finite real, got {nu}")
+    try:
+        # the uniform branch's error bounds divide by this power
+        nu ** ASYMPTOTIC_TERMS
+    except OverflowError:
+        raise DomainError(f"order {nu} is too large: nu^{ASYMPTOTIC_TERMS} "
+                          "overflows") from None
     return nu
 
 

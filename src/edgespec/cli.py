@@ -6,7 +6,8 @@ JSON/CSV output is deterministic for a fixed configuration apart from the
 runtime_ms field.
 
 Exit status: 0 when every record passes, 1 when any fails (the failing
-records are printed to stderr), 2 on usage errors.
+records are printed to stderr), 2 on usage errors, on input the toolkit
+refuses and on an ``--out`` file that cannot be written.
 """
 
 import argparse
@@ -294,8 +295,12 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(payload)
     failing = [r for r in records if not r.passed]

@@ -15,8 +15,8 @@ and T = t_sign * d for commuting fiber scalars a (eigenvalue of A) and d
 
 The module is exact only: no floating point and no discretization.  The
 numerical square check of the first-order model is
-``model.verify_square_identity``, on the finite-difference builders of
-``grids`` (stencils are built as bands; no dense FD matrix).
+``model.verify_square_identity``, on the one finite-difference builder
+``grids.fd_assemble_model``.
 """
 
 import sympy as sp

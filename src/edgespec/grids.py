@@ -1,12 +1,13 @@
 """Half-line grids, quadrature, Nystrom/finite-difference assembly, norms.
 
-This module is the one home of the finite-difference stencils: the model
-and parametrix layers build their FD operators with ``fd_scalar``,
-``fd_first_order`` and ``fd_assemble_model``.  Stencils are built as bands;
-no dense FD matrix is formed.  The stencil table holds d/dt and d^2/dt^2
-by diagonals, and the builders place its node blocks straight into the
-LAPACK band storage of ``BandMatrix``, which ``band_lu_factor`` and
-``band_lu_solve`` factor and solve in O(N).
+This module is the one home of the finite-difference stencils, and
+``fd_assemble_model`` is their one builder: the model and parametrix layers
+take both model operators, the first-order block and the second-order
+scalar, from it.  Stencils are built as bands; no dense FD matrix is
+formed.  The stencil table holds d/dt and d^2/dt^2 by diagonals, and the
+builder places its node blocks straight into the LAPACK band storage of
+``BandMatrix``, which ``band_lu_factor`` and ``band_lu_solve`` factor and
+solve in O(N).
 
 Everything lives on a truncated half-line [x_min, x_max]: ``build_grid``
 gives log-uniform nodes with trapezoid weights, and ``log_gauss_rule`` gives
@@ -254,45 +255,44 @@ def _band(blocks, reach: int) -> BandMatrix:
     return BandMatrix(ab, w)
 
 
-def fd_scalar(coef: float, beta: float, grid: HalfLineGrid) -> BandMatrix:
-    """Band of the FD matrix of -d^2/dx^2 + coef/x^2 + beta^2 (no Witt
-    validation); D2 reaches 3 nodes, so w = 3."""
-    d1, d2 = _t_stencils(grid)
-    inv_x2 = 1.0 / grid.nodes ** 2
-    m = -inv_x2 * (d2 - d1)
-    m[3] += coef * inv_x2 + beta * beta
-    return _band([[m]], 3)
+def fd_assemble_model(nu: float, xi: float, grid: HalfLineGrid,
+                      n_c: int) -> BandMatrix:
+    """Band of the FD matrix of the order-nu model operator at frequency xi,
+    the one builder of both orders.  With mu = nu - 1/2 and d/dx = x^{-1} D1:
 
+        n_c = 2:  [[xi, -(d/dx - mu/x)], [d/dx + mu/x, -xi]]   (first order)
+        n_c = 1:  -d^2/dx^2 + x^{-2}(nu^2 - 1/4) + xi^2       (second order)
 
-def fd_first_order(mu: float, xi: float, grid: HalfLineGrid) -> BandMatrix:
-    """Band of the 2N x 2N FD matrix of
-    [[xi, -(d/dx - mu/x)], [d/dx + mu/x, -xi]], node-major; d/dx is
-    x^{-1} D1, which reaches 2 nodes, so w = 5.
-
-    xi is a signed frequency; its square is
+    The first order is 2N x 2N in node-major order; D1 reaches 2 nodes, so
+    w = 5.  xi is signed, and the square is
     diag(-d^2/dx^2 + mu(mu+1)/x^2 + xi^2, -d^2/dx^2 + mu(mu-1)/x^2 + xi^2).
+    The second order is N x N; D2 reaches 3 nodes, so w = 3.  Both orders
+    refuse a nu that fails ``require_witt_order`` and a log spacing above
+    0.25; any other n_c raises ConfigurationError.
     """
-    d1, _ = _t_stencils(grid)
-    plus = d1 / grid.nodes
-    minus = -plus
-    mu_over_x = mu / grid.nodes
-    # -(dx_ii - mu/x_i) == mu/x_i - dx_ii: IEEE rounding is sign-symmetric
-    plus[3] += mu_over_x
-    minus[3] += mu_over_x
-    top, bottom = np.zeros_like(d1), np.zeros_like(d1)
-    top[3], bottom[3] = xi, -xi
-    return _band([[top, minus], [plus, bottom]], 2)
-
-
-def fd_assemble_model(nu: float, beta: float,
-                      grid: HalfLineGrid) -> BandMatrix:
-    """Band of the FD matrix of -d^2/dx^2 + x^{-2}(nu^2 - 1/4) + beta^2."""
+    if n_c not in (1, 2):
+        raise ConfigurationError(
+            f"a model operator has 1 or 2 components, got {n_c}")
     require_witt_order(nu)
     h = grid.log_step
     if h > 0.25:
         raise ConfigurationError(
             f"log spacing {h:.3f} too coarse to resolve the 1/x^2 potential")
-    return fd_scalar(nu * nu - 0.25, beta, grid)
+    d1, d2 = _t_stencils(grid)
+    if n_c == 2:
+        plus = d1 / grid.nodes
+        minus = -plus
+        mu_over_x = (nu - 0.5) / grid.nodes
+        # -(dx_ii - mu/x_i) == mu/x_i - dx_ii: IEEE rounding is sign-symmetric
+        plus[3] += mu_over_x
+        minus[3] += mu_over_x
+        top, bottom = np.zeros_like(d1), np.zeros_like(d1)
+        top[3], bottom[3] = xi, -xi
+        return _band([[top, minus], [plus, bottom]], 2)
+    inv_x2 = 1.0 / grid.nodes ** 2
+    m = -inv_x2 * (d2 - d1)
+    m[3] += (nu * nu - 0.25) * inv_x2 + xi * xi
+    return _band([[m]], 3)
 
 
 def band_lu_factor(a: BandMatrix):

@@ -46,11 +46,15 @@ def require_witt_order(nu) -> None:
     x^-2 k, (nu^2 - 9/4)^-1, diverges: the free kernel's branch
     x^(nu+1/2) y^(1/2-nu) for y >= x is integrable as y -> infinity only for
     nu > 3/2.  The test is written ``not nu > 1.5`` so that NaN fails.
-    This is the only place that raises WittViolationError.
+    This is the only place that raises WittViolationError.  An order whose
+    square nu^2 (the coefficient of every model operator) is not a finite
+    float raises ConfigurationError.
     """
     if not nu > 1.5:
         raise WittViolationError(
             f"order nu={nu} violates the Witt floor nu > 3/2")
+    if not math.isfinite(float(nu) * float(nu)):
+        raise ConfigurationError(f"order nu={nu} is too large: nu^2 overflows")
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,9 @@ reduces over the corresponding fiber to the scalar Bessel operator
     -d^2/dx^2 + x^{-2}(nu^2 - 1/4) + beta^2,    beta = |xi|,
 
 inverted by the cone kernels of :mod:`edgespec.kernels`.  The first-order
-model reduces to the 2x2 block
-
-    [[beta, -(d/dx - mu/x)], [d/dx + mu/x, -beta]],   mu = nu - 1/2,
-
-whose square is diag(-d^2/dx^2 + mu(mu+1)/x^2 + beta^2,
-                     -d^2/dx^2 + mu(mu-1)/x^2 + beta^2).
+model reduces to a 2x2 block in mu = nu - 1/2.  Both finite-difference
+model operators, with their formulas, come from the one builder
+``grids.fd_assemble_model``.
 """
 
 import math
@@ -23,8 +20,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grids import (X_MAX_DEFAULT, X_MIN_DEFAULT, HalfLineGrid, build_grid,
-                    fd_assemble_model, fd_first_order, fd_scalar,
-                    nystrom_assemble, nystrom_factors, operator_norm)
+                    fd_assemble_model, nystrom_assemble, nystrom_factors,
+                    operator_norm)
 from .kernels import (ConeKernel, WeightedAction, require_witt_order,
                       weighted_kernel_matrix)
 
@@ -111,7 +108,7 @@ def round_trip_residual(nu: float, beta: float, grid: HalfLineGrid) -> float:
     """
     g = np.exp(-np.log(grid.nodes) ** 2)
     f = solve_scalar(nu, beta, g, grid)
-    resid = fd_assemble_model(nu, beta, grid) @ f - g
+    resid = fd_assemble_model(nu, beta, grid, 1) @ f - g
     sl = interior_slice(grid.n)
     w = grid.weights[sl]
     return math.sqrt(float(w @ resid[sl] ** 2) / float(w @ g[sl] ** 2))
@@ -134,27 +131,28 @@ def interior_discrepancy(approx, exact):
 def verify_square_identity(nu: float, beta: float, u, grid: HalfLineGrid):
     """Compare (2x2 block applied twice) with the direct scalar squares.
 
-    The block is the band ``fd_first_order(nu - 1/2, beta, grid)``, applied
+    The block is the band ``fd_assemble_model(nu, beta, grid, 2)``, applied
     to a finite (2, N) section u in its node-major layout (node i,
-    component c at 2i + c); stencils are built as bands, no dense FD
-    matrix is formed.  ``nu`` must pass ``require_witt_order``; ``beta`` =
+    component c at 2i + c).  The references come from the same builder's
+    scalar L = ``fd_assemble_model(nu, beta, grid, 1)``: L u[0] for the
+    upper square, since mu(mu + 1) = nu^2 - 1/4, and L u[1] - 2 mu x^-2 u[1]
+    for the lower one, since mu(mu - 1) = mu(mu + 1) - 2 mu.  ``beta`` =
     |xi| is tested as ``not beta >= 0`` so that NaN fails.  Composing
     centered first differences is only O(h) accurate against the
     second-order scalar assembly; the report carries the interior max
     discrepancy so callers can record the refinement order.
     """
-    require_witt_order(nu)
     if not beta >= 0.0:
         raise ConfigurationError("beta must be nonnegative")
     u = np.asarray(u, dtype=float)
     if u.shape != (2, grid.n) or not np.all(np.isfinite(u)):
         raise ConfigurationError("expected a finite (2, N) section")
-    mu = nu - 0.5
-    block = fd_first_order(mu, beta, grid)
+    block = fd_assemble_model(nu, beta, grid, 2)
+    scalar = fd_assemble_model(nu, beta, grid, 1)
     twice = (block @ (block @ u.T.reshape(-1))).reshape(grid.n, 2).T
     direct = np.vstack([
-        fd_scalar(mu * (mu + 1.0), beta, grid) @ u[0],
-        fd_scalar(mu * (mu - 1.0), beta, grid) @ u[1],
+        scalar @ u[0],
+        scalar @ u[1] - 2.0 * (nu - 0.5) / grid.nodes ** 2 * u[1],
     ])
     return {**interior_discrepancy(twice, direct),
             "interior_nodes": grid.n - 2 * interior_slice(grid.n).start}

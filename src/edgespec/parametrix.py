@@ -3,24 +3,20 @@
 The edge R_+ x R_y is replaced by R_+ x (y-torus of period 2 pi) with b = 1,
 so the Fourier conjugation is an exact FFT over at most 64 integer modes
 xi_k.  Per mode and fiber the operator reduces to the model system on the
-half-line; the section's component count says which:
-
-    2 components: [[xi, -(d/dx - mu/x)], [d/dx + mu/x, -xi]]   (first order)
-    1 component:  -d^2/dx^2 + x^{-2}(nu^2 - 1/4) + xi^2       (second order)
+half-line: ``grids.fd_assemble_model(nu, xi, grid, n_c)`` with the
+section's component count n_c, 2 for the first-order block and 1 for the
+second-order scalar.
 
 The inverse is a banded LU solve of the same finite-difference matrix that
 defines the discrete residual, making the right-inverse property exact to
-solver tolerance.  Stencils are built as bands; no dense FD matrix is
-formed.  The unknowns are taken in node-major order, (node i, component c)
-at n_c i + c, so the first differences (reach 2 nodes) give a band of
-width w = 5 (2 components) and the second differences (reach 3) w = 3
-(1 component): O(N) work per mode, and the residual is a sum over the
-band's diagonals.  Each fiber factors one matrix per |xi|: the
-second-order matrix depends on |xi| only, and with sigma = diag(I, -I)
-the first-order matrices satisfy
-M(mu, -xi) = -sigma M(mu, xi) sigma bit for bit.  So the +|xi| factors
-solve the -xi mode too: M(mu, -xi) x = r is M y = r' with y = sigma x and
-r' = -sigma r, and the residual M(mu, -xi) x - r is -sigma (M y - r').  The
+solver tolerance.  The unknowns are taken in node-major order, (node i,
+component c) at n_c i + c, so each mode costs O(N) work, and the residual
+is a sum over the band's diagonals.  Each fiber factors one matrix per
+|xi|: the second-order matrix depends on |xi| only, and with
+sigma = diag(I, -I) the first-order matrices satisfy
+M(nu, -xi) = -sigma M(nu, xi) sigma bit for bit.  So the +|xi| factors
+solve the -xi mode too: M(nu, -xi) x = r is M y = r' with y = sigma x and
+r' = -sigma r, and the residual M(nu, -xi) x - r is -sigma (M y - r').  The
 modes of one |xi| share one multi-column solve.  The mapping norms are
 per-mode sums (Parseval).
 """
@@ -35,7 +31,7 @@ from .errors import ConfigurationError, NumericalError, PreconditionError
 # two names until the library records its own spans (ROADMAP item 1).
 from .grids import band_lu_factor as lu_factor
 from .grids import band_lu_solve as lu_solve
-from .grids import HalfLineGrid, fd_assemble_model, fd_first_order
+from .grids import HalfLineGrid, fd_assemble_model
 from .kernels import require_witt_order
 
 Y_PERIOD = 2.0 * math.pi
@@ -82,12 +78,6 @@ def _xi_modes(n_y):
     # the dual frequencies of the y-torus: integers times 2 pi / Y_PERIOD,
     # which is exactly 1.0
     return np.fft.fftfreq(n_y, d=1.0 / n_y) * (2.0 * math.pi / Y_PERIOD)
-
-
-def _mode_matrix(nu, xi_abs, grid, n_c):
-    if n_c == 2:
-        return fd_first_order(nu - 0.5, xi_abs, grid)
-    return fd_assemble_model(nu, xi_abs, grid)
 
 
 def _check_setup(u: EdgeFunction, nus, grid: HalfLineGrid):
@@ -154,7 +144,7 @@ def _solve_modes(s, nus, grid: HalfLineGrid):
     for f, nu in enumerate(nus):
         rhs = u_hat[:, :, f, :] * s_in
         for key in np.unique(xi_abs):
-            band = _mode_matrix(nu, key, grid, n_c)
+            band = fd_assemble_model(nu, key, grid, n_c)
             try:
                 lu = lu_factor(band)
             except NumericalError as exc:

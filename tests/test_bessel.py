@@ -106,6 +106,14 @@ def test_domain_errors():
         log_bessel_ik(2.0, np.array([1.0, -3.0]))
 
 
+@pytest.mark.parametrize("fn", [bessel_i, bessel_k, log_bessel_ik])
+def test_order_whose_power_overflows_rejected(fn):
+    # the uniform branch divides by nu^ASYMPTOTIC_TERMS, which overflows at
+    # nu = 1e80: a DomainError, not a bare OverflowError
+    with pytest.raises(DomainError):
+        fn(1e80, 1.0)
+
+
 def test_u_polynomials_exact():
     u0, u1, u2 = (entry[-1] for entry in _olver_table()[:3])
     assert u2.domain == sp.QQ

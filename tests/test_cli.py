@@ -91,6 +91,26 @@ def test_main_exit_codes(capsys, tmp_path):
     assert json.loads(out.read_text())
 
 
+@pytest.mark.parametrize("argv", [
+    ["model", "--nu", "inf"],
+    ["schur", "--nu", "inf"],
+    ["schur", "--nu", "1e200"],
+    ["schur", "--nu", "1e80", "--beta", "1"],
+])
+def test_order_the_arithmetic_cannot_represent_is_refused(capsys, argv):
+    # nu^2 overflows (inf, 1e200) or the Bessel bounds' nu^4 does (1e80):
+    # a usage error with an error line, no NaN record and no traceback
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    assert main(["gb", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_schur_example_record():
     records = run_suite("schur", RunConfig(nu=2.0, beta=0.0))
     by_check = {r.check: r for r in records}

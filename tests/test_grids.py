@@ -7,9 +7,8 @@ import pytest
 from edgespec.errors import (ConfigurationError, NumericalError,
                              WittViolationError)
 from edgespec.grids import (_diagonal_cell_integrals, band_lu_factor,
-                            build_grid, fd_assemble_model, fd_first_order,
-                            log_gauss_rule, nystrom_assemble,
-                            nystrom_factors, operator_norm)
+                            build_grid, fd_assemble_model, log_gauss_rule,
+                            nystrom_assemble, nystrom_factors, operator_norm)
 from edgespec import grids, kernels
 from edgespec.kernels import (ConeKernel, WeightedAction, weighted_kernel,
                               weighted_kernel_matrix)
@@ -173,7 +172,7 @@ def test_fd_model_manufactured_solution_order():
         # -u'' + (nu^2 - 1/4)/x^2 u with u = x^{5/2} e^{-x}
         rhs = (-(2.5 * 1.5 * x ** 0.5 - 2 * 2.5 * x ** 1.5 + x ** 2.5)
                * np.exp(-x) + (nu * nu - 0.25) * x ** 0.5 * np.exp(-x))
-        op = fd_assemble_model(nu, beta, g)
+        op = fd_assemble_model(nu, beta, g, 1)
         resid = op @ u - rhs
         sl = slice(n // 10, -n // 10)
         errs[n] = float(np.max(np.abs(resid[sl])) / np.max(np.abs(rhs[sl])))
@@ -183,12 +182,17 @@ def test_fd_model_manufactured_solution_order():
 
 
 def test_fd_model_validation():
+    # both orders share the Witt floor and the coarse-grid guard; a model
+    # operator has 1 or 2 components
     g = build_grid(400)
-    with pytest.raises(WittViolationError):
-        fd_assemble_model(1.2, 0.0, g)
     coarse = build_grid(16, 1e-4, 1e3)
+    for n_c in (1, 2):
+        with pytest.raises(WittViolationError):
+            fd_assemble_model(1.2, 0.0, g, n_c)
+        with pytest.raises(ConfigurationError):
+            fd_assemble_model(2.0, 0.0, coarse, n_c)
     with pytest.raises(ConfigurationError):
-        fd_assemble_model(2.0, 0.0, coarse)
+        fd_assemble_model(2.0, 0.0, g, 3)
 
 
 def _dense_t_derivatives(g):
@@ -208,24 +212,25 @@ def _dense_t_derivatives(g):
 
 
 def test_fd_first_order_matches_block_formula():
-    # the band equals the block formula built from a dense d/dx, and
-    # M(mu, -xi) = -sigma M(mu, xi) sigma, sigma = diag(I, -I), bit for bit
+    # the n_c = 2 band equals the block formula in mu = nu - 1/2 built from
+    # a dense d/dx, and M(nu, -xi) = -sigma M(nu, xi) sigma,
+    # sigma = diag(I, -I), bit for bit
     g = build_grid(64, 1e-2, 1e2)
     d1, _ = _dense_t_derivatives(g)
     dx, eye = d1 / g.nodes[:, None], np.eye(g.n)
     sigma = np.r_[np.ones(g.n), -np.ones(g.n)]
-    for mu in (0.0, 1.6, -0.7):
-        mu_over_x = np.diag(mu / g.nodes)
+    for nu in (1.6, 2.1, 3.2):
+        mu_over_x = np.diag((nu - 0.5) / g.nodes)
         for xi in (0.0, 3.0, -5.0, 0.37):
-            band = fd_first_order(mu, xi, g)
+            band = fd_assemble_model(nu, xi, g, 2)
             assert band.w == 5
             m = _dense_from_band(band, 2)
             block = np.block([[xi * eye, -(dx - mu_over_x)],
                               [dx + mu_over_x, -xi * eye]])
             assert np.array_equal(m, block)
-            assert np.array_equal(_dense_from_band(fd_first_order(mu, -xi, g),
-                                                   2),
-                                  -(sigma[:, None] * m * sigma[None, :]))
+            assert np.array_equal(
+                _dense_from_band(fd_assemble_model(nu, -xi, g, 2), 2),
+                -(sigma[:, None] * m * sigma[None, :]))
 
 
 def test_fd_assemble_model_matches_formula():
@@ -237,7 +242,7 @@ def test_fd_assemble_model_matches_formula():
     for nu, beta in ((1.6, 0.0), (2.1, 1.0), (3.5, 7.0)):
         m = -inv_x2[:, None] * (d2 - d1)
         m[np.diag_indices_from(m)] += (nu * nu - 0.25) * inv_x2 + beta * beta
-        band = fd_assemble_model(nu, beta, g)
+        band = fd_assemble_model(nu, beta, g, 1)
         assert band.w == 3
         assert np.array_equal(_dense_from_band(band, 1), m)
 
@@ -248,8 +253,8 @@ def test_fd_bands_are_linear_in_memory():
     g = build_grid(2000, 1e-2, 1e2)
     tracemalloc.start()
     try:
-        band_lu_factor(fd_first_order(1.6, 1.0, g))
-        band_lu_factor(fd_assemble_model(2.1, 1.0, g))
+        band_lu_factor(fd_assemble_model(2.1, 1.0, g, 2))
+        band_lu_factor(fd_assemble_model(2.1, 1.0, g, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -30,7 +30,7 @@ def test_kernel_construction_validation():
 
 
 def _parametrix(nu):
-    grid = build_grid(32, 1e-2, 1e2)
+    grid = build_grid(64, 1e-2, 1e2)
     return parametrix_apply(EdgeFunction(np.ones((grid.n, 2, 1, 2))), (nu,),
                             grid)
 
@@ -47,7 +47,9 @@ WITT_FLOOR_CALLS = {
     "solve_scalar": lambda nu: solve_scalar(
         nu, 0.0, np.ones(32), build_grid(32, 1e-1, 10.0)),
     "fd_assemble_model": lambda nu: fd_assemble_model(
-        nu, 0.0, build_grid(32, 1e-1, 10.0)),
+        nu, 0.0, build_grid(32, 1e-1, 10.0), 1),
+    "fd_assemble_model_first_order": lambda nu: fd_assemble_model(
+        nu, 1.0, build_grid(32, 1e-1, 10.0), 2),
     "parametrix_apply": _parametrix,
     "free_schur_integrals": free_schur_integrals,
     "exact_weighted_norm": lambda nu: exact_weighted_norm(nu, 0),

@@ -4,8 +4,11 @@ Private helpers stay private to the module that defines them; shared
 machinery (the finite-difference stencils of ``grids``, for instance) is
 reached through public builders; relative imports sit at module level.
 The Witt floor lives in one predicate, ``kernels.require_witt_order``, the
-only code that raises ``WittViolationError``.  Every public top-level name of
-the package, constants included, has a reader besides its own unit tests.
+only code that raises ``WittViolationError``, and both finite-difference
+model operators in one builder, ``grids.fd_assemble_model``, the only
+caller of the stencil table and the band placement.  Every public
+top-level name of the package, constants included, has a reader besides
+its own unit tests.
 """
 
 import ast
@@ -50,18 +53,20 @@ def test_no_function_level_relative_imports():
     assert found == []
 
 
-def _names_witt(exc):
-    target = exc.func if isinstance(exc, ast.Call) else exc
+def _raises_witt(node):
+    if not isinstance(node, ast.Raise):
+        return False
+    target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     name = getattr(target, "id", None) or getattr(target, "attr", None)
     return name == "WittViolationError"
 
 
-def witt_raises(path):
-    """Innermost enclosing function of each ``raise WittViolationError``."""
+def enclosing_functions(path, match):
+    """Innermost enclosing function of each node for which match(node)."""
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        if isinstance(node, ast.Raise) and _names_witt(node.exc):
+        if match(node):
             yield scope
         for child in ast.iter_child_nodes(node):
             yield from visit(child, scope)
@@ -72,8 +77,21 @@ def witt_raises(path):
 
 def test_one_witt_floor_raise():
     found = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
-             for scope in witt_raises(path)]
+             for scope in enclosing_functions(path, _raises_witt)]
     assert found == [("kernels.py", "require_witt_order")]
+
+
+def _calls_fd_machinery(node):
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("_t_stencils", "_band"))
+
+
+def test_one_fd_builder():
+    # both model operators come from one builder: the stencil table and the
+    # band placement have no other caller
+    found = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in enclosing_functions(path, _calls_fd_machinery)}
+    assert found == {("grids.py", "fd_assemble_model")}
 
 
 # (module, name, reason): public names whose only readers are unit tests

@@ -12,7 +12,7 @@ from scipy.linalg import LinAlgWarning
 from edgespec.errors import (ConfigurationError, NumericalError,
                              PreconditionError, WittViolationError)
 from edgespec import parametrix
-from edgespec.grids import build_grid, fd_assemble_model, fd_first_order
+from edgespec.grids import build_grid, fd_assemble_model
 from edgespec.parametrix import (Y_PERIOD, EdgeFunction, _xi_modes,
                                  mapping_bounds, parametrix_apply,
                                  random_section, smooth_section)
@@ -100,7 +100,7 @@ def test_mapping_bounds_requires_support():
 
 def test_edge_function_keeps_validated_array():
     # a nested list is validated as an array and stored as that array
-    grid = build_grid(32, 1e-2, 1e2)
+    grid = build_grid(64, 1e-2, 1e2)
     s = np.zeros((grid.n, 2, 1, 2))
     s[grid.nodes < 1.0] = 1.0
     u = EdgeFunction(s.tolist())
@@ -161,7 +161,7 @@ def test_energy_inequality_witness():
     v = np.column_stack([v1, v2]).reshape(-1)  # node-major
     w = np.repeat(grid.weights, 2)
     for xi in (1.0, 4.0, 8.0, -4.0):
-        m = fd_first_order(1.6, xi, grid)
+        m = fd_assemble_model(2.1, xi, grid, 2)
         lv = m @ v
         lhs = float(w @ lv ** 2)
         rhs = xi * xi * float(w @ v ** 2)
@@ -205,10 +205,7 @@ def test_each_mode_solves_its_signed_matrix(n_c):
     u_hat = np.fft.fft(u.samples, axis=1)
     for f, nu in enumerate(nus):
         for k, xi in enumerate(np.r_[0:4, -4:0]):
-            if n_c == 2:
-                m = fd_first_order(nu - 0.5, xi, grid)
-            else:
-                m = fd_assemble_model(nu, abs(xi), grid)
+            m = fd_assemble_model(nu, xi, grid, n_c)
             q = q_hat[:, k, f, :].reshape(-1)  # node-major
             rhs = u_hat[:, k, f, :].reshape(-1)
             assert (np.linalg.norm(m @ q - rhs)
@@ -254,7 +251,7 @@ def test_band_storage_round_trips(n_c, nu):
     # the node-major index of each component-major one
     order = np.arange(n_c * grid.n).reshape(-1, n_c).T.reshape(-1)
     for xi_abs in (0.0, 1.0, 7.0):
-        band = parametrix._mode_matrix(nu, xi_abs, grid, n_c)
+        band = fd_assemble_model(nu, xi_abs, grid, n_c)
         assert band.w == (5 if n_c == 2 else 3)
         dense = _dense_from_band(band, n_c)
         ref = dense @ y[order]
@@ -264,7 +261,7 @@ def test_band_storage_round_trips(n_c, nu):
 
 def test_band_product_of_a_vector():
     grid = build_grid(64, 1e-2, 1e2)
-    band = fd_first_order(1.6, 3.0, grid)
+    band = fd_assemble_model(2.1, 3.0, grid, 2)
     v = np.random.default_rng(6).normal(size=2 * grid.n)
     assert np.array_equal(band @ v, (band @ v[:, None])[:, 0])
 
@@ -274,12 +271,12 @@ def test_singular_mode_matrix_raises(monkeypatch, n_c):
     # an exactly singular mode matrix fails as a typed error, not through
     # a LinAlgWarning that the test configuration turns into an error
     def zero_column(*args):
-        band = mode_matrix(*args)
+        band = build(*args)
         band.ab[:, 5] = 0.0
         return band
 
-    mode_matrix = parametrix._mode_matrix
-    monkeypatch.setattr(parametrix, "_mode_matrix", zero_column)
+    build = parametrix.fd_assemble_model
+    monkeypatch.setattr(parametrix, "fd_assemble_model", zero_column)
     grid = build_grid(64, 1e-2, 1e2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
