@@ -582,6 +582,12 @@ def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
     """Shared body of bessel_i (kind "I") and bessel_k (kind "K").
 
     Only the side ``kind`` is evaluated, to the same bits as log_bessel_ik.
+    The bound d on the log's error, returned as exp()'s relative error,
+    needs e^d' - 1 <= d for the true error d'.  The floor (|log| + 16) 4 eps
+    is twice the exponent's rounding, so d' <= d/2 where it dominates, and
+    e^(d/2) - 1 <= d for all d < 1.  A bound d >= 1 certifies no digit
+    (scaled, nu = 1e16, x = 1: two exponents near 4e17 cancel) and raises
+    DomainError.
     """
     nu, xs = _check_args(nu, x)
     li, lk, ei, ek, meth = _log_bessel(nu, xs, kind)
@@ -589,6 +595,10 @@ def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
         log_v, err, sign = float(li[0]), float(ei[0]), -1.0
     else:
         log_v, err, sign = float(lk[0]), float(ek[0]), 1.0
+    if err >= 1.0:
+        raise DomainError(
+            f"{kind}_nu(x) at nu={nu}, x={x} has error bound {err:.3g} "
+            ">= 1, which certifies no digit")
     method = _METHOD_LABELS[kind][int(meth[0])]
     if scaled:
         scale = float(_scale_exponent(nu, np.array([x]))[0])
@@ -607,7 +617,8 @@ def bessel_i(nu: float, x: float, scaled: bool = False) -> BesselEval:
     "recurrence" (CF1 plus the Wronskian, the other x > SERIES_MAX_ARG) or
     "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).  No K routine runs
     for "series"; "recurrence" also runs CF2 for K_nu and K_{nu+1}, and
-    Hankel and the uniform branch give I and K from shared terms.
+    Hankel and the uniform branch give I and K from shared terms.  Raises
+    DomainError when the error bound would be >= 1.
     """
     return _bessel_eval("I", nu, x, scaled)
 
@@ -620,7 +631,7 @@ def bessel_k(nu: float, x: float, scaled: bool = False) -> BesselEval:
     (Steed's continued fraction, the other x > TEMME_MAX_ARG) or
     "uniform_asymptotic" (nu >= ASYMPTOTIC_MIN_ORDER).  "temme" and "cf2"
     run no I routine; Hankel and the uniform branch give I and K from
-    shared terms.
+    shared terms.  Raises DomainError when the error bound would be >= 1.
     """
     return _bessel_eval("K", nu, x, scaled)
 

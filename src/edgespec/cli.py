@@ -34,8 +34,6 @@ from .scales import (DEFAULT_SEED, TENSOR_CHECK_TOL, intersection_scale_check,
                      random_generator, random_psd_block, same_scale_demo,
                      tensor_positivity_check, tensor_power_error)
 
-SUITES = ("bessel", "schur", "model", "parametrix", "gb", "scales", "witt",
-          "all")
 # Fourier modes in y of the parametrix suite's random edge functions.
 Y_MODES = 16
 
@@ -205,6 +203,7 @@ _SUITE_FUNCS = {
     "scales": _suite_scales,
     "witt": _suite_witt,
 }
+SUITES = (*_SUITE_FUNCS, "all")
 
 
 def run_suite(name: str, config: RunConfig):
@@ -225,19 +224,22 @@ def run_suite(name: str, config: RunConfig):
 
 def _fmt_real(v):
     if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
         return format(v, ".12g")
     return str(v)
 
 
 def emit(records, fmt: str = "json") -> bytes:
-    """Serialize CheckRecords as JSON (array of objects) or CSV."""
+    """Serialize CheckRecords as JSON (array of objects; a non-finite
+    ``measured`` or ``bound`` is null, as RFC 8259 has no Infinity) or CSV."""
     if not records:
         raise PreconditionError("emit requires at least one record")
     if fmt == "json":
         payload = [r.as_dict() for r in records]
-        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        for rec in payload:
+            rec.update((k, None) for k in ("measured", "bound")
+                       if not math.isfinite(rec[k]))
+        return (json.dumps(payload, indent=2, sort_keys=True,
+                           allow_nan=False) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
         wr = csv.writer(buf, lineterminator="\n")

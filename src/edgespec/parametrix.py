@@ -11,14 +11,9 @@ The inverse is a banded LU solve of the same finite-difference matrix that
 defines the discrete residual, making the right-inverse property exact to
 solver tolerance.  The unknowns are taken in node-major order, (node i,
 component c) at n_c i + c, so each mode costs O(N) work, and the residual
-is a sum over the band's diagonals.  Each fiber factors one matrix per
-|xi|: the second-order matrix depends on |xi| only, and with
-sigma = diag(I, -I) the first-order matrices satisfy
-M(nu, -xi) = -sigma M(nu, xi) sigma bit for bit.  So the +|xi| factors
-solve the -xi mode too: M(nu, -xi) x = r is M y = r' with y = sigma x and
-r' = -sigma r, and the residual M(nu, -xi) x - r is -sigma (M y - r').  The
-modes of one |xi| share one multi-column solve.  The mapping norms are
-per-mode sums (Parseval).
+is a sum over the band's diagonals.  Each (fiber, xi) mode, xi signed,
+builds and factors its own matrix.  The mapping norms are per-mode sums
+(Parseval).
 """
 
 import math
@@ -122,45 +117,31 @@ def smooth_section(grid: HalfLineGrid, profile, n_c):
 
 
 def _solve_modes(s, nus, grid: HalfLineGrid):
-    """Per-(fiber, |xi|) banded LU solves of the samples ``_check_setup``
+    """Per-(fiber, xi) banded LU solves of the samples ``_check_setup``
     returned; returns the transforms of u, Qu and the residual, and the xi
-    modes.  Each (fiber, |xi|) makes one ``lu_factor`` and one ``lu_solve``
-    call, and its residual M y - b comes from the same band."""
+    modes.  Each (fiber, xi) builds its band, makes one ``lu_factor`` and
+    one ``lu_solve`` call, and takes its residual M y - b from that band."""
     n_x, n_y, _, n_c = s.shape
     u_hat = np.fft.fft(s, axis=1)
     q_hat = np.empty_like(u_hat)
     r_hat = np.empty_like(u_hat)
     xis = _xi_modes(n_y)
-    xi_abs = np.abs(xis)
-    # A first-order mode with xi < 0 is solved with the +|xi| matrix M:
-    # M(-xi) x = r is M y = r' with r' = -sigma r = (-r1, r2), x = sigma y =
-    # (y1, -y2), and the residual M(-xi) x - r is -sigma (M y - r').  The
-    # signs per (mode, component): r' = s_in r, x = s_out y, residual
-    # s_in (M y - r'); all ones for the second order.
-    s_in, s_out = np.ones((n_y, n_c)), np.ones((n_y, n_c))
-    if n_c == 2:
-        s_in[xis < 0, 0] = -1.0
-        s_out[xis < 0, 1] = -1.0
     for f, nu in enumerate(nus):
-        rhs = u_hat[:, :, f, :] * s_in
-        for key in np.unique(xi_abs):
-            band = fd_assemble_model(nu, key, grid, n_c)
+        for k, xi in enumerate(xis):
+            band = fd_assemble_model(nu, xi, grid, n_c)
             try:
                 lu = lu_factor(band)
             except NumericalError as exc:
                 raise NumericalError(
-                    f"singular mode matrix at (nu={nu}, |xi|={key})") from exc
-            ks = np.flatnonzero(xi_abs == key)
-            # the modes' columns (node-major), real parts then imaginary
-            # parts: one real solve and one real product
-            b = rhs[:, ks, :].transpose(0, 2, 1).reshape(n_x * n_c, -1)
-            b = np.concatenate([b.real, b.imag], axis=1)
+                    f"singular mode matrix at (nu={nu}, xi={xi})") from exc
+            # the node-major column, real part then imaginary part: one
+            # real solve and one real product
+            b = u_hat[:, k, f, :].reshape(-1)
+            b = np.column_stack([b.real, b.imag])
             y = lu_solve(lu, b)
             for out, cols in ((q_hat, y), (r_hat, band @ y - b)):
-                z = cols[:, :ks.size] + 1j * cols[:, ks.size:]
-                out[:, ks, f, :] = z.reshape(n_x, n_c, -1).transpose(0, 2, 1)
-        q_hat[:, :, f, :] *= s_out
-        r_hat[:, :, f, :] *= s_in
+                out[:, k, f, :] = (cols[:, 0] + 1j * cols[:, 1]).reshape(
+                    n_x, n_c)
     return u_hat, q_hat, r_hat, xis
 
 

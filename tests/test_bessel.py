@@ -350,6 +350,31 @@ def test_oracle_gate_no_bound_violations():
     assert violations == []
 
 
+# scaled points whose err_bound lies in [1e-3, 1), where the
+# representation floor of a huge exponent dominates it
+LOOSE_BOUND_POINTS = [(2.0, 3e14), (2.0, 1e15), (1e12, 1.0), (1e13, 1.0)]
+
+
+@pytest.mark.parametrize("nu,x", LOOSE_BOUND_POINTS)
+def test_loose_bounds_still_hold(nu, x):
+    for fn, ref in zip((bessel_i, bessel_k), _mp_scaled(nu, x)):
+        ev = fn(nu, x, scaled=True)
+        assert 1e-3 <= ev.err_bound < 1.0
+        assert abs(ev.value - ref) / ref <= ev.err_bound
+
+
+@pytest.mark.parametrize("fn", [bessel_i, bessel_k])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_bound_of_one_or_more_raises(fn, scaled):
+    # at nu = 1e16 the scaled exponents near 4e17 cancel to nothing (bound
+    # 324); at 1e14 the bound is 2.8; at 1e12 it is 0.024
+    for nu in (1e16, 1e14):
+        with pytest.raises(DomainError, match="error bound"):
+            fn(nu, 1.0, scaled=scaled)
+    assert fn(1e12, 1.0, scaled=True).err_bound == pytest.approx(
+        0.024, rel=0.05)
+
+
 @pytest.mark.parametrize("mu", [40.0, 250.0, 600.0])
 def test_asymptotic_bounds_nonnegative(mu):
     # near p = 1 a variation from zero can round above the total variation

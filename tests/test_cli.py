@@ -64,6 +64,23 @@ def test_csv_significant_digits():
     assert "0.285714285714" in row
 
 
+def test_json_is_standard():
+    # the fitted_c_* records have bound inf: RFC 8259 JSON has no Infinity,
+    # so it is written as null
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    records = run_suite("parametrix", RunConfig(seed=0))
+    out = json.loads(emit(records, "json"), parse_constant=reject)
+    assert [r["bound"] for r in out if r["check"].startswith(
+        "parametrix.fitted_c")] == [None, None]
+
+
+def test_csv_non_finite():
+    rec = CheckRecord("demo", {}, float("-inf"), float("inf"), False, 0)
+    row = emit([rec], "csv").decode().split("\n")[1]
+    assert row == "demo,,-inf,inf,false,0"
+
+
 def test_deterministic_json():
     cfg = RunConfig()
     a = _strip_runtime(emit(run_suite("scales", cfg), "json"))

@@ -196,8 +196,7 @@ def test_xi_modes_are_exact_integers():
 
 @pytest.mark.parametrize("n_c", [2, 1])
 def test_each_mode_solves_its_signed_matrix(n_c):
-    # every mode's transform solves the matrix of its own signed xi, built
-    # here without the sigma-conjugation the solver uses for xi < 0
+    # every mode's transform solves the matrix of its own signed xi
     grid = build_grid(100, 1e-2, 1e2)
     nus = (2.1, 3.5)
     u = _supported_input(grid, 8, 2, n_c)
@@ -213,9 +212,9 @@ def test_each_mode_solves_its_signed_matrix(n_c):
 
 
 @pytest.mark.parametrize("n_c", [2, 1])
-def test_one_factorization_per_abs_xi(monkeypatch, n_c):
-    # 16 modes have 9 distinct |xi|: one factorization and one solve per
-    # (fiber, |xi|), for either order
+def test_one_factorization_per_mode(monkeypatch, n_c):
+    # one factorization and one solve per (fiber, signed xi), for either
+    # order: 2 fibers x 16 modes
     calls = {"lu_factor": 0, "lu_solve": 0}
     for name in calls:
         def counted(*args, _fn=getattr(parametrix, name), _name=name):
@@ -224,7 +223,7 @@ def test_one_factorization_per_abs_xi(monkeypatch, n_c):
         monkeypatch.setattr(parametrix, name, counted)
     grid = build_grid(64, 1e-2, 1e2)
     mapping_bounds(_supported_input(grid, 16, 2, n_c), (2.1, 3.5), grid)
-    assert calls == {"lu_factor": 18, "lu_solve": 18}
+    assert calls == {"lu_factor": 32, "lu_solve": 32}
 
 
 def _dense_from_band(band, n_c):
