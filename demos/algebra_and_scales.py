@@ -4,7 +4,6 @@ Run:  python3 demos/algebra_and_scales.py
 """
 
 import numpy as np
-import sympy as sp
 
 from edgespec.clifford import (build_clifford, commutator_report,
                                symbolic_square_identity)
@@ -13,16 +12,18 @@ from edgespec.scales import (TENSOR_CHECK_TOL, intersection_scale_check,
                              same_scale_demo, tensor_positivity_check,
                              tensor_power_error)
 
-print("Clifford structure (exact sympy arithmetic):")
+print("Clifford structure (exact in complex128: small Gaussian integers):")
 _, _, _, gamma, s_sign, t_sign = build_clifford()
-print("  Gamma^2 = -I:", gamma * gamma == -sp.eye(4))
-print("  Gamma skew, orthogonal:", gamma.T == -gamma,
-      gamma.T * gamma == sp.eye(4))
+eye = np.eye(4)
+print("  Gamma^2 = -I:", np.array_equal(gamma @ gamma, -eye))
+print("  Gamma skew, orthogonal:", np.array_equal(gamma.T, -gamma),
+      np.array_equal(gamma.T @ gamma, eye))
 names = ("{Gamma,S}", "{Gamma,T}", "[T,S]")
 for name, mat in zip(names, commutator_report()):
-    print(f"  {name} = 0:", mat == sp.zeros(4, 4))
+    print(f"  {name} = 0:", np.array_equal(mat, np.zeros((4, 4))))
 lhs, rhs = symbolic_square_identity()
-print("  D^2 = -d^2 + X^-2 S(S+1) + T^2 (on a generic section):", lhs == rhs)
+print("  D^2 = -d^2 + X^-2 S(S+1) + T^2 (on a generic section, sympy):",
+      lhs == rhs)
 
 print("\nInterpolation scales:")
 rng = np.random.default_rng(20240617)

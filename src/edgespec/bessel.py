@@ -9,7 +9,8 @@ The evaluator combines four branches:
   per element where their remainder bounds (DLMF 10.40(ii)-(iii), 10.40.10
   with chi(l) of 10.40.11 for I) reach a few units of roundoff,
 * large-order uniform asymptotic expansions with explicit error bounds
-  obtained from total variations of the coefficient polynomials U_j.
+  obtained from total variations of the coefficient polynomials U_j,
+  which the module builds exactly in ``fractions`` (no computer algebra).
 
 All core routines are vectorized over the argument ``x`` for a fixed order
 ``nu``; results are carried in log scale internally so that products such as
@@ -26,16 +27,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import (polyadd, polyder, polyint, polymul,
+                                         polyroots, polyval)
 
 from .errors import DomainError, NumericalError, OverflowModeError
 
 _EPS = np.finfo(float).eps
 _LOG_MAX = 700.0
+# log of the smallest normal double, about -708.4: below it an unscaled
+# value is subnormal or 0.0, and its relative error bound no longer holds
+_LOG_MIN = math.log(np.finfo(float).tiny)
 
 # Order threshold for the uniform asymptotic branch and argument threshold
 # for the ascending series; below the threshold, series plus continued
@@ -113,43 +118,86 @@ def olver_eta(x):
 # Olver coefficient polynomials U_j and their variations
 # ---------------------------------------------------------------------------
 
+def _exact_sign(poly, q) -> int:
+    """Sign of the polynomial with Fraction coefficients poly at rational q."""
+    v = polyval(Fraction(q), poly)
+    return (v > 0) - (v < 0)
+
+
+def _double(bits: int) -> float:
+    """The double whose IEEE bit pattern is bits; for positive doubles the
+    bit patterns are ordered as the values are."""
+    return float(np.int64(bits).view(np.float64))
+
+
+def _nearest_double_root(poly, guess: float) -> float:
+    """The double nearest the root of poly within 8 ulp of guess in (0, 1).
+
+    An exact sign change of poly across guess -+ 8 ulp certifies the root;
+    bisection on the bit patterns narrows the bracket to two neighbouring
+    doubles, and the sign at their exact midpoint picks the nearer one.
+    """
+    lo, hi = (int(np.float64(guess).view(np.int64)) + k for k in (-8, 8))
+    s_lo = _exact_sign(poly, _double(lo))
+    if s_lo * _exact_sign(poly, _double(hi)) >= 0:
+        raise NumericalError(f"no certified root of U_j' near {guess!r}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s = _exact_sign(poly, _double(mid))
+        if s == 0:
+            return _double(mid)
+        lo, hi = (mid, hi) if s == s_lo else (lo, mid)
+    a, b = _double(lo), _double(hi)
+    nearer_b = _exact_sign(poly, (Fraction(a) + Fraction(b)) / 2) == s_lo
+    return b if nearer_b else a
+
+
 @lru_cache(maxsize=1)
 def _olver_table():
     """U_0..U_ASYMPTOTIC_TERMS with their variation profiles, built once.
 
-    sympy runs the recurrence over the rationals,
+    The recurrence
 
-    U_{j+1}(p) = p^2 (1-p^2) U_j'(p) / 2 + (1/8) int_0^p (1 - 5 t^2) U_j(t) dt,
+    U_{j+1}(p) = p^2 (1-p^2) U_j'(p) / 2 + (1/8) int_0^p (1 - 5 t^2) U_j(t) dt
 
-    and isolates the critical points of each U_j in (0, 1) to within 1e-18
-    by exact root isolation.  Entry j is (coeffs, pts, vals, cum, exact):
-    the float coefficients of U_j in ascending powers of p; the breakpoints
-    0, those critical points and 1; U_j at them, each evaluated exactly and
-    rounded once; the cumulative variation of U_j from 0, whose last entry
-    is its total variation on (0, 1); and U_j itself as a sympy Poly over QQ.
+    runs exactly, on Fraction coefficients.  The critical points of each
+    U_j in (0, 1) are the real roots there of U_j' with its factor p^m
+    divided out (so no multiple root at 0 splits into spurious ones):
+    numpy's companion-matrix roots, one Newton step in floating point, then
+    the nearest double by exact sign tests.  That every critical point is
+    found is checked against exact root isolation in the tests.  Entry j is
+    (coeffs, pts, vals, cum, exact): the float coefficients of U_j in
+    ascending powers of p; the breakpoints 0, those critical points and 1;
+    U_j at them, each evaluated exactly and rounded once; the cumulative
+    variation of U_j from 0, whose last entry is its total variation on
+    (0, 1); and the Fraction coefficients of U_j, ascending.
     """
-    p, qq = sp.Symbol("p"), sp.QQ
-    # p^2 (1 - p^2) / 2 and (1 - 5 p^2) / 8 from their coefficients, highest
-    # power first: sympy expression arithmetic would first import its tensor
-    # module, about 0.1 s
-    lift = sp.Poly([qq(-1, 2), 0, qq(1, 2), 0, 0], p, domain=qq)
-    damp = sp.Poly([qq(-5, 8), 0, qq(1, 8)], p, domain=qq)
-    polys = [sp.Poly([1], p, domain=qq)]
+    lift = np.array([0, 0, Fraction(1, 2), 0, Fraction(-1, 2)], dtype=object)
+    damp = np.array([Fraction(1, 8), 0, Fraction(-5, 8)], dtype=object)
+    polys = [np.array([Fraction(1)], dtype=object)]
     while len(polys) <= ASYMPTOTIC_TERMS:
         u = polys[-1]
-        polys.append(lift * u.diff(p) + (damp * u).integrate(p))
+        polys.append(polyadd(polymul(lift, polyder(u)),
+                             polyint(polymul(damp, u))))
     table = []
     for u in polys:
-        crit = [(lo + hi) / 2 for (lo, hi), _ in
-                u.diff(p).intervals(eps=1e-18, inf=0, sup=1)]
-        qs = [0] + [q for q in crit if 0 < q < 1] + [1]
-        coeffs = np.array([float(c) for c in reversed(u.all_coeffs())])
-        pts = np.array([float(q) for q in qs])
-        vals = np.array([float(u.eval(q)) for q in qs])
+        du = polyder(u)
+        crit = []
+        if du.any():
+            du = du[np.flatnonzero(du)[0]:]
+            fdu = du.astype(float)
+            for r in polyroots(fdu):
+                if r.imag == 0.0 and 0.0 < r.real < 1.0:
+                    q = r.real - polyval(r.real, fdu) / polyval(
+                        r.real, polyder(fdu))
+                    crit.append(_nearest_double_root(du, q))
+        pts = np.array([0.0, *sorted(crit), 1.0])
+        coeffs = u.astype(float)
+        vals = np.array([float(polyval(Fraction(q), u)) for q in pts])
         cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(vals)))])
         for arr in (coeffs, pts, vals, cum):
             arr.flags.writeable = False
-        table.append((coeffs, pts, vals, cum, u))
+        table.append((coeffs, pts, vals, cum, tuple(u)))
     return tuple(table)
 
 
@@ -587,7 +635,9 @@ def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
     is twice the exponent's rounding, so d' <= d/2 where it dominates, and
     e^(d/2) - 1 <= d for all d < 1.  A bound d >= 1 certifies no digit
     (scaled, nu = 1e16, x = 1: two exponents near 4e17 cancel) and raises
-    DomainError.
+    DomainError.  An unscaled value outside the normal doubles raises
+    OverflowModeError, on overflow and on underflow alike (I_300(1) is
+    about 1.6e-705).
     """
     nu, xs = _check_args(nu, x)
     li, lk, ei, ek, meth = _log_bessel(nu, xs, kind)
@@ -606,6 +656,9 @@ def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
     if log_v > _LOG_MAX:
         raise OverflowModeError(
             f"{kind}_{nu}({x}) overflows double precision; use scaled=True")
+    if log_v < _LOG_MIN:
+        raise OverflowModeError(
+            f"{kind}_{nu}({x}) underflows double precision; use scaled=True")
     return BesselEval(math.exp(log_v), err, method)
 
 

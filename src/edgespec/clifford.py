@@ -1,35 +1,40 @@
 """Exact Clifford algebra of the Gauss-Bonnet model-edge operator.
 
-All matrices live over the Gaussian rationals (sympy exact arithmetic), so
-every identity below is checked with zero tolerance:
+The generators are numpy complex128 arrays with entries in {0, -1, 1, -i, i}:
 
     sigma1 = [[0,-1],[1,0]],  sigma2 = [[0,i],[i,0]],  omega = i sigma1 sigma2,
     Gamma  = sigma1 (x) omega,
     s_sign = omega  (x) omega  = diag(1,-1,-1,1),
     t_sign = sigma1 (x) sigma1  (antidiagonal (1,-1,-1,1)).
 
+A product of two of these 4x4 matrices has Gaussian-integer entries of
+modulus at most 4, and a sum of two products at most 8.  Doubles hold such
+integers exactly, so every floating-point operation on them is exact and
+every identity below is checked with zero tolerance in complex128.
+
 The model-edge operator is D = Gamma (d/dx + X^{-1} S) + T with S = s_sign * a
 and T = t_sign * d for commuting fiber scalars a (eigenvalue of A) and d
 (eigenvalue of D^Y); its square collapses to
--d^2/dx^2 + X^{-2} S(S+1) + T^2.
+-d^2/dx^2 + X^{-2} S(S+1) + T^2.  ``symbolic_square_identity`` checks that
+with sympy, the one place the package imports it.
 
-The module is exact only: no floating point and no discretization.  The
+The module is exact only: no rounding and no discretization.  The
 numerical square check of the first-order model is
 ``model.verify_square_identity``, on the one finite-difference builder
 ``grids.fd_assemble_model``.
 """
 
-import sympy as sp
+import numpy as np
 
 
 def build_clifford():
-    """(sigma1, sigma2, omega, gamma, s_sign, t_sign) as exact sympy matrices."""
-    sigma1 = sp.Matrix([[0, -1], [1, 0]])
-    sigma2 = sp.Matrix([[0, sp.I], [sp.I, 0]])
-    omega = sp.I * sigma1 * sigma2
-    gamma = sp.Matrix(sp.kronecker_product(sigma1, omega))
-    s_sign = sp.Matrix(sp.kronecker_product(omega, omega))
-    t_sign = sp.Matrix(sp.kronecker_product(sigma1, sigma1))
+    """(sigma1, sigma2, omega, gamma, s_sign, t_sign) as complex128 arrays."""
+    sigma1 = np.array([[0, -1], [1, 0]], dtype=complex)
+    sigma2 = np.array([[0, 1j], [1j, 0]])
+    omega = 1j * sigma1 @ sigma2
+    gamma = np.kron(sigma1, omega)
+    s_sign = np.kron(omega, omega)
+    t_sign = np.kron(sigma1, sigma1)
     return sigma1, sigma2, omega, gamma, s_sign, t_sign
 
 
@@ -41,9 +46,9 @@ def commutator_report():
     and drop out of the relations.
     """
     _, _, _, gamma, s_sign, t_sign = build_clifford()
-    anti_gs = gamma * s_sign + s_sign * gamma
-    anti_gt = gamma * t_sign + t_sign * gamma
-    comm_ts = t_sign * s_sign - s_sign * t_sign
+    anti_gs = gamma @ s_sign + s_sign @ gamma
+    anti_gt = gamma @ t_sign + t_sign @ gamma
+    comm_ts = t_sign @ s_sign - s_sign @ t_sign
     return anti_gs, anti_gt, comm_ts
 
 
@@ -54,11 +59,14 @@ def symbolic_square_identity():
     functions of x, with symbolic commuting scalars a, d.  Returns the
     expanded (D(Du), right-hand side applied to it); a differential operator
     is fixed by its action on generic functions, so lhs == rhs certifies the
-    identity.
+    identity.  Gamma, S and T are real, and enter as integer sympy matrices.
     """
+    import sympy as sp  # only here: the rest of the package runs without it
+
     x = sp.Symbol("x", positive=True)
     a, d = sp.symbols("a d", positive=True)
-    _, _, _, gamma, s_sign, t_sign = build_clifford()
+    gamma, s_sign, t_sign = (sp.Matrix(m.real.astype(int))
+                             for m in build_clifford()[3:])
     s_mat = a * s_sign
     t_mat = d * t_sign
     u = sp.Matrix([sp.Function(f"u{k}")(x) for k in range(4)])

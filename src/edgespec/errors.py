@@ -14,7 +14,8 @@ class ConfigurationError(EdgespecError, ValueError):
 
 
 class OverflowModeError(EdgespecError, OverflowError):
-    """An unscaled evaluation would overflow; the caller should use scaled mode."""
+    """An unscaled evaluation would overflow, or underflow below the normal
+    doubles; the caller should use scaled mode."""
 
 
 class WittViolationError(EdgespecError, ValueError):

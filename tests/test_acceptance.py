@@ -13,7 +13,6 @@ import math
 import sys
 
 import numpy as np
-import sympy as sp
 
 from edgespec.bessel import uniform_asymptotic_excess, wronskian_residual
 from edgespec.clifford import (build_clifford, commutator_report,
@@ -209,10 +208,11 @@ def test_criterion_6_parametrix():
 def test_criterion_7_clifford_exact():
     """All structure identities in exact arithmetic, zero tolerance."""
     _, _, _, gamma, s_sign, t_sign = build_clifford()
-    ok = all(m == sp.zeros(4, 4) for m in commutator_report())
-    ok = ok and gamma * gamma == -sp.eye(4)
-    ok = ok and gamma.T == -gamma
-    ok = ok and gamma.T * gamma == sp.eye(4)
+    eye = np.eye(4)
+    ok = all(np.array_equal(m, np.zeros((4, 4))) for m in commutator_report())
+    ok = ok and np.array_equal(gamma @ gamma, -eye)
+    ok = ok and np.array_equal(gamma.T, -gamma)
+    ok = ok and np.array_equal(gamma.T @ gamma, eye)
     lhs, rhs = symbolic_square_identity()
     ok = ok and lhs == rhs
     assert _verdict(7, ok, "commutators, gamma^2 = -I, skew-adjointness, "

@@ -6,6 +6,7 @@ are compared absolutely (log error ~ relative error of the function value).
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -97,6 +98,18 @@ def test_unscaled_overflow_raises():
         bessel_k(2.0, 1e-300)
 
 
+@pytest.mark.parametrize("fn,nu,x", [(bessel_i, 300.0, 1.0),
+                                     (bessel_i, 2.0, 1e-200),
+                                     (bessel_k, 2.0, 800.0)])
+def test_unscaled_underflow_raises(fn, nu, x):
+    # I_300(1) is about 1.6e-705: unscaled it would be 0.0 with a tight
+    # relative bound; scaled it is an ordinary number
+    with pytest.raises(OverflowModeError, match="underflows"):
+        fn(nu, x)
+    ev = fn(nu, x, scaled=True)
+    assert 0.0 < ev.value < math.inf and ev.err_bound < 1e-10
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         bessel_i(-1.0, 1.0)
@@ -114,16 +127,29 @@ def test_order_whose_power_overflows_rejected(fn):
         fn(1e80, 1.0)
 
 
+def _exact_u(exact):
+    """U_j as a sympy Poly over QQ, from the table's Fraction coefficients."""
+    return sp.Poly([sp.Rational(c.numerator, c.denominator)
+                    for c in reversed(exact)], sp.Symbol("p"), domain=sp.QQ)
+
+
+def _exact_breakpoints(u):
+    """0, sympy's real roots of U_j' in (0, 1), each as a rational within
+    1e-50 of the root, and 1."""
+    roots = [r for r in u.diff(u.gen).real_roots() if 0 < r < 1]
+    return [sp.Integer(0), *(sp.Rational(r.evalf(50)) for r in roots),
+            sp.Integer(1)]
+
+
 def test_u_polynomials_exact():
     u0, u1, u2 = (entry[-1] for entry in _olver_table()[:3])
-    assert u2.domain == sp.QQ
-    assert u0.all_coeffs() == [1]
-    # U_1(p) = (3p - 5p^3)/24
-    assert u1.all_coeffs() == [sp.Rational(-5, 24), 0, sp.Rational(1, 8), 0]
+    assert all(isinstance(c, Fraction) for c in u0 + u1 + u2)
+    assert u0 == (1,)
+    # U_1(p) = (3p - 5p^3)/24, ascending powers
+    assert u1 == (0, Fraction(1, 8), 0, Fraction(-5, 24))
     # U_2(p) = (81p^2 - 462p^4 + 385p^6)/1152
-    assert u2.all_coeffs() == [sp.Rational(385, 1152), 0,
-                               sp.Rational(-462, 1152), 0,
-                               sp.Rational(81, 1152), 0, 0]
+    assert u2 == (0, 0, Fraction(81, 1152), 0, Fraction(-462, 1152), 0,
+                  Fraction(385, 1152))
 
 
 def test_olver_table_total_variations():
@@ -131,7 +157,7 @@ def test_olver_table_total_variations():
     # point shows as a table total below this dense-grid estimate.
     p = np.linspace(0.0, 1.0, 200001)
     for *_, cum, exact in _olver_table():
-        coeffs = [float(c) for c in reversed(exact.all_coeffs())]
+        coeffs = [float(c) for c in reversed(_exact_u(exact).all_coeffs())]
         vals = np.polynomial.polynomial.polyval(p, coeffs)
         dense = float(np.sum(np.abs(np.diff(vals))))
         assert cum[-1] >= dense * (1.0 - 1e-12)
@@ -140,14 +166,29 @@ def test_olver_table_total_variations():
 
 def test_olver_table_matches_exact_variation():
     # Total variation from the exact real roots of U_j' in (0, 1), each
-    # U_j value taken to 40 digits; the table may differ by rounding only.
+    # U_j value exact; the table may differ by rounding only.
     for j, (*_, cum, exact) in enumerate(_olver_table()):
-        p = exact.gen
-        roots = [r for r in exact.diff(p).real_roots() if 0 < r < 1]
-        vals = [exact.as_expr().subs(p, q).evalf(40) for q in [0, *roots, 1]]
+        u = _exact_u(exact)
+        vals = [u.eval(q) for q in _exact_breakpoints(u)]
         total = sum(abs(b - a) for a, b in zip(vals, vals[1:]))
         ref = float(total)
         assert abs(cum[-1] - ref) <= 4 * np.spacing(ref), j
+
+
+def test_olver_breakpoints_match_exact_roots():
+    # the same critical points as sympy's exact root isolation, each within
+    # 2 ulp; U_j there rounded once, and the variations from those values
+    for j, (_, pts, vals, cum, exact) in enumerate(_olver_table()):
+        u = _exact_u(exact)
+        qs = _exact_breakpoints(u)
+        assert len(pts) == len(qs), j
+        ref_pts = np.array([float(q) for q in qs])
+        assert np.all(np.abs(pts - ref_pts) <= 2 * np.spacing(ref_pts)), j
+        ref_vals = np.array([float(u.eval(q)) for q in qs])
+        assert np.array_equal(vals, ref_vals), j
+        ref_cum = np.concatenate([[0.0],
+                                  np.cumsum(np.abs(np.diff(ref_vals)))])
+        assert np.array_equal(cum, ref_cum), j
 
 
 def test_eta_monotone():
@@ -182,7 +223,7 @@ def test_method_reporting():
     assert bessel_i(2.0, 15.0).method == "recurrence"
     assert bessel_i(2.0, 50.0).method == "hankel"
     assert bessel_i(2.0, 1e9, scaled=True).method == "hankel"
-    assert bessel_i(300.0, 1.0).method == "uniform_asymptotic"
+    assert bessel_i(300.0, 1.0, scaled=True).method == "uniform_asymptotic"
     assert bessel_k(2.0, 1.0).method == "temme"
     assert bessel_k(2.0, 5.0).method == "cf2"
     assert bessel_k(2.0, 15.0).method == "cf2"

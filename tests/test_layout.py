@@ -6,7 +6,9 @@ reached through public builders; relative imports sit at module level.
 The Witt floor lives in one predicate, ``kernels.require_witt_order``, the
 only code that raises ``WittViolationError``, and both finite-difference
 model operators in one builder, ``grids.fd_assemble_model``, the only
-caller of the stencil table and the band placement.  Every public
+caller of the stencil table and the band placement.  sympy is imported
+by ``clifford.symbolic_square_identity`` alone, inside it, and mpmath
+nowhere, so importing the package loads no computer algebra.  Every public
 top-level name of the package, constants included, has a reader besides
 its own unit tests.
 """
@@ -92,6 +94,25 @@ def test_one_fd_builder():
     found = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
              for scope in enclosing_functions(path, _calls_fd_machinery)}
     assert found == {("grids.py", "fd_assemble_model")}
+
+
+def _imports_computer_algebra(node):
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        return False
+    return any(m.split(".")[0] in ("sympy", "mpmath") for m in modules)
+
+
+def test_sympy_imported_only_by_the_symbolic_identity():
+    # not at module level anywhere: the CLI and the benchmark's set-up run
+    # without it
+    found = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in enclosing_functions(path,
+                                              _imports_computer_algebra)]
+    assert found == [("clifford.py", "symbolic_square_identity")]
 
 
 # (module, name, reason): public names whose only readers are unit tests
