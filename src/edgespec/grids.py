@@ -20,16 +20,24 @@ metric of the grid weights.
 The Nystrom diagonal pass evaluates the kernel only at the pairs it keeps,
 and the actions of one kernel can share one ``NystromFactors``: the Bessel
 factors at the nodes and at the diagonal-cell points, evaluated once.
-``operator_norm`` iterates on a Gram matrix formed once, one BLAS symmetric
-matvec per step.
+``operator_norm`` iterates on a Gram matrix formed once, one numpy matvec
+per step.  It first flushes the entries below sqrt(tiny) of its scaled
+matrix to zero, which moves the norm by at most N sqrt(tiny) = N 1.5e-154
+relative and keeps subnormal doubles, several times slower to multiply,
+out of the Gram matrix.  A loop still running after _JUMP_AFTER steps
+jumps 16 steps per matvec with a power of the Gram matrix and replays the
+last plain steps when the stopping rule fires, so it stops where the plain
+loop does (the condition is in its docstring).
+
+The module needs only numpy on import; scipy's LAPACK band routines are
+imported inside ``band_lu_factor`` and ``band_lu_solve``, on the first
+parametrix solve.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ddot, dsymv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConfigurationError, NumericalError
 from .kernels import (ConeKernel, KernelFactors, WeightedAction,
@@ -44,6 +52,17 @@ DIAG_CELL_NODES = 16
 
 POWER_ITER_TOL = 1e-8
 POWER_ITER_MAX = 10_000
+# operator_norm: plain power steps before it jumps, and squarings per jump
+# (2^4 = 16 steps).  At N = 400 the jump matrix (four syrk squarings, five
+# flushes) costs about 5 ms, some 200 matvecs of 25 us, and a jump does 16
+# steps in 3 matvecs; the sweep's norms that pass 128 steps take up to 7600.
+# Jumping after 64, 128, 256 or 512 steps times the same on the 45 sweep
+# norms (0.75-0.79 s, one thread); 3 squarings take 0.98 s.
+_JUMP_AFTER = 128
+_SQUARINGS = 4
+# entries below this are flushed to zero: the product of two entries at
+# least this large is a normal double
+_FLUSH = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -298,7 +317,9 @@ def fd_assemble_model(nu: float, xi: float, grid: HalfLineGrid,
 def band_lu_factor(a: BandMatrix):
     """(lu, piv, w): the LU factors of ``a`` with partial pivoting in
     dgbtrf's layout, for ``band_lu_solve``.  Raises NumericalError on an
-    exactly zero pivot."""
+    exactly zero pivot.  scipy is imported here, on the first solve, so
+    importing the package and measuring norms do not load it."""
+    from scipy.linalg.lapack import dgbtrf
     lu, piv, info = dgbtrf(a.ab, a.w, a.w)
     if info > 0:
         raise NumericalError(f"singular band matrix: zero pivot U[{info - 1}, "
@@ -309,9 +330,37 @@ def band_lu_factor(a: BandMatrix):
 def band_lu_solve(factors, b: np.ndarray) -> np.ndarray:
     """The solution of a x = b for every column of b (dgbtrs), from the
     ``band_lu_factor`` factors of a."""
+    from scipy.linalg.lapack import dgbtrs
     lu, piv, w = factors
     x, _ = dgbtrs(lu, w, w, b, piv)
     return x
+
+
+def _flushed(x: np.ndarray) -> np.ndarray:
+    """x with its entries below _FLUSH in magnitude set to zero."""
+    return np.where(np.abs(x) < _FLUSH, 0.0, x)
+
+
+def _power_steps(b: np.ndarray, z: np.ndarray, lam, start: int, stop: int):
+    """Plain power steps start, ..., stop - 1 on B from the unit vector z,
+    with lam the estimate of step start - 1 (None before step 0).
+
+    Returns (lam, z, step): the estimate and the step at which the stopping
+    rule fired (or B z vanished), or, with step None, the estimate of step
+    stop - 1 and the unit vector that step stop starts from.
+    """
+    for step in range(start, stop):
+        bz = b @ z
+        lam_new = float(bz @ z)
+        norm_bz = math.sqrt(float(bz @ bz))
+        if norm_bz == 0.0:
+            return 0.0, z, step
+        z = bz / norm_bz
+        if (lam is not None and abs(lam_new - lam)
+                <= POWER_ITER_TOL * max(lam_new, 1e-300)):
+            return lam_new, z, step
+        lam = lam_new
+    return lam, z, None
 
 
 def operator_norm(m: np.ndarray, weights: np.ndarray) -> float:
@@ -320,30 +369,67 @@ def operator_norm(m: np.ndarray, weights: np.ndarray) -> float:
 
     Power iteration on M*M (metric adjoint M* = W^{-1} M^T W) from the
     all-ones vector, run as z = W^{1/2} v on the Gram matrix B = A^T A of
-    A = W^{1/2} M W^{-1/2}, formed once.  Each step is one BLAS ``dsymv``,
-    which reads one triangle of B, and two BLAS ``ddot`` calls (numpy's
-    ``@`` costs about three times as much at this size).  ``dsymv`` is
-    handed B^T, a Fortran-order view of the same symmetric matrix, so
-    nothing is copied.  The iteration stops once lambda changes by at most
-    POWER_ITER_TOL relative and raises NumericalError after POWER_ITER_MAX
-    steps.
+    A = W^{1/2} M W^{-1/2}, formed once; each step is one numpy matvec and
+    two dot products.  The iteration stops at the first step whose lambda
+    differs from the previous step's by at most POWER_ITER_TOL relative,
+    and raises NumericalError after POWER_ITER_MAX steps.
+
+    Flush.  A is first scaled by a power of two (exactly) so that its
+    largest entry lies in [1, 2), and its entries below sqrt(tiny) =
+    1.5e-154 are set to zero.  Every product of two kept entries is then a
+    normal double, so forming B makes no subnormal, which costs the
+    processor several times as much as a normal number.  The change E has
+    ||E||_2 <= ||E||_F < N sqrt(tiny) <= N sqrt(tiny) ||A||_2, and the top
+    singular value moves by at most ||E||_2 (Weyl), far below the rounding
+    of B's entries.
+
+    Jump.  A loop that has not stopped after _JUMP_AFTER steps goes on 16
+    steps at a time: C = (B/lambda)^16 is formed by four squarings (each
+    flushed likewise) and z <- C z / ||C z||.  At each jump point j two
+    plain steps test the stopping rule at step j + 1 (and at j itself at
+    the first jump point, where lambda of step j - 1 is known).  When it
+    fires, the plain steps from two past the previous jump point are
+    replayed, and their first firing step is returned; at the step cap the
+    replay runs to POWER_ITER_MAX and raises if the rule never fired.  The
+    value is the plain loop's (up to the rounding of the jumped iterates)
+    provided the change in lambda, once within the tolerance, stays within
+    it for the next 16 steps; then the rule fires in the replay at the
+    plain loop's step.
     """
     sw = np.sqrt(weights)
     a = sw[:, None] * m / sw[None, :]
-    b_fortran = (a.T @ a).T
+    # scaling by 2^(1 - e) rounds nothing
+    e = math.frexp(float(np.max(np.abs(a))))[1]
+    a = _flushed(np.ldexp(a, 1 - e))
+    b = a.T @ a
     z = sw / np.linalg.norm(sw)  # v = 1 / ||1||_W
-    lam = 0.0
-    for it in range(POWER_ITER_MAX):
-        bz = dsymv(1.0, b_fortran, z)
-        lam_new = ddot(bz, z)
-        norm_bz = math.sqrt(ddot(bz, bz))
-        if norm_bz == 0.0:
-            return 0.0
-        z = bz / norm_bz
-        if (it > 0 and abs(lam_new - lam)
-                <= POWER_ITER_TOL * max(lam_new, 1e-300)):
-            return math.sqrt(max(lam_new, 0.0))
-        lam = lam_new
-    raise NumericalError(
-        f"power iteration did not converge in {POWER_ITER_MAX} steps; "
-        f"last eigenvalue estimate {lam:.6e}")
+    lam, z, step = _power_steps(b, z, None, 0,
+                                min(_JUMP_AFTER, POWER_ITER_MAX))
+    if step is None and _JUMP_AFTER < POWER_ITER_MAX:
+        # B/lambda and its powers have norm about 1; C only steers the
+        # jumps, so flushing it needs no bound.  c is symmetric, and
+        # c.T @ c is numpy's half-cost syrk
+        c = _flushed(b / lam)
+        for _ in range(_SQUARINGS):
+            c = _flushed(c.T @ c)
+        j, replay = _JUMP_AFTER, None
+        while True:
+            stop = min(j + 2, POWER_ITER_MAX)
+            lam_j, z_j, step = _power_steps(b, z, lam, j, stop)
+            if step is not None or stop == POWER_ITER_MAX:
+                break
+            replay = (stop, z_j, lam_j)
+            cz = c @ z
+            z = cz / math.sqrt(float(cz @ cz))
+            lam, j = None, j + 2 ** _SQUARINGS
+        if replay is not None:
+            start, z_r, lam_r = replay
+            lam_r, _, step_r = _power_steps(b, z_r, lam_r, start, stop)
+            if step_r is not None or step is None:
+                lam_j, step = lam_r, step_r
+        lam = lam_j
+    if step is None:
+        raise NumericalError(
+            f"power iteration did not converge in {POWER_ITER_MAX} steps; "
+            f"last eigenvalue estimate {np.ldexp(lam, 2 * e - 2):.6e}")
+    return float(np.ldexp(math.sqrt(max(lam, 0.0)), e - 1))

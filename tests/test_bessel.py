@@ -98,6 +98,30 @@ def test_unscaled_overflow_raises():
         bessel_k(2.0, 1e-300)
 
 
+def test_unscaled_values_up_to_the_largest_double():
+    # log I_2(705) = 700.80 is below log(DBL_MAX) = 709.78
+    ev = bessel_i(2.0, 705.0)
+    exact = float(mpmath.besseli(2, 705))
+    assert 1e304 < ev.value < 1e305
+    assert abs(ev.value - exact) <= ev.err_bound * exact
+    # the ceiling is log(DBL_MAX) less the log's error bound: bisect to the
+    # first double x past it, which raises the typed error (not exp()'s
+    # OverflowError), while the double before it is returned
+    ceiling = math.log(np.finfo(float).max)
+
+    def past(x):
+        log_i, _, err_i, _, _ = log_bessel_ik(2.0, x)
+        return float(log_i[0] + err_i[0]) > ceiling
+
+    lo, hi = 705.0, 720.0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if past(mid) else (mid, hi)
+    assert math.isfinite(bessel_i(2.0, lo).value)
+    with pytest.raises(OverflowModeError, match="overflows"):
+        bessel_i(2.0, hi)
+
+
 @pytest.mark.parametrize("fn,nu,x", [(bessel_i, 300.0, 1.0),
                                      (bessel_i, 2.0, 1e-200),
                                      (bessel_k, 2.0, 800.0)])
@@ -234,6 +258,29 @@ def test_method_reporting():
         got = tuple(fn(nu, x, scaled=True).method
                     for fn in (bessel_i, bessel_k))
         assert got == methods, (nu, x)
+
+
+def test_hankel_skips_only_elements_it_cannot_take(monkeypatch):
+    # the pre-check keeps out of the loop only elements the loop would leave
+    # untaken: with it and without it every output is bit for bit the same
+    xs = np.linspace(10.01, 19.0, 400)
+    nus = (0.3, 0.5, 1.0, 1.5, 2.0, 3.7, 4.5, 5.5)
+    checked = {nu: bessel._log_ik_hankel(nu, xs) for nu in nus}
+    skipped = sum(int(np.sum(~bessel._hankel_reachable(nu, xs)))
+                  for nu in nus)
+    monkeypatch.setattr(bessel, "_hankel_reachable",
+                        lambda nu, x: np.ones(x.shape, dtype=bool))
+    taken = 0
+    for nu in nus:
+        full = bessel._log_ik_hankel(nu, xs)
+        taken += int(np.sum(full[0]))
+        for with_check, without in zip(checked[nu], full):
+            assert np.array_equal(with_check, without)
+    assert skipped > 1000 and taken > 100
+    monkeypatch.undo()
+    # below x ~ 17.3 e^-2x keeps every bound above the tolerance
+    for nu, x in ((2.0, 15.0), (0.3, 12.0), (0.5, 17.0)):
+        assert not bessel._hankel_reachable(nu, np.array([x]))[0]
 
 
 def test_cf1_cap_raises():

@@ -122,15 +122,17 @@ def test_sweep_cell_shares_bessel_factors(monkeypatch):
             weighted_kernel(kern, act, x[:, None], ys) * ws, axis=1))
         m = nystrom_assemble(kern, act, g, shared)
         assert np.array_equal(m, alone)
-        # the BLAS power iteration agrees with a plain numpy one to rounding
+        # the flushed, jumping iteration agrees with the plain one to
+        # rounding
         assert operator_norm(m, g.weights) == pytest.approx(
-            _numpy_power_norm(m, g.weights), rel=1e-12)
+            _numpy_power_norm(m, g.weights)[0], rel=1e-12)
     with pytest.raises(ConfigurationError):
         nystrom_assemble(kern, ACTIONS[2], g,
                          nystrom_factors(kern, g, ACTIONS[:1]))
 
 
 def _numpy_power_norm(m, weights):
+    """(norm, steps) of the plain power iteration: no flush, no jumps."""
     sw = np.sqrt(weights)
     a = sw[:, None] * m / sw[None, :]
     b = a.T @ a
@@ -141,9 +143,45 @@ def _numpy_power_norm(m, weights):
         lam_new = float(bz @ z)
         z = bz / math.sqrt(float(bz @ bz))
         if it > 0 and abs(lam_new - lam) <= 1e-8 * lam_new:
-            return math.sqrt(lam_new)
+            return math.sqrt(lam_new), it + 1
         lam = lam_new
     raise AssertionError("reference power iteration did not converge")
+
+
+def test_operator_norm_jumps_reproduce_the_plain_loop(monkeypatch):
+    # X^-2 K at (nu, beta) = (3, 0.1) stops before the jumps start; its
+    # first edge derivative needs thousands of steps, nearly all in jumps
+    g = build_grid(400, 1e-4, 1e3)
+    kern = ConeKernel(3.0, 0.1)
+    factors = nystrom_factors(kern, g, ACTIONS[:2])
+    fast, slow = (nystrom_assemble(kern, act, g, factors)
+                  for act in ACTIONS[:2])
+    fast_norm, fast_steps = _numpy_power_norm(fast, g.weights)
+    slow_norm, slow_steps = _numpy_power_norm(slow, g.weights)
+    assert fast_steps < grids._JUMP_AFTER < 5000 < slow_steps
+    assert operator_norm(fast, g.weights) == pytest.approx(fast_norm,
+                                                           rel=1e-14)
+    assert operator_norm(slow, g.weights) == pytest.approx(slow_norm,
+                                                           rel=1e-14)
+    # the step cap counts plain steps, also when it falls inside a jump
+    monkeypatch.setattr(grids, "POWER_ITER_MAX", slow_steps)
+    assert operator_norm(slow, g.weights) == pytest.approx(slow_norm,
+                                                           rel=1e-14)
+    for cap in (slow_steps - 1, 1000, grids._JUMP_AFTER + 1):
+        monkeypatch.setattr(grids, "POWER_ITER_MAX", cap)
+        with pytest.raises(NumericalError, match=f"in {cap} steps"):
+            operator_norm(slow, g.weights)
+
+
+def test_operator_norm_scale_is_exact():
+    # a power-of-two factor scales the norm bit for bit, also where the
+    # Gram matrix of the unscaled entries would leave the doubles
+    rng = np.random.default_rng(4)
+    g = build_grid(60, 1e-2, 10.0)
+    m = rng.normal(size=(g.n, g.n))
+    norm = operator_norm(m, g.weights)
+    for p in (-600, 600):
+        assert operator_norm(m * 2.0 ** p, g.weights) == norm * 2.0 ** p
 
 
 def test_nystrom_free_norm_matches_mellin_value():

@@ -8,7 +8,9 @@ only code that raises ``WittViolationError``, and both finite-difference
 model operators in one builder, ``grids.fd_assemble_model``, the only
 caller of the stencil table and the band placement.  sympy is imported
 by ``clifford.symbolic_square_identity`` alone, inside it, and mpmath
-nowhere, so importing the package loads no computer algebra.  Every public
+nowhere, so importing the package loads no computer algebra; scipy only
+inside functions of ``grids`` (the banded LU), so neither importing the
+package nor measuring a norm loads it.  Every public
 top-level name of the package, constants included, has a reader besides
 its own unit tests.
 """
@@ -96,14 +98,19 @@ def test_one_fd_builder():
     assert found == {("grids.py", "fd_assemble_model")}
 
 
-def _imports_computer_algebra(node):
+def _imported_packages(node):
+    """Top-level package names an import statement loads."""
     if isinstance(node, ast.Import):
         modules = [alias.name for alias in node.names]
     elif isinstance(node, ast.ImportFrom):
         modules = [node.module or ""]
     else:
-        return False
-    return any(m.split(".")[0] in ("sympy", "mpmath") for m in modules)
+        return set()
+    return {m.split(".")[0] for m in modules}
+
+
+def _imports_computer_algebra(node):
+    return bool(_imported_packages(node) & {"sympy", "mpmath"})
 
 
 def test_sympy_imported_only_by_the_symbolic_identity():
@@ -113,6 +120,15 @@ def test_sympy_imported_only_by_the_symbolic_identity():
              for scope in enclosing_functions(path,
                                               _imports_computer_algebra)]
     assert found == [("clifford.py", "symbolic_square_identity")]
+
+
+def test_scipy_imported_only_inside_grids_functions():
+    # the package import and the benchmark's set-up run without it
+    found = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in enclosing_functions(
+                 path, lambda node: "scipy" in _imported_packages(node))}
+    assert {name for name, _ in found} == {"grids.py"}
+    assert "<module>" not in {scope for _, scope in found}
 
 
 # (module, name, reason): public names whose only readers are unit tests

@@ -1,9 +1,11 @@
-"""The benchmark's set-up and ``edgespec all`` load no computer algebra.
+"""The benchmark's set-up loads no computer algebra and no scipy, and
+``edgespec all`` no computer algebra.
 
-Importing sympy (with mpmath) costs about 0.3 s, more than the rest of the
-set-up, and nothing on these paths needs it.  pytest's own process has
-loaded both for the oracles of other tests, so the check runs in a fresh
-interpreter.
+Importing sympy (with mpmath) costs about 0.3 s, and scipy.linalg pulls in
+about 300 more modules; nothing on the set-up path needs either.  scipy
+serves only the parametrix's banded LU, loaded on its first solve, so
+``edgespec all`` may load it.  pytest's own process has loaded all three
+for other tests, so the checks run in a fresh interpreter.
 """
 
 import json
@@ -12,24 +14,41 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
-# the set-up probe's imports and warm-up calls, then the whole report
+# the set-up probe's imports and warm-up calls, then the whole report; the
+# heavy modules loaded after each
 SCRIPT = """
 import json, sys
 sys.path[:0] = sys.argv[1:]
+heavy = {"sympy", "mpmath", "scipy"}
 import setup_probe
 es = setup_probe.import_edgespec()
 setup_probe.warm_up(es)
+print(json.dumps(sorted(heavy & set(sys.modules))))
 cli = es.cli
 cli.emit(cli.run_suite("all", cli.RunConfig(seed=0)), "json")
-print(json.dumps(sorted({"sympy", "mpmath"} & set(sys.modules))))
+print(json.dumps(sorted(heavy & set(sys.modules))))
 """
 
 
-def test_setup_and_all_suite_load_no_sympy():
+@pytest.fixture(scope="module")
+def loaded():
+    """(after the set-up, after the whole report): heavy modules loaded."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     out = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench")],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == []
+    return [json.loads(line) for line in out.stdout.splitlines()[-2:]]
+
+
+def test_setup_and_all_suite_load_no_sympy(loaded):
+    assert [sorted({"sympy", "mpmath"} & set(mods)) for mods in loaded] == [
+        [], []]
+
+
+def test_setup_loads_no_scipy(loaded):
+    setup, _ = loaded
+    assert "scipy" not in setup
