@@ -65,10 +65,6 @@ _RECURRENCE_ERR = 1e-10
 # four units of roundoff, the unit of the representation floor that every
 # branch adds to its bound.
 _HANKEL_TOL = 4.0 * _EPS
-# Below this argument _hankel_reachable checks whether the Hankel bounds can
-# reach _HANKEL_TOL at all: e^-2x, the size of their smallest value, is
-# above _HANKEL_TOL / 16 there (x < 18.7).
-_HANKEL_REACH_X = 0.5 * math.log(16.0 / _HANKEL_TOL)
 
 # Branch codes returned by log_bessel_ik, one per branch.
 SERIES_TEMME, SERIES_CF2, CF1_WRONSKIAN, HANKEL, UNIFORM = range(5)
@@ -429,57 +425,6 @@ def _cf1_ratio(nu: float, x: np.ndarray):
     return f_out
 
 
-@lru_cache(maxsize=None)
-def _hankel_chi(n: int) -> np.ndarray:
-    """chi(l) of DLMF 10.40.11 for l = 1..n, as ``_log_ik_hankel`` has it
-    (read-only: every caller shares the cached array)."""
-    chi = np.array([math.exp(0.5 * math.log(math.pi)
-                             + math.lgamma(0.5 * k + 1.0)
-                             - math.lgamma(0.5 * k + 0.5))
-                    for k in range(1, n + 1)])
-    chi.flags.writeable = False
-    return chi
-
-
-def _hankel_reachable(nu: float, x: np.ndarray) -> np.ndarray:
-    """Whether the bounds of ``_log_ik_hankel`` can reach _HANKEL_TOL at x.
-
-    Below _HANKEL_REACH_X, where e^-2x > _HANKEL_TOL / 16, the smallest
-    term a_l x^-l and the K part of I, both of order e^-2x, can keep the
-    bounds above the tolerance at every l.  With A_l = |a_l| x^-l and S the
-    sum of the A_l the loop can reach, every partial sum has |s| <= S, so
-    at step l the loop's bounds are at least A_l g_l (g_l its factor
-    grow_k or 1) for K and A_l chi(l) grow_i + |sin(nu pi)| e^-2x (1 - S)
-    for I, while the tolerance they must meet is at most
-    _HANKEL_TOL (1 + S).  The terms stop decreasing by l = 2x + nu + 1
-    (there (2l - 1)^2 - 4 nu^2 >= 8 l x), so l <= 2x + nu + 2 covers every
-    step.  An x at which no such l brings both lower bounds within the
-    tolerance (with a 1e-6 margin for rounding) would leave the loop
-    untaken; it is left to the continued fractions without entering.  The
-    values do not move, since the loop treats each element on its own.
-    """
-    reach = np.ones(x.shape, dtype=bool)
-    low = np.flatnonzero(x < _HANKEL_REACH_X)
-    if not low.size:
-        return reach
-    xl = x[low][:, None]
-    c = abs(nu * nu - 0.25)
-    l = np.arange(1, int(2.0 * xl.max() + nu) + 3)
-    # for half-integer nu, a_l = 0 from some l on: its log is -inf
-    with np.errstate(divide="ignore"):
-        log_a = np.cumsum(np.log(np.abs(4.0 * nu * nu - (2 * l - 1) ** 2)
-                                 / (8.0 * l)))
-    terms = np.exp(log_a - np.log(xl) * l)
-    steps = l <= 2.0 * xl + nu + 2.0
-    s = np.sum(terms * steps, axis=1, keepdims=True)
-    tol = _HANKEL_TOL * (1.0 + s) * (1.0 + 1e-6)
-    b_k = terms * np.where(l >= nu - 0.5, 1.0, 2.0 * np.exp(c / xl))
-    b_i = (terms * _hankel_chi(l.size) * 2.0 * np.exp(0.5 * math.pi * c / xl)
-           + abs(math.sin(math.pi * nu)) * np.exp(-2.0 * xl) * (1.0 - s))
-    reach[low] = np.any(steps & (b_k <= tol) & (b_i <= tol), axis=1)
-    return reach
-
-
 def _log_ik_hankel(nu: float, x: np.ndarray):
     """Hankel's expansions for x >> nu^2, per element where their bound allows.
 
@@ -497,9 +442,7 @@ def _log_ik_hankel(nu: float, x: np.ndarray):
 
     An element is taken at the first l where both relative bounds are at
     most _HANKEL_TOL.  It is left to the continued fractions once its terms
-    stop decreasing first, and never enters when |a_1| >= x or when
-    ``_hankel_reachable`` shows that its bounds stay above the tolerance.
-    Returns
+    stop decreasing first, and never enters when |a_1| >= x.  Returns
     (take, log_i, log_k, err_i, err_k), the last four for the taken elements
     in order.
     """
@@ -509,7 +452,6 @@ def _log_ik_hankel(nu: float, x: np.ndarray):
     mu = 4.0 * nu * nu
     c = abs(nu * nu - 0.25)
     idx = np.flatnonzero(abs(mu - 1.0) < 8.0 * x)
-    idx = idx[_hankel_reachable(nu, x[idx])]
     xs = x[idx]
     grow_k = 2.0 * np.exp(c / xs)
     grow_i = 2.0 * np.exp(0.5 * math.pi * c / xs)

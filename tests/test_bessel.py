@@ -260,29 +260,6 @@ def test_method_reporting():
         assert got == methods, (nu, x)
 
 
-def test_hankel_skips_only_elements_it_cannot_take(monkeypatch):
-    # the pre-check keeps out of the loop only elements the loop would leave
-    # untaken: with it and without it every output is bit for bit the same
-    xs = np.linspace(10.01, 19.0, 400)
-    nus = (0.3, 0.5, 1.0, 1.5, 2.0, 3.7, 4.5, 5.5)
-    checked = {nu: bessel._log_ik_hankel(nu, xs) for nu in nus}
-    skipped = sum(int(np.sum(~bessel._hankel_reachable(nu, xs)))
-                  for nu in nus)
-    monkeypatch.setattr(bessel, "_hankel_reachable",
-                        lambda nu, x: np.ones(x.shape, dtype=bool))
-    taken = 0
-    for nu in nus:
-        full = bessel._log_ik_hankel(nu, xs)
-        taken += int(np.sum(full[0]))
-        for with_check, without in zip(checked[nu], full):
-            assert np.array_equal(with_check, without)
-    assert skipped > 1000 and taken > 100
-    monkeypatch.undo()
-    # below x ~ 17.3 e^-2x keeps every bound above the tolerance
-    for nu, x in ((2.0, 15.0), (0.3, 12.0), (0.5, 17.0)):
-        assert not bessel._hankel_reachable(nu, np.array([x]))[0]
-
-
 def test_cf1_cap_raises():
     # CF1 needs about 6 sqrt(x) steps, far beyond its cap at x = 1e9
     with pytest.raises(NumericalError, match="nu=2.0"):
