@@ -23,7 +23,7 @@ import numpy as np
 
 from .bessel import uniform_asymptotic_excess, wronskian_residual
 from .clifford import commutator_report
-from .errors import EdgespecError, PreconditionError
+from .errors import ConfigurationError, EdgespecError, PreconditionError
 from .grids import (X_MAX_DEFAULT, X_MIN_DEFAULT, build_grid,
                     free_column_quadrature, nystrom_assemble, operator_norm)
 from .kernels import (ConeKernel, WeightedAction, exact_weighted_norm,
@@ -99,7 +99,8 @@ def _suite_schur(cfg: RunConfig):
     nu, beta = cfg.nu, cfg.beta
     t0 = time.perf_counter()
     grid = build_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-    op = nystrom_assemble(ConeKernel(nu, beta), WeightedAction(-2, 0), grid)
+    [op] = nystrom_assemble(ConeKernel(nu, beta), (WeightedAction(-2, 0),),
+                            grid)
     measured = operator_norm(op, grid.weights)
     # the exact norm is beta-independent; the truncated window approaches
     # it from below
@@ -207,9 +208,16 @@ SUITES = (*_SUITE_FUNCS, "all")
 
 
 def run_suite(name: str, config: RunConfig):
-    """Execute one named suite (or "all"), sorted by (check, params)."""
+    """Execute one named suite (or "all"), sorted by (check, params).
+
+    A negative seed raises ConfigurationError: numpy's generators take
+    nonnegative seeds only.
+    """
     if name not in SUITES:
         raise PreconditionError(f"unknown suite {name!r}")
+    if config.seed < 0:
+        raise ConfigurationError(
+            f"seed must be nonnegative, got {config.seed}")
     names = _SUITE_FUNCS.keys() if name == "all" else (name,)
     records = []
     for nm in names:

@@ -17,9 +17,10 @@ t = ln x the edge derivative (x d/dx) is plain d/dt and the model operator
 matrices acting on grid samples; ``operator_norm`` measures them in the
 metric of the grid weights.
 
-The Nystrom diagonal pass evaluates the kernel only at the pairs it keeps,
-and the actions of one kernel can share one ``NystromFactors``: the Bessel
-factors at the nodes and at the diagonal-cell points, evaluated once.
+``nystrom_assemble`` is the one way from a kernel to its Nystrom matrices:
+it takes the actions of one kernel, evaluates the kernel factors at the
+nodes and at the diagonal-cell points once, and returns one matrix per
+action.  Its diagonal pass evaluates the kernel only at the pairs it keeps.
 ``operator_norm`` iterates on a Gram matrix formed once, one numpy matvec
 per step.  It first flushes the entries below sqrt(tiny) of its scaled
 matrix to zero, which moves the norm by at most N sqrt(tiny) = N 1.5e-154
@@ -39,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
-from .kernels import (ConeKernel, KernelFactors, WeightedAction,
-                      kernel_factors, require_witt_order, weighted_kernel,
-                      weighted_kernel_from_factors, weighted_kernel_matrix)
+from .errors import ConfigurationError, DomainError, NumericalError
+from .kernels import (ConeKernel, WeightedAction, kernel_factors,
+                      require_witt_order, weighted_kernel_from_factors,
+                      weighted_kernel_matrix)
 
 X_MIN_DEFAULT = 1e-4
 X_MAX_DEFAULT = 1e3
@@ -88,8 +89,9 @@ class HalfLineGrid:
 def _check_window(n: int, x_min: float, x_max: float):
     if n < 16:
         raise ConfigurationError("grid size must be at least 16")
-    if not (0.0 < x_min < x_max):
-        raise ConfigurationError("need 0 < x_min < x_max")
+    if not (0.0 < x_min < x_max < math.inf):
+        raise ConfigurationError(
+            f"window [{x_min}, {x_max}]: need 0 < x_min < x_max < inf")
 
 
 def build_grid(n: int, x_min: float = X_MIN_DEFAULT,
@@ -124,44 +126,22 @@ def log_gauss_rule(n: int, lo: float, hi: float):
     return nodes, (half[:, None] * gl_w).ravel() * nodes
 
 
-@dataclass(frozen=True)
-class NystromFactors:
-    """Kernel factors that the Nystrom assemblies of one kernel on one grid
-    share: ``nodes`` at the grid nodes, which serve both the rows and the
-    columns, and ``cells`` at the DIAG_CELL_NODES Gauss points of each
-    node's weight cell (rows are nodes), whose weights are ``cell_weights``.
-    """
-
-    nodes: KernelFactors
-    cells: KernelFactors
-    cell_weights: np.ndarray
-
-
-def nystrom_factors(kernel: ConeKernel, grid: HalfLineGrid,
-                    actions) -> NystromFactors:
-    """The factors every action in ``actions`` reads, evaluated once.
-
-    For beta > 0 that is one log_bessel_ik call per order nu..nu+a_max at
-    the N nodes (a_max the largest edge-derivative count) and one at order
-    nu on the DIAG_CELL_NODES * N cell points.
-    """
-    orders = 1 + max(act.edge_derivatives for act in actions)
-    x = grid.nodes
+def _diagonal_cells(x: np.ndarray):
+    """(points, weights): DIAG_CELL_NODES Gauss points per node's weight
+    cell, one row per node, with their weights."""
     mids = 0.5 * (x[:-1] + x[1:])
     lo = np.concatenate(([x[0]], mids))
     hi = np.concatenate((mids, [x[-1]]))
     gl_x, gl_w = np.polynomial.legendre.leggauss(DIAG_CELL_NODES)
     half = 0.5 * (hi - lo)
     ys = 0.5 * (hi + lo)[:, None] + half[:, None] * gl_x[None, :]
-    return NystromFactors(kernel_factors(kernel, x, orders),
-                          kernel_factors(kernel, ys),
-                          half[:, None] * gl_w[None, :])
+    return ys, half[:, None] * gl_w[None, :]
 
 
-def nystrom_assemble(kernel: ConeKernel, action: WeightedAction,
-                     grid: HalfLineGrid,
-                     factors: NystromFactors = None) -> np.ndarray:
-    """Nystrom matrix M_ij = (weighted kernel)(x_i, x_j) w_j, off the diagonal.
+def nystrom_assemble(kernel: ConeKernel, actions,
+                     grid: HalfLineGrid) -> list:
+    """Nystrom matrices M_ij = (weighted kernel)(x_i, x_j) w_j off the
+    diagonal, one per action in ``actions``, in order.
 
     Each diagonal entry is the product integral of the kernel over its
     quadrature cell with a DIAG_CELL_NODES-point Gauss rule.  Derivative
@@ -170,18 +150,42 @@ def nystrom_assemble(kernel: ConeKernel, action: WeightedAction,
     inflates the diagonal by the unresolved spike, while the cell integral
     remains faithful.
 
-    ``factors`` come from ``nystrom_factors`` for a set of actions that
-    includes this one; a caller assembling several actions of one kernel
-    passes the same factors to each, so no Bessel factor is evaluated
-    twice.  Without them the factors of this action alone are evaluated.
+    The kernel factors at the nodes (rows and columns) and at the cell
+    points are evaluated once and shared by every action: for beta > 0,
+    one log_bessel_ik call per order nu..nu+a_max at the N nodes (a_max
+    the largest edge-derivative count) and one at order nu on the
+    DIAG_CELL_NODES * N cell points.  An empty ``actions`` raises
+    ConfigurationError.  A matrix with a non-finite entry, or with every
+    entry zero, has no norm worth reporting: it raises DomainError naming
+    (nu, beta) and the window.
     """
-    if factors is None:
-        factors = nystrom_factors(kernel, grid, (action,))
-    m = weighted_kernel_matrix(kernel, action, grid.nodes, grid.nodes,
-                               factors.nodes, factors.nodes)
-    m = m * grid.weights[None, :]
-    np.fill_diagonal(m, _diagonal_cell_integrals(kernel, action, factors))
-    return m
+    actions = tuple(actions)
+    if not actions:
+        raise ConfigurationError("nystrom_assemble needs at least one action")
+    x = grid.nodes
+    orders = 1 + max(act.edge_derivatives for act in actions)
+    nodes = kernel_factors(kernel, x, orders)
+    cell_points, cell_weights = _diagonal_cells(x)
+    cells = kernel_factors(kernel, cell_points)
+    rows = nodes.reshape(-1, 1)
+    out = []
+    for act in actions:
+        m = weighted_kernel_matrix(kernel, act, x, x, nodes, nodes)
+        m *= grid.weights[None, :]
+        cell_vals = weighted_kernel_from_factors(kernel, act, rows, cells)
+        np.fill_diagonal(m, np.sum(cell_vals * cell_weights, axis=1))
+        # two scans, no temporary: min and max are finite only if every
+        # entry is, and both are zero only if every entry is
+        lo, hi = float(m.min()), float(m.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo == hi == 0.0:
+            what = "is zero" if lo == hi == 0.0 else "has a non-finite entry"
+            raise DomainError(
+                f"the Nystrom matrix of nu={kernel.nu}, beta={kernel.beta}, "
+                f"action (w, a) = ({act.weight_power}, "
+                f"{act.edge_derivatives}) on [{x[0]}, {x[-1]}] {what}: its "
+                f"norm would measure nothing")
+        out.append(m)
+    return out
 
 
 def free_column_quadrature(nu: float) -> float:
@@ -196,18 +200,10 @@ def free_column_quadrature(nu: float) -> float:
     total = 0.0
     for lo, hi in ((1e-10, 1.0), (1.0, 1e8)):
         nodes, weights = log_gauss_rule(1024, lo, hi)
-        vals = weighted_kernel(kern, WeightedAction(-2, 0), nodes, 1.0)
+        vals = weighted_kernel_matrix(kern, WeightedAction(-2, 0), nodes,
+                                      [1.0])[:, 0]
         total += float(vals @ weights)
     return total
-
-
-def _diagonal_cell_integrals(kernel: ConeKernel, action: WeightedAction,
-                             factors: NystromFactors):
-    """integral of the weighted kernel k(x_i, y) over the i-th weight cell."""
-    vals = weighted_kernel_from_factors(kernel, action,
-                                        factors.nodes.reshape(-1, 1),
-                                        factors.cells)
-    return np.sum(vals * factors.cell_weights, axis=1)
 
 
 def _t_stencils(grid: HalfLineGrid):

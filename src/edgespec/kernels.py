@@ -6,18 +6,23 @@ Two kernel families invert the model operators -d^2/dx^2 + x^{-2}(nu^2-1/4)
 * free (beta = 0):   k(x,y) = (1/2nu) (y/x)^nu (xy)^{1/2}   for y <= x,
 * bessel (beta > 0): k(x,y) = (xy)^{1/2} I_nu(beta y) K_nu(beta x), y <= x,
 
-both extended symmetrically.  Weighted variants x^w (x d/dx)^a k are computed
-analytically: by power rules for the free kernel and by the order recurrences
+both extended symmetrically.  Each is semiseparable: f_lo(x) g_lo(y) for
+y <= x and f_hi(x) g_hi(y) above.  Weighted variants x^w (x d/dx)^a k act on
+the x-side generators only, analytically: by power rules for the free
+kernel and by the order recurrences
 
     (u d/du)[u^k K_m] = (k+m) u^k K_m - u^{k+1} K_{m+1},
     (u d/du)[u^k I_m] = (k+m) u^k I_m + u^{k+1} I_{m+1},
 
-for the Bessel kernel.  ``weighted_kernel`` evaluates them at broadcastable x
-and y in log space in two stages: ``kernel_factors`` takes the logarithms and
-Bessel factors at each side's points before broadcasting, and
-``weighted_kernel_from_factors`` combines them; underflow clamps to 0.  One
-set of factors at the grid nodes serves the x-side and the y-side of every
-action's matrix.
+for the Bessel kernel.  They are evaluated in log space in two stages:
+``kernel_factors`` takes the logarithms, the Bessel factors and the
+y-side generators ln g_lo, ln g_hi at each side's points before
+broadcasting, and ``weighted_kernel_from_factors`` combines them, masking
+and exponentiating both branches in one place; underflow clamps to 0 and
+overflow gives inf.
+``weighted_kernel_matrix`` is the one evaluator of the weighted kernel;
+one set of factors at the grid nodes serves the x-side and the y-side of
+every action's matrix.
 
 ``require_witt_order`` is the one Witt floor nu > 3/2 of the toolkit: every
 layer that takes an order calls it, and nothing else raises
@@ -111,35 +116,24 @@ def _bessel_terms(nu, w, a, side):
     return [(c, k, off) for (k, off), c in sorted(terms.items()) if c != 0.0]
 
 
-def _free_branch(nu, w, a, logx, logy, lower, mask):
-    """Weighted free-kernel branch value on ``mask`` (zero off it).
-
-    ``lower`` selects the y <= x branch exponents.  The exponent of the
-    branch not selected by the mask can overflow, so it is masked to -inf
-    before exponentiating.
-    """
-    if lower:
-        ex, ey = w - nu + 0.5, nu + 0.5
-    else:
-        ex, ey = w + nu + 0.5, -nu + 0.5
-    with np.errstate(under="ignore"):
-        return (ex ** a) / (2.0 * nu) * np.exp(
-            np.where(mask, ex * logx + ey * logy, -np.inf))
-
-
 @dataclass(frozen=True)
 class KernelFactors:
-    """Log-space factors of one kernel at an array of positive points x.
+    """Log-space factors of one kernel at an array of positive, finite x.
 
-    ``log_x`` = ln x serves the free kernel and the y-side of the Bessel
-    kernel.  For beta > 0, ``log_u`` = ln(beta x), and ``log_i[j]`` and
-    ``log_k[j]`` are ln I and ln K of order nu + j at beta x, j < orders:
-    the x-side of an action with a edge derivatives reads orders nu..nu+a,
-    the y-side order nu only.
+    Each kernel is f_lo(x) g_lo(y) for y <= x and f_hi(x) g_hi(y) above.
+    ``log_g_lo`` and ``log_g_hi`` are ln g_lo and ln g_hi at these points:
+    (nu + 1/2) ln y and (1/2 - nu) ln y for the free kernel, and
+    1/2 ln y + ln I_nu(beta y) and 1/2 ln y + ln K_nu(beta y) for the Bessel
+    kernel.  The x-side reads ``log_x`` = ln x (free) or ``log_u`` =
+    ln(beta x) with ``log_i[j]`` and ``log_k[j]``, ln I and ln K of order
+    nu + j at beta x, j < orders (Bessel): an action with a edge
+    derivatives reads orders nu..nu+a.
     """
 
     x: np.ndarray
     log_x: np.ndarray
+    log_g_lo: np.ndarray
+    log_g_hi: np.ndarray
     log_u: np.ndarray = None
     log_i: tuple = ()
     log_k: tuple = ()
@@ -148,36 +142,51 @@ class KernelFactors:
         """The same factors with every array reshaped (views, no copy)."""
         def r(arr):
             return None if arr is None else arr.reshape(shape)
-        return KernelFactors(r(self.x), r(self.log_x), r(self.log_u),
+        return KernelFactors(r(self.x), r(self.log_x), r(self.log_g_lo),
+                             r(self.log_g_hi), r(self.log_u),
                              tuple(map(r, self.log_i)),
                              tuple(map(r, self.log_k)))
 
 
 def kernel_factors(kernel: ConeKernel, x, orders: int = 1) -> KernelFactors:
-    """Factor stage of ``weighted_kernel`` at the positive points x.
+    """Factor stage of the weighted kernel at the positive, finite points x.
 
     For beta > 0 it makes one log_bessel_ik call per order nu..nu+orders-1
     at beta x; the free kernel needs no Bessel factor.
     """
     x = np.asarray(x, float)
-    if np.any(x <= 0.0):
-        raise DomainError("kernel arguments must be positive")
+    if not np.all((x > 0.0) & (x < np.inf)):
+        raise DomainError("kernel arguments must be positive and finite")
+    nu, log_x = kernel.nu, np.log(x)
     if kernel.beta == 0.0:
-        return KernelFactors(x, np.log(x))
+        return KernelFactors(x, log_x, (nu + 0.5) * log_x,
+                             (-nu + 0.5) * log_x)
     u = kernel.beta * x
-    log_ik = [log_bessel_ik(kernel.nu + off, u)[:2] for off in range(orders)]
-    return KernelFactors(x, np.log(x), np.log(u),
-                         tuple(li for li, _ in log_ik),
-                         tuple(lk for _, lk in log_ik))
+    log_ik = [log_bessel_ik(nu + off, u)[:2] for off in range(orders)]
+    log_i = tuple(li for li, _ in log_ik)
+    log_k = tuple(lk for _, lk in log_ik)
+    half_log_x = 0.5 * log_x
+    return KernelFactors(x, log_x, half_log_x + log_i[0],
+                         half_log_x + log_k[0], np.log(u), log_i, log_k)
+
+
+def _free_x_part(nu, w, a, fx: KernelFactors):
+    """Yield (S, L) of the y <= x branch, then of the y > x branch: the
+    x-factor of x^w (x d/dx)^a k is S exp(L), x^ex times ex^a / (2 nu)."""
+    for ex in (w - nu + 0.5, w + nu + 0.5):
+        yield (ex ** a) / (2.0 * nu), ex * fx.log_x
 
 
 def _bessel_x_part(nu, w, a, beta, fx: KernelFactors):
-    """Yield (S, lmax) of the K side, then of the I side, of the x-factor.
+    """Yield (S, L) of the K side (y <= x), then of the I side, of the
+    x-factor, whose value is S exp(L) elementwise over x.
 
     Each side's factor is beta^{-(w+1/2)} sum_t c_t u^{k_t} B_{nu+off_t}(u)
-    with u = beta x; its value is S * exp(lmax), elementwise over x.  Both
-    sides read the orders nu..nu+a of the x factors ``fx``.
+    with u = beta x; both sides read the orders nu..nu+a of ``fx``.
     """
+    if len(fx.log_i) <= a:
+        raise ConfigurationError(
+            f"x factors hold {len(fx.log_i)} orders, the action needs {a + 1}")
     for side, log_b in (("K", fx.log_k), ("I", fx.log_i)):
         terms = _bessel_terms(nu, w, a, side)
         logs = np.array([k * fx.log_u + log_b[off] for _, k, off in terms])
@@ -191,49 +200,33 @@ def _bessel_x_part(nu, w, a, beta, fx: KernelFactors):
 
 def weighted_kernel_from_factors(kernel: ConeKernel, action: WeightedAction,
                                  fx: KernelFactors, fy: KernelFactors):
-    """Combine stage of ``weighted_kernel``: [x^w (x d/dx)^a k](x, y) from
-    the factors of x (orders nu..nu+a) and of y, whose arrays broadcast.
+    """Combine stage: [x^w (x d/dx)^a k](x, y) from the factors of x (orders
+    nu..nu+a) and of y, whose arrays broadcast.
 
     It makes no Bessel call, so the factors can be shared by every action.
+    The x-side is the only part that depends on the kernel; the branches
+    meet here, in one masked exponential each.  Underflow clamps to 0 and
+    overflow gives inf, which ``grids.nystrom_assemble`` refuses.
     """
     nu, w, a = kernel.nu, action.weight_power, action.edge_derivatives
-    lower = fy.x <= fx.x
     if kernel.beta == 0.0:
-        lx, ly = fx.log_x, fy.log_x
-        return (_free_branch(nu, w, a, lx, ly, True, lower)
-                + _free_branch(nu, w, a, lx, ly, False, ~lower))
-    if len(fx.log_i) <= a:
-        raise ConfigurationError(
-            f"x factors hold {len(fx.log_i)} orders, the action needs {a + 1}")
-    beta = kernel.beta
-    (s_lo, off_lo), (s_hi, off_hi) = _bessel_x_part(nu, w, a, beta, fx)
-    half_logy = 0.5 * fy.log_x
+        x_part = _free_x_part(nu, w, a, fx)
+    else:
+        x_part = _bessel_x_part(nu, w, a, kernel.beta, fx)
+    (s_lo, log_f_lo), (s_hi, log_f_hi) = x_part
+    lower = fy.x <= fx.x
     # mask the unused branch before exponentiating: its log magnitude can
     # overflow even though the selected branch never does
-    e_lo = np.where(lower, off_lo + (half_logy + fy.log_i[0]), -np.inf)
-    e_hi = np.where(lower, -np.inf, off_hi + (half_logy + fy.log_k[0]))
-    with np.errstate(under="ignore"):
+    e_lo = np.where(lower, log_f_lo + fy.log_g_lo, -np.inf)
+    e_hi = np.where(lower, -np.inf, log_f_hi + fy.log_g_hi)
+    with np.errstate(under="ignore", over="ignore"):
         return s_lo * np.exp(e_lo) + s_hi * np.exp(e_hi)
-
-
-def weighted_kernel(kernel: ConeKernel, action: WeightedAction, x, y):
-    """[x^w (x d/dx)^a k](x, y) at broadcastable positive arrays x and y.
-
-    ``kernel_factors`` of x and of y, evaluated before x and y broadcast (one
-    log_bessel_ik call per order nu..nu+a at beta x and one at beta y), then
-    ``weighted_kernel_from_factors``.  Callers that evaluate several actions
-    at the same points run the two stages themselves and share the factors.
-    """
-    x, y = np.atleast_1d(np.asarray(x, float), np.asarray(y, float))
-    fx = kernel_factors(kernel, x, action.edge_derivatives + 1)
-    return weighted_kernel_from_factors(kernel, action, fx,
-                                        kernel_factors(kernel, y))
 
 
 def weighted_kernel_matrix(kernel: ConeKernel, action: WeightedAction, xs, ys,
                            x_factors: KernelFactors = None,
                            y_factors: KernelFactors = None):
-    """Dense matrix of the weighted kernel at the node grid xs (rows) x ys.
+    """Dense matrix of the weighted kernel at the points xs (rows) x ys.
 
     Entry (i, j) = [x^w (x d/dx)^a k](x_i, y_j); no quadrature weights are
     applied.  ``x_factors`` and ``y_factors`` are the ``kernel_factors`` of
@@ -322,5 +315,6 @@ def decay_estimate_check(kernel: ConeKernel, y_nodes, y_weights, u_values,
     if not np.any(mask):
         return 0.0, 0.0
     yn, wn, un = y_nodes[mask], y_weights[mask], u_values[mask]
-    return tuple(abs(float(weighted_kernel(kernel, act, x, yn) @ (wn * un)))
-                 for act in (IDENTITY_ACTION, WeightedAction(0, 1)))
+    return tuple(
+        abs(float(weighted_kernel_matrix(kernel, act, [x], yn)[0] @ (wn * un)))
+        for act in (IDENTITY_ACTION, WeightedAction(0, 1)))

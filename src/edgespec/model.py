@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grids import (X_MAX_DEFAULT, X_MIN_DEFAULT, HalfLineGrid, build_grid,
-                    fd_assemble_model, nystrom_assemble, nystrom_factors,
-                    operator_norm)
+                    fd_assemble_model, nystrom_assemble, operator_norm)
 from .kernels import (ConeKernel, WeightedAction, require_witt_order,
                       weighted_kernel_matrix)
 
@@ -169,8 +168,9 @@ def uniform_bound_sweep(spectrum: FiberSpectrum, betas, grid_n: int = 400,
     """Norm table of X^-2 K and its edge derivatives across (nu, beta).
 
     Every order must pass ``require_witt_order``; the smallest is checked
-    before any assembly.  The three actions of a (nu, beta) cell share one
-    ``nystrom_factors``, so each Bessel factor is evaluated once per cell.
+    before any assembly.  Each (nu, beta) cell is one ``nystrom_assemble``
+    call for its three actions, so each Bessel factor is evaluated once per
+    cell.
     Each row carries the three estimated norms and the
     Schur-normalized ratios (nu^2 - 9/4) ||X^-2 K||, nu ||(X dx) X^-2 K||,
     ||(X dx)^2 X^-2 K||.  The summary flag ``uniform`` is
@@ -188,11 +188,8 @@ def uniform_bound_sweep(spectrum: FiberSpectrum, betas, grid_n: int = 400,
     rows = []
     for nu in spectrum.nu_values():
         for beta in betas:
-            kern = ConeKernel(nu, beta)
-            factors = nystrom_factors(kern, grid, ACTIONS)
-            norms = [operator_norm(nystrom_assemble(kern, act, grid, factors),
-                                   grid.weights)
-                     for act in ACTIONS]
+            norms = [operator_norm(m, grid.weights) for m in
+                     nystrom_assemble(ConeKernel(nu, beta), ACTIONS, grid)]
             rows.append({
                 "nu": nu, "beta": float(beta),
                 "norm0": norms[0], "norm1": norms[1], "norm2": norms[2],

@@ -63,7 +63,8 @@ def test_criterion_1_free_schur_bound():
     for nu in NU_SET:
         row, col = free_schur_integrals(nu)
         exact = exact_weighted_norm(nu, 0)
-        op = nystrom_assemble(ConeKernel(nu), WeightedAction(-2, 0), grid)
+        [op] = nystrom_assemble(ConeKernel(nu), (WeightedAction(-2, 0),),
+                                grid)
         measured = operator_norm(op, grid.weights)
         ratios.append(measured / exact)
         if not (0.9 * exact <= measured <= (1.0 + 1e-6) * exact

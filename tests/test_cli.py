@@ -113,14 +113,30 @@ def test_main_exit_codes(capsys, tmp_path):
     ["schur", "--nu", "inf"],
     ["schur", "--nu", "1e200"],
     ["schur", "--nu", "1e80", "--beta", "1"],
+    ["schur", "--beta", "1e300"],
+    ["schur", "--nu", "1e20", "--beta", "1"],
+    ["schur", "--x-min", "1e-320"],
+    ["schur", "--x-max", "inf"],
 ])
 def test_order_the_arithmetic_cannot_represent_is_refused(capsys, argv):
-    # nu^2 overflows (inf, 1e200) or the Bessel bounds' nu^4 does (1e80):
-    # a usage error with an error line, no NaN record and no traceback
+    # nu^2 overflows (inf, 1e200) or the Bessel bounds' nu^4 does (1e80);
+    # every Nystrom entry underflows (beta = 1e300, nu = 1e20) or one
+    # overflows (x_min = 1e-320), or the window is infinite: these once
+    # passed with measured 0.0 or ran 10 000 NaN power steps.  A usage
+    # error with an error line, no NaN record and no traceback
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("suite", ["all", "scales", "parametrix", "witt"])
+def test_negative_seed_is_refused(capsys, suite):
+    # numpy takes nonnegative seeds only: a usage error, not a traceback
+    assert main([suite, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seed must be nonnegative")
 
 
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):

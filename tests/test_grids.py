@@ -1,16 +1,17 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from edgespec.errors import (ConfigurationError, NumericalError,
+from edgespec.errors import (ConfigurationError, DomainError, NumericalError,
                              WittViolationError)
-from edgespec.grids import (_diagonal_cell_integrals, band_lu_factor,
-                            build_grid, fd_assemble_model, log_gauss_rule,
-                            nystrom_assemble, nystrom_factors, operator_norm)
+from edgespec.grids import (band_lu_factor, build_grid, fd_assemble_model,
+                            log_gauss_rule, nystrom_assemble, operator_norm)
 from edgespec import grids, kernels
-from edgespec.kernels import (ConeKernel, WeightedAction, weighted_kernel,
+from edgespec.kernels import (ConeKernel, WeightedAction, kernel_factors,
+                              weighted_kernel_from_factors,
                               weighted_kernel_matrix)
 from edgespec.model import (ACTIONS, FiberSpectrum, uniform_bound_sweep)
 from test_parametrix import _dense_from_band
@@ -43,6 +44,16 @@ def test_grid_validation():
         log_gauss_rule(100, 1.0, 0.5)
     with pytest.raises(ConfigurationError):
         log_gauss_rule(100, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-2, math.inf), (1e-2, math.nan),
+                                    (math.nan, 1e2), (-math.inf, 1e2)])
+def test_window_ends_must_be_finite(lo, hi):
+    # an infinite end once gave NaN nodes and 10 000 NaN power steps
+    for make in (build_grid, log_gauss_rule):
+        with pytest.raises(ConfigurationError,
+                           match=r"window \[.*x_max < inf"):
+            make(100, lo, hi)
 
 
 def test_operator_norm_diagonal_exact(monkeypatch):
@@ -83,8 +94,8 @@ def test_diagonal_cell_integrals_match_dense_rows(kern, action):
     ws = half[:, None] * gl_w[None, :]
     vals = weighted_kernel_matrix(kern, action, x, ys.ravel())
     ref = np.array([vals[i, 16 * i:16 * (i + 1)] @ ws[i] for i in range(g.n)])
-    got = _diagonal_cell_integrals(kern, action,
-                                   nystrom_factors(kern, g, (action,)))
+    [m] = nystrom_assemble(kern, (action,), g)
+    got = np.diag(m)
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
 
@@ -115,20 +126,41 @@ def test_sweep_cell_shares_bessel_factors(monkeypatch):
     half = 0.5 * (hi - lo)
     ys = 0.5 * (hi + lo)[:, None] + half[:, None] * gl_x[None, :]
     ws = half[:, None] * gl_w[None, :]
-    shared = nystrom_factors(kern, g, ACTIONS)
-    for act in ACTIONS:
-        alone = weighted_kernel(kern, act, x[:, None], x[None, :]) * g.weights
-        np.fill_diagonal(alone, np.sum(
-            weighted_kernel(kern, act, x[:, None], ys) * ws, axis=1))
-        m = nystrom_assemble(kern, act, g, shared)
+    for act, m in zip(ACTIONS, nystrom_assemble(kern, ACTIONS, g)):
+        # the factors of this action alone: orders nu..nu+a
+        fx = kernel_factors(kern, x, act.edge_derivatives + 1).reshape(-1, 1)
+        alone = weighted_kernel_matrix(kern, act, x, x) * g.weights
+        np.fill_diagonal(alone, np.sum(weighted_kernel_from_factors(
+            kern, act, fx, kernel_factors(kern, ys)) * ws, axis=1))
         assert np.array_equal(m, alone)
         # the flushed, jumping iteration agrees with the plain one to
         # rounding
         assert operator_norm(m, g.weights) == pytest.approx(
             _numpy_power_norm(m, g.weights)[0], rel=1e-12)
+    # x factors of too few orders for the action
     with pytest.raises(ConfigurationError):
-        nystrom_assemble(kern, ACTIONS[2], g,
-                         nystrom_factors(kern, g, ACTIONS[:1]))
+        weighted_kernel_from_factors(
+            kern, ACTIONS[2], kernel_factors(kern, x, 2).reshape(-1, 1),
+            kernel_factors(kern, x).reshape(1, -1))
+    with pytest.raises(ConfigurationError):
+        nystrom_assemble(kern, (), g)
+
+
+@pytest.mark.parametrize("nu, beta, x_min, what", [
+    (2.0, 1e300, 1e-4, "is zero"),
+    (1e20, 1.0, 1e-4, "is zero"),
+    (1e100, 0.0, 1e-4, "is zero"),
+    (2.0, 0.0, 1e-320, "non-finite"),
+])
+def test_nystrom_matrix_that_measures_nothing_is_refused(nu, beta, x_min,
+                                                         what):
+    # every entry underflows, or one overflows: a norm of such a matrix
+    # passes its bound without measuring the operator
+    g = build_grid(64, x_min, 1e3)
+    window = re.escape(f"nu={nu}, beta={beta}, action (w, a) = (-2, 0) "
+                       f"on [{x_min}, 1000.0]")
+    with pytest.raises(DomainError, match=f"{window} .*{what}"):
+        nystrom_assemble(ConeKernel(nu, beta), ACTIONS, g)
 
 
 def _numpy_power_norm(m, weights):
@@ -153,9 +185,7 @@ def test_operator_norm_jumps_reproduce_the_plain_loop(monkeypatch):
     # first edge derivative needs thousands of steps, nearly all in jumps
     g = build_grid(400, 1e-4, 1e3)
     kern = ConeKernel(3.0, 0.1)
-    factors = nystrom_factors(kern, g, ACTIONS[:2])
-    fast, slow = (nystrom_assemble(kern, act, g, factors)
-                  for act in ACTIONS[:2])
+    fast, slow = nystrom_assemble(kern, ACTIONS[:2], g)
     fast_norm, fast_steps = _numpy_power_norm(fast, g.weights)
     slow_norm, slow_steps = _numpy_power_norm(slow, g.weights)
     assert fast_steps < grids._JUMP_AFTER < 5000 < slow_steps
@@ -191,7 +221,7 @@ def test_nystrom_free_norm_matches_mellin_value():
     # x^{-1/2} is only marginally square integrable)
     nu = 3.0
     g = build_grid(400, 1e-5, 1e5)
-    op = nystrom_assemble(ConeKernel(nu), WeightedAction(-2, 0), g)
+    [op] = nystrom_assemble(ConeKernel(nu), (WeightedAction(-2, 0),), g)
     exact = 1.0 / (nu * nu - 1.0)
     measured = operator_norm(op, g.weights)
     assert measured <= exact * (1.0 + 1e-6)

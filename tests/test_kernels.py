@@ -11,18 +11,24 @@ from edgespec.grids import (build_grid, fd_assemble_model,
                             free_column_quadrature, log_gauss_rule)
 from edgespec.kernels import (IDENTITY_ACTION, ConeKernel, WeightedAction,
                               decay_estimate_check, exact_weighted_norm,
-                              free_schur_integrals, weighted_kernel,
+                              free_schur_integrals, kernel_factors,
+                              weighted_kernel_from_factors,
                               weighted_kernel_matrix)
 from edgespec.model import (ACTIONS, solve_scalar, uniform_bound_sweep,
                             verify_square_identity)
 from edgespec.parametrix import EdgeFunction, parametrix_apply
 
 
+def _value(kern, action, x, y):
+    """The weighted kernel at one point (x, y)."""
+    return weighted_kernel_matrix(kern, action, [x], [y])[0, 0]
+
+
 def test_kernel_construction_validation():
     # beta = 0 is the free kernel and beta > 0 the Bessel kernel; a negative
     # or NaN beta is neither
     free = ConeKernel(2.0, 0.0)
-    assert weighted_kernel(free, IDENTITY_ACTION, 1.0, 1.0)[0] == 0.25
+    assert _value(free, IDENTITY_ACTION, 1.0, 1.0) == 0.25
     assert ConeKernel(2.0, 1.0).beta == 1.0
     for beta in (-1.0, math.nan):
         with pytest.raises(ConfigurationError):
@@ -71,7 +77,7 @@ def test_one_witt_floor(name):
 
 def test_free_kernel_point_value():
     k = ConeKernel(2.0)
-    assert weighted_kernel(k, IDENTITY_ACTION, 1.0, 1.0)[0] == pytest.approx(
+    assert _value(k, IDENTITY_ACTION, 1.0, 1.0) == pytest.approx(
         0.25, rel=1e-14)
 
 
@@ -79,15 +85,15 @@ def test_kernel_symmetry():
     pts = [(0.3, 1.7), (2.0, 0.01), (5.0, 5.0), (100.0, 0.2)]
     for kern in (ConeKernel(2.5), ConeKernel(2.5, 1.3)):
         for x, y in pts:
-            forward = weighted_kernel(kern, IDENTITY_ACTION, x, y)[0]
-            back = weighted_kernel(kern, IDENTITY_ACTION, y, x)[0]
+            forward = _value(kern, IDENTITY_ACTION, x, y)
+            back = _value(kern, IDENTITY_ACTION, y, x)
             assert forward == pytest.approx(back, rel=1e-12)
 
 
 def test_bessel_kernel_point_value():
     # sqrt(2) I_2(1) K_2(2), mpmath dps=30
     k = ConeKernel(2.0, 1.0)
-    assert weighted_kernel(k, IDENTITY_ACTION, 2.0, 1.0)[0] == pytest.approx(
+    assert _value(k, IDENTITY_ACTION, 2.0, 1.0) == pytest.approx(
         0.048715832289423085, rel=1e-10)
 
 
@@ -95,8 +101,8 @@ def test_free_weighted_derivative_closed_form():
     # on the y < x branch, (x d/dx)[x^-2 k] = (-nu - 3/2) x^-2 k
     nu = 2.0
     k = ConeKernel(nu)
-    base = weighted_kernel(k, WeightedAction(-2, 0), 3.0, 1.0)[0]
-    once = weighted_kernel(k, WeightedAction(-2, 1), 3.0, 1.0)[0]
+    base = _value(k, WeightedAction(-2, 0), 3.0, 1.0)
+    once = _value(k, WeightedAction(-2, 1), 3.0, 1.0)
     assert once == pytest.approx((-nu - 1.5) * base, rel=1e-13)
 
 
@@ -107,7 +113,7 @@ def test_derivative_kernels_match_finite_differences(kern, weight, nder):
     h = 1e-4
 
     def f(z):
-        return z ** weight * weighted_kernel(kern, IDENTITY_ACTION, z, y)[0]
+        return z ** weight * _value(kern, IDENTITY_ACTION, z, y)
 
     if nder == 1:
         fd = x * (f(x * (1 + h)) - f(x * (1 - h))) / (2 * h * x)
@@ -116,7 +122,7 @@ def test_derivative_kernels_match_finite_differences(kern, weight, nder):
         # (x d/dx)^2 in log coordinates: d^2/dt^2 of f(e^t)
         v = [math.exp(l) for l in lf]
         fd = (v[0] - 2 * v[1] + v[2]) / h ** 2
-    analytic = weighted_kernel(kern, WeightedAction(weight, nder), x, y)[0]
+    analytic = _value(kern, WeightedAction(weight, nder), x, y)
     assert analytic == pytest.approx(fd, rel=1e-6)
 
 
@@ -146,8 +152,8 @@ def _product_pair(nu, x, y):
     claimed bound.
     """
     root = math.sqrt(x * y)
-    kb = weighted_kernel(ConeKernel(nu, 1.0), IDENTITY_ACTION, x, y)[0]
-    kf = weighted_kernel(ConeKernel(nu), IDENTITY_ACTION, x, y)[0]
+    kb = _value(ConeKernel(nu, 1.0), IDENTITY_ACTION, x, y)
+    kf = _value(ConeKernel(nu), IDENTITY_ACTION, x, y)
     return kb / root, 2.0 * kf / root
 
 
@@ -204,8 +210,8 @@ def test_bessel_kernel_dominated_by_free_envelope():
     kb = ConeKernel(nu, beta)
     kf = ConeKernel(nu)
     for y in (0.1, 1.0, 5.0, 9.0):
-        ratio = (weighted_kernel(kb, IDENTITY_ACTION, x, y)[0]
-                 / weighted_kernel(kf, IDENTITY_ACTION, x, y)[0])
+        ratio = (_value(kb, IDENTITY_ACTION, x, y)
+                 / _value(kf, IDENTITY_ACTION, x, y))
         assert ratio <= 2.0 * nu  # envelope with a modest constant
 
 
@@ -216,10 +222,22 @@ def test_extreme_parameters_no_overflow():
                                np.array([1e-4, 1.0, 1e3]))
     assert np.all(np.isfinite(m))
     # deep underflow clamps to zero rather than raising
-    v = weighted_kernel(ConeKernel(100.0), IDENTITY_ACTION, 1e3, 1e-3)[0]
+    v = _value(ConeKernel(100.0), IDENTITY_ACTION, 1e3, 1e-3)
     assert v == 0.0
     with pytest.raises(DomainError):
-        weighted_kernel(k, IDENTITY_ACTION, -1.0, 1.0)
+        _value(k, IDENTITY_ACTION, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("kern", [ConeKernel(2.5), ConeKernel(2.5, 1.3)])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_kernel_points_positive_and_finite(kern, bad):
+    # both kernels refuse the same points, on either side (the free kernel
+    # once gave NaN at x = NaN and 0.0 at x = inf)
+    with pytest.raises(DomainError, match="positive and finite"):
+        kernel_factors(kern, [1.0, bad])
+    for x, y in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(DomainError):
+            _value(kern, IDENTITY_ACTION, x, y)
 
 
 @pytest.mark.parametrize("kern", [ConeKernel(2.5), ConeKernel(2.5, 1.3)])
@@ -229,12 +247,15 @@ def test_weighted_kernel_pairs_equal_matrix_entries(kern, action):
     x = 10.0 ** rng.uniform(-4.0, 3.0, size=40)
     y = 10.0 ** rng.uniform(-4.0, 3.0, size=40)
     y[:5] = x[:5]  # on the diagonal, where the two branches meet
-    pairs = weighted_kernel(kern, action, x, y)
+    # the pairs (x_i, y_i), as the Nystrom diagonal pass evaluates them
+    pairs = weighted_kernel_from_factors(
+        kern, action, kernel_factors(kern, x, action.edge_derivatives + 1),
+        kernel_factors(kern, y))
     assert pairs.shape == (40,)
     full = weighted_kernel_matrix(kern, action, x, y)
     assert np.array_equal(pairs, np.diag(full))
     # a value does not depend on the batch it is computed in
-    assert weighted_kernel(kern, action, x[7], y[7])[0] == full[7, 7]
+    assert _value(kern, action, x[7], y[7]) == full[7, 7]
 
 
 @pytest.mark.parametrize("a", [0, 1, 2])
