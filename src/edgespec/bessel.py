@@ -12,9 +12,12 @@ The evaluator combines four branches:
   obtained from total variations of the coefficient polynomials U_j,
   which the module builds exactly in ``fractions`` (no computer algebra).
 
-All core routines are vectorized over the argument ``x`` for a fixed order
-``nu``; results are carried in log scale internally so that products such as
-``I_nu(beta*y) * K_nu(beta*x)`` stay computable for extreme parameters.
+All core routines are vectorized over (order, argument) pairs: each branch
+loop runs once per call over every pair that takes it, whatever its order,
+and a per-order constant is computed once per distinct order, so a value
+has the same bits whichever orders share its call.  Results are carried in
+log scale internally so that products such as ``I_nu(beta*y) * K_nu(beta*x)``
+stay computable for extreme parameters.
 ``log_bessel_ik`` returns both functions; the scalar ``bessel_i`` and
 ``bessel_k`` evaluate only the one they return, except where a branch
 (CF1 plus the Wronskian, Hankel, uniform) computes both from shared terms.
@@ -216,22 +219,53 @@ def _log_floor(log_v):
 
 
 # ---------------------------------------------------------------------------
-# Branch implementations (vectorized over x, scalar order)
+# Branch implementations (vectorized over (order, argument) pairs)
 # ---------------------------------------------------------------------------
+#
+# Each routine takes the order nu either as a Python float, shared by every
+# element, or as a float array with one order per element of x.  The loops
+# are written once for both: the arithmetic broadcasts, and a per-order
+# constant computed with ``math`` (lgamma, sin, powers, logs) comes from
+# _per_order, once per distinct order, so an element's value has the same
+# bits whichever orders share its call.
 
-def _unconverged(loop: str, nu: float, x: np.ndarray, resid: np.ndarray):
-    """NumericalError for a loop at its cap; x and resid are its open elements."""
+def _at(v, sel):
+    """The elements sel of a per-element array; a shared scalar passes."""
+    return v[sel] if isinstance(v, np.ndarray) else v
+
+
+def _span(v):
+    """(least, largest) of a per-element array; a shared scalar twice."""
+    if isinstance(v, np.ndarray):
+        return v.min(initial=np.inf), v.max(initial=-np.inf)
+    return v, v
+
+
+def _per_order(fn, nu):
+    """fn(nu) for a shared order; for per-element orders, fn evaluated once
+    per distinct order and gathered to the elements (one array per entry
+    when fn returns a tuple)."""
+    if not isinstance(nu, np.ndarray):
+        return fn(nu)
+    vals, inv = np.unique(nu, return_inverse=True)
+    table = np.array([fn(float(v)) for v in vals])
+    return tuple(table[inv].T) if table.ndim == 2 else table[inv]
+
+
+def _unconverged(loop: str, nu, x: np.ndarray, resid: np.ndarray):
+    """NumericalError for a loop at its cap, naming the worst element; nu,
+    x and resid are its open elements (nu may be one shared order)."""
     j = int(np.argmax(resid))
     return NumericalError(
-        f"{loop} reached its iteration cap at nu={nu!r}: worst x={float(x[j])!r}"
-        f" left residual {float(resid[j]):.3e}")
+        f"{loop} reached its iteration cap at nu={float(_at(nu, j))!r}: "
+        f"worst x={float(x[j])!r} left residual {float(resid[j]):.3e}")
 
 
 # The loops below carry only their unconverged elements: idx holds their
 # positions in x, and an element leaves, with its results written out, at the
 # step where its own convergence test passes.
 
-def _log_i_series(nu: float, x: np.ndarray):
+def _log_i_series(nu, x: np.ndarray):
     """log I_nu(x) by the ascending series; terms are positive, no cancellation."""
     s_out = np.empty_like(x)
     err = np.empty_like(x)
@@ -239,10 +273,11 @@ def _log_i_series(nu: float, x: np.ndarray):
     t = np.ones_like(x)
     s = np.ones_like(x)
     q = 0.25 * x * x
+    nus = nu
     for k in range(1, 400):
-        t = t * q / (k * (nu + k))
+        t = t * q / (k * (nus + k))
         s = s + t
-        ratio = q / ((k + 1) * (nu + k + 1))
+        ratio = q / ((k + 1) * (nus + k + 1))
         done = (t <= _EPS * s) & (ratio < 0.5)
         if done.any():
             trunc = t[done] * ratio[done] / np.maximum(1e-300, 1.0 - ratio[done])
@@ -250,11 +285,13 @@ def _log_i_series(nu: float, x: np.ndarray):
             s_out[idx[done]] = s[done]
             keep = ~done
             idx, t, s, q = idx[keep], t[keep], s[keep], q[keep]
+            nus = _at(nus, keep)
         if not idx.size:
             break
     else:
-        raise _unconverged("ascending series for I", nu, x[idx], t / s)
-    log_i = nu * np.log(0.5 * x) - math.lgamma(nu + 1.0) + np.log(s_out)
+        raise _unconverged("ascending series for I", nus, x[idx], t / s)
+    lgamma = _per_order(lambda v: math.lgamma(v + 1.0), nu)
+    log_i = nu * np.log(0.5 * x) - lgamma + np.log(s_out)
     return log_i, err
 
 
@@ -287,14 +324,25 @@ def _temme_gammas(mu: float):
     return gam1, gam2, rp, rm
 
 
-def _log_k_temme(nu: float, x: np.ndarray):
-    """log K_mu, log K_{mu+1} with mu = nu - round(nu) in [-1/2, 1/2]; x <= 2."""
-    nl = int(math.floor(nu + 0.5))
-    mu = nu - nl
-    gam1, gam2, inv_gpl, inv_gmi = _temme_gammas(mu)
-    x2 = 0.5 * x
+def _reduced_order(nu: float):
+    """(nl, mu): nl = round(nu), mu = nu - nl in [-1/2, 1/2]."""
+    nl = math.floor(nu + 0.5)
+    return nl, nu - nl
+
+
+def _temme_constants(nu: float):
+    """(nl, mu, gam1, gam2, 1/G(1+mu), 1/G(1-mu), pi mu / sin(pi mu))."""
+    nl, mu = _reduced_order(nu)
     pimu = math.pi * mu
     fact = pimu / math.sin(pimu) if abs(pimu) > 1e-15 else 1.0
+    return (nl, mu, *_temme_gammas(mu), fact)
+
+
+def _log_k_temme(nu, x: np.ndarray):
+    """log K_mu, log K_{mu+1} with mu = nu - round(nu) in [-1/2, 1/2]; x <= 2."""
+    nl, mu, gam1, gam2, inv_gpl, inv_gmi, fact = _per_order(
+        _temme_constants, nu)
+    x2 = 0.5 * x
     d = -np.log(x2)
     e = mu * d
     fact2 = np.where(np.abs(e) > 1e-15, np.sinh(e) / np.where(e == 0, 1.0, e), 1.0)
@@ -306,6 +354,7 @@ def _log_k_temme(nu: float, x: np.ndarray):
     c = np.ones_like(x)
     dd = x2 * x2
     ksum1 = p.copy()
+    mus = mu
     mu2 = mu * mu
     k0 = np.empty_like(x)
     k1 = np.empty_like(x)
@@ -313,8 +362,8 @@ def _log_k_temme(nu: float, x: np.ndarray):
     for i in range(1, 300):
         ff = (i * ff + p + q) / (i * i - mu2)
         c = c * dd / i
-        p = p / (i - mu)
-        q = q / (i + mu)
+        p = p / (i - mus)
+        q = q / (i + mus)
         dl = c * ff
         ksum = ksum + dl
         ksum1 = ksum1 + c * (p - i * ff)
@@ -325,20 +374,20 @@ def _log_k_temme(nu: float, x: np.ndarray):
             keep = ~done
             idx, ff, c, p, q, ksum, ksum1, dd, dl = (
                 v[keep] for v in (idx, ff, c, p, q, ksum, ksum1, dd, dl))
+            mus, mu2 = _at(mus, keep), _at(mu2, keep)
         if not idx.size:
             break
     else:
-        raise _unconverged("Temme series for K", nu, x[idx],
+        raise _unconverged("Temme series for K", _at(nu, idx), x[idx],
                            np.abs(dl / ksum))
     lk0 = np.log(k0)
     lk1 = np.log(k1) + np.log(2.0 / x)
     return _k_recur_up(mu, nl, x, lk0, lk1)
 
 
-def _log_k_cf2(nu: float, x: np.ndarray):
+def _log_k_cf2(nu, x: np.ndarray):
     """log K_mu, log K_{mu+1} via Steed's continued fraction; x >= 2."""
-    nl = int(math.floor(nu + 0.5))
-    mu = nu - nl
+    nl, mu = _per_order(_reduced_order, nu)
     mu2 = mu * mu
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
@@ -355,7 +404,7 @@ def _log_k_cf2(nu: float, x: np.ndarray):
     s_out = np.empty_like(x)
     idx = np.arange(x.size)
     for i in range(2, 20000):
-        a -= 2.0 * (i - 1)
+        a = a - 2.0 * (i - 1)
         c = -a * c / i
         qnew = (q1 - b * q2) / a
         q1 = q2
@@ -374,10 +423,12 @@ def _log_k_cf2(nu: float, x: np.ndarray):
             keep = ~done
             idx, b, d, h, delh, q1, q2, q, c, s, dels = (
                 v[keep] for v in (idx, b, d, h, delh, q1, q2, q, c, s, dels))
+            a = _at(a, keep)
         if not idx.size:
             break
     else:
-        raise _unconverged("Steed's CF2 for K", nu, x[idx], np.abs(dels / s))
+        raise _unconverged("Steed's CF2 for K", _at(nu, idx), x[idx],
+                           np.abs(dels / s))
     h = a1 * h_out
     # K_mu = sqrt(pi/(2x)) e^{-x} / s
     lk0 = 0.5 * np.log(math.pi / (2.0 * x)) - x - np.log(s_out)
@@ -385,16 +436,26 @@ def _log_k_cf2(nu: float, x: np.ndarray):
     return _k_recur_up(mu, nl, x, lk0, lk1)
 
 
-def _k_recur_up(mu: float, nl: int, x: np.ndarray, lk0, lk1):
-    """Upward order recurrence in log scale: stable since K grows with order."""
-    for i in range(nl):
+def _k_recur_up(mu, nl, x: np.ndarray, lk0, lk1):
+    """Upward order recurrence in log scale: stable since K grows with order.
+
+    Element j takes nl[j] steps: the loop runs to the largest count, and
+    from the smallest one on a mask keeps the values of each element whose
+    own count is reached.
+    """
+    least, most = _span(nl)
+    for i in range(int(most)):
         fac = 2.0 * (mu + i + 1.0) / x
         lk2 = lk1 + np.log(fac + np.exp(lk0 - lk1))
-        lk0, lk1 = lk1, lk2
+        if i < least:
+            lk0, lk1 = lk1, lk2
+        else:
+            up = i < nl
+            lk0, lk1 = np.where(up, lk1, lk0), np.where(up, lk2, lk1)
     return lk0, lk1
 
 
-def _cf1_ratio(nu: float, x: np.ndarray):
+def _cf1_ratio(nu, x: np.ndarray):
     """Continued fraction for I_{nu+1}(x) / I_nu(x) (modified Lentz)."""
     tiny = 1e-300
     f = np.full_like(x, tiny)
@@ -403,8 +464,9 @@ def _cf1_ratio(nu: float, x: np.ndarray):
     f_out = np.empty_like(x)
     idx = np.arange(x.size)
     xs = x
+    nus = nu
     for i in range(1, 20000):
-        b = 2.0 * (nu + i) / xs
+        b = 2.0 * (nus + i) / xs
         d = b + d
         d = np.where(np.abs(d) < tiny, tiny, d)
         c = b + 1.0 / c
@@ -418,14 +480,15 @@ def _cf1_ratio(nu: float, x: np.ndarray):
             keep = ~done
             idx, f, c, d, xs, delta = (
                 v[keep] for v in (idx, f, c, d, xs, delta))
+            nus = _at(nus, keep)
         if not idx.size:
             break
     else:
-        raise _unconverged("Steed's CF1 for I", nu, xs, np.abs(delta - 1.0))
+        raise _unconverged("Steed's CF1 for I", nus, xs, np.abs(delta - 1.0))
     return f_out
 
 
-def _log_ik_hankel(nu: float, x: np.ndarray):
+def _log_ik_hankel(nu, x: np.ndarray):
     """Hankel's expansions for x >> nu^2, per element where their bound allows.
 
     With a_k = (4nu^2 - 1^2)(4nu^2 - 3^2)...(4nu^2 - (2k-1)^2) / (k! 8^k):
@@ -443,19 +506,23 @@ def _log_ik_hankel(nu: float, x: np.ndarray):
     An element is taken at the first l where both relative bounds are at
     most _HANKEL_TOL.  It is left to the continued fractions once its terms
     stop decreasing first, and never enters when |a_1| >= x.  Returns
-    (take, log_i, log_k, err_i, err_k), the last four for the taken elements
-    in order.
+    (take, vals): vals has the rows log_i, log_k, err_i, err_k for the
+    taken elements in order.
     """
     n = x.size
     out = np.empty((4, n))
     take = np.zeros(n, dtype=bool)
     mu = 4.0 * nu * nu
-    c = abs(nu * nu - 0.25)
     idx = np.flatnonzero(abs(mu - 1.0) < 8.0 * x)
-    xs = x[idx]
+    xs, nus, mu = x[idx], _at(nu, idx), _at(mu, idx)
+    c = abs(nus * nus - 0.25)
+    # the K bound drops its factor grow_k from l >= nu - 1/2 on; a mask is
+    # needed only at the l between the least and the largest nu - 1/2
+    lo, hi = _span(nus - 0.5)
     grow_k = 2.0 * np.exp(c / xs)
     grow_i = 2.0 * np.exp(0.5 * math.pi * c / xs)
-    tail = abs(math.sin(math.pi * nu)) * np.exp(-2.0 * xs)
+    tail = (_per_order(lambda v: abs(math.sin(math.pi * v)), nus)
+            * np.exp(-2.0 * xs))
     t = np.ones_like(xs)      # a_{k-1} x^(1-k)
     s_i = np.zeros_like(xs)   # sum_{1 <= j < k} (-1)^j a_j x^-j
     s_k = np.zeros_like(xs)   # sum_{1 <= j < k} a_j x^-j
@@ -467,7 +534,12 @@ def _log_ik_hankel(nu: float, x: np.ndarray):
         a = np.abs(t_next)
         chi = math.exp(0.5 * math.log(math.pi) + math.lgamma(0.5 * k + 1.0)
                        - math.lgamma(0.5 * k + 0.5))
-        b_k = a if k >= nu - 0.5 else a * grow_k
+        if k < lo:
+            b_k = a * grow_k
+        elif k >= hi:
+            b_k = a
+        else:
+            b_k = np.where(k >= nus - 0.5, a, a * grow_k)
         b_i = a * chi * grow_i + tail * (np.abs(1.0 + s_k) + b_k)
         ok = ((b_k <= _HANKEL_TOL * (1.0 + s_k - b_k))
               & (b_i <= _HANKEL_TOL * (1.0 + s_i - b_i)))
@@ -484,22 +556,37 @@ def _log_ik_hankel(nu: float, x: np.ndarray):
             idx, xs, t_next, s_i, s_k, grow_k, grow_i, tail = (
                 v[keep] for v in (idx, xs, t_next, s_i, s_k, grow_k, grow_i,
                                   tail))
+            nus, mu = _at(nus, keep), _at(mu, keep)
         s_i = s_i + (-t_next if k % 2 else t_next)
         s_k = s_k + t_next
         t = t_next
-    li, lk, ei, ek = out[:, take]
-    return take, li, lk, ei, ek
+    return take, out[:, take]
 
 
-def _olver_bounds(nu: float, p):
+def _olver_constants(nu: float):
+    """nu^0..nu^ASYMPTOTIC_TERMS, then the bound b_inf of _olver_bounds and
+    the order's terms log(2 pi nu) and log(pi / 2nu) of the expansions."""
+    n = ASYMPTOTIC_TERMS
+    table = _olver_table()
+    v1_tot, vn_tot = table[1][3][-1], table[n][3][-1]
+    b_inf = 2.0 * math.exp(2.0 * v1_tot / nu) * vn_tot / nu ** n
+    return (*[nu ** j for j in range(n + 1)], b_inf,
+            math.log(2.0 * math.pi * nu), math.log(0.5 * math.pi / nu))
+
+
+def _olver_bounds(nu, p, consts=None):
     """(b_i, b_k, b_inf): error-term bounds of the uniform expansions.
 
     b_i and b_k bound the error terms of the I- and K-expansions with
     n = ASYMPTOTIC_TERMS terms at p = (1+(x/nu)^2)^{-1/2}, from the
     variations of U_1 and of the first omitted polynomial U_n over (p, 1)
-    resp. (0, p); b_inf is b_i's limit as p -> 0.
+    resp. (0, p); b_inf is b_i's limit as p -> 0.  ``consts`` are the
+    order's _olver_constants, when the caller has them.
     """
     n = ASYMPTOTIC_TERMS
+    if consts is None:
+        consts = _per_order(_olver_constants, nu)
+    nu_n, b_inf = consts[n], consts[n + 1]
     table = _olver_table()
     v1_tot, vn_tot = table[1][3][-1], table[n][3][-1]
     v1_0p = _variation_from_zero(1, p)
@@ -507,93 +594,138 @@ def _olver_bounds(nu: float, p):
     # near p = 1 a variation from zero can round above the total
     v1_p1 = np.maximum(v1_tot - v1_0p, 0.0)
     vn_p1 = np.maximum(vn_tot - vn_0p, 0.0)
-    b_i = 2.0 * np.exp(2.0 * v1_p1 / nu) * vn_p1 / nu ** n
-    b_k = 2.0 * np.exp(2.0 * v1_0p / nu) * vn_0p / nu ** n
-    b_inf = 2.0 * math.exp(2.0 * v1_tot / nu) * vn_tot / nu ** n
+    b_i = 2.0 * np.exp(2.0 * v1_p1 / nu) * vn_p1 / nu_n
+    b_k = 2.0 * np.exp(2.0 * v1_0p / nu) * vn_0p / nu_n
     return b_i, b_k, b_inf
 
 
-def _log_ik_olver(nu: float, x: np.ndarray):
+def _log_ik_olver(nu, x: np.ndarray):
     """Uniform large-order asymptotics with total-variation error bounds.
 
     Returns (log_i, log_k, err_i, err_k); the errors are truncation bounds
     without the representation floor.
     """
     table = _olver_table()
+    consts = _per_order(_olver_constants, nu)
+    log_2pi_nu, log_pi_2nu = consts[-2:]
     z = x / nu
     p = 1.0 / np.hypot(1.0, z)
     eta = olver_eta(z)
     su_i = np.zeros_like(x)
     su_k = np.zeros_like(x)
     for j in range(ASYMPTOTIC_TERMS):
-        uj = polyval(p, table[j][0]) / nu ** j
+        uj = polyval(p, table[j][0]) / consts[j]
         su_i += uj
         su_k += (-1.0) ** j * uj
-    b_i, b_k, b_inf = _olver_bounds(nu, p)
-    log_i = nu * eta - 0.5 * math.log(2.0 * math.pi * nu) + 0.5 * np.log(p) + np.log(su_i)
-    log_k = -nu * eta + 0.5 * math.log(0.5 * math.pi / nu) + 0.5 * np.log(p) + np.log(su_k)
+    b_i, b_k, b_inf = _olver_bounds(nu, p, consts)
+    log_i = nu * eta - 0.5 * log_2pi_nu + 0.5 * np.log(p) + np.log(su_i)
+    log_k = -nu * eta + 0.5 * log_pi_2nu + 0.5 * np.log(p) + np.log(su_k)
     err_i = (b_i + np.abs(su_i) * b_inf) / np.maximum(np.abs(su_i) - b_i, 1e-300)
     err_k = b_k / np.maximum(np.abs(su_k) - b_k, 1e-300)
     return log_i, log_k, err_i, err_k
 
 
-def _check_args(nu: float, x):
-    """The order and the arguments as a 1-d float array, both validated."""
-    nu = _check_order(nu)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _check_args(nu, x):
+    """Orders and arguments, validated and broadcast against each other.
+
+    ``nu`` is one order or an array of orders that broadcasts against x;
+    each distinct order is validated, so a bad one raises DomainError
+    naming it.  Returns (nu, x, shape): nu a Python float when every
+    element has the same order, else a float array with one order per
+    element of x; x a 1-d float array; shape the shape of the outputs,
+    the broadcast shape made at least 1-d.
+    """
+    nu = np.asarray(nu, dtype=float)
+    orders = np.unique(nu) if nu.ndim else nu.reshape(1)
+    for v in orders:
+        _check_order(v)
+    x = np.asarray(x, dtype=float)
+    if nu.ndim:
+        nu, x = np.broadcast_arrays(nu, x)
+    shape = x.shape or (1,)
+    x = x.reshape(-1)
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise DomainError("argument must be positive and finite")
-    return nu, x
+    if orders.size == 1:
+        return float(orders[0]), x, shape
+    return nu.reshape(-1), x, shape
 
 
-def _log_bessel(nu: float, x: np.ndarray, sides: str):
+def _log_ik_uniform(nu, x: np.ndarray, want_i: bool, want_k: bool):
+    """((log I, log K, err_i, err_k), branch codes) of the uniform branch
+    for orders >= ASYMPTOTIC_MIN_ORDER, both sides whatever is asked."""
+    return _log_ik_olver(nu, x), np.full(x.shape, UNIFORM)
+
+
+def _log_ik_moderate(nu, x: np.ndarray, want_i: bool, want_k: bool):
+    """(rows log I, log K, err_i, err_k; branch codes) for orders below
+    ASYMPTOTIC_MIN_ORDER; the rows of a side not asked for may be unfilled.
+
+    Up to SERIES_MAX_ARG the two sides are independent: I alone runs only
+    the I series, K alone only Temme's series or CF2.  Above it K alone
+    skips CF1, while Hankel and the CF2 values that CF1's Wronskian needs
+    compute both sides, which share their terms.
+    """
+    out = np.empty((4, x.size))
+    out[2:] = _RECURRENCE_ERR
+    series = x <= SERIES_MAX_ARG
+    temme = x <= TEMME_MAX_ARG
+    method = np.where(temme, SERIES_TEMME,
+                      np.where(series, SERIES_CF2, CF1_WRONSKIAN))
+    hankel = np.zeros(x.shape, dtype=bool)
+    if want_i and series.any():
+        out[::2, series] = _log_i_series(_at(nu, series), x[series])
+    if want_k and temme.any():
+        out[1, temme] = _log_k_temme(_at(nu, temme), x[temme])[0]
+    if not series.all():
+        # in the Hankel region its truncation bound replaces _RECURRENCE_ERR
+        large = ~series
+        take, vals = _log_ik_hankel(_at(nu, large), x[large])
+        hankel[large] = take
+        out[:, hankel] = vals
+        method[hankel] = HANKEL
+    wr = ~series & ~hankel & want_i
+    cf2 = (~temme & ~hankel & want_k) | wr
+    if cf2.any():
+        lk0, lk1 = _log_k_cf2(_at(nu, cf2), x[cf2])
+        out[1, cf2] = lk0
+        # CF1 plus the Wronskian I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x:
+        # I_nu = 1 / (x (K_{nu+1} + r K_nu)), r = I_{nu+1} / I_nu
+        if wr.any():
+            w = wr[cf2]
+            xw, lk0, lk1 = x[wr], lk0[w], lk1[w]
+            r = _cf1_ratio(_at(nu, wr), xw)
+            out[0, wr] = (-np.log(xw)
+                          - (lk1 + np.log1p(r * np.exp(lk0 - lk1))))
+    return out, method
+
+
+def _log_bessel(nu, x: np.ndarray, sides: str):
     """log_bessel_ik on checked arguments, filling the sides ("I", "K") asked.
 
-    Branch codes do not depend on ``sides``.  Up to SERIES_MAX_ARG the two
-    sides are independent: I alone runs only the I series, K alone only
-    Temme's series or CF2.  Above it K alone skips CF1, while Hankel, the
-    CF2 values that CF1's Wronskian needs and the uniform branch compute
-    both sides, which share their terms.  The log and error of a side not
-    asked for are None.
+    ``nu`` is one order shared by every element or one order per element
+    of the 1-d x.  The elements of order >= ASYMPTOTIC_MIN_ORDER take the
+    uniform branch and the others the moderate-order branches, in the same
+    call.  Branch codes do not depend on ``sides``; the log and error of a
+    side not asked for are None.
     """
     want_i, want_k = "I" in sides, "K" in sides
-    if nu >= ASYMPTOTIC_MIN_ORDER:
-        log_i, log_k, err_i, err_k = _log_ik_olver(nu, x)
-        method = np.full(x.shape, UNIFORM)
+    least, largest = _span(nu)
+    # a call within one group needs no gather and scatter
+    if largest < ASYMPTOTIC_MIN_ORDER:
+        out, method = _log_ik_moderate(nu, x, want_i, want_k)
+    elif least >= ASYMPTOTIC_MIN_ORDER:
+        out, method = _log_ik_uniform(nu, x, want_i, want_k)
     else:
-        log_i = np.empty_like(x)
-        log_k = np.empty_like(x)
-        err_i = np.full_like(x, _RECURRENCE_ERR)
-        err_k = np.full_like(x, _RECURRENCE_ERR)
-        series = x <= SERIES_MAX_ARG
-        temme = x <= TEMME_MAX_ARG
-        method = np.where(temme, SERIES_TEMME,
-                          np.where(series, SERIES_CF2, CF1_WRONSKIAN))
-        hankel = np.zeros(x.shape, dtype=bool)
-        if want_i and series.any():
-            log_i[series], err_i[series] = _log_i_series(nu, x[series])
-        if want_k and temme.any():
-            log_k[temme] = _log_k_temme(nu, x[temme])[0]
-        if not series.all():
-            # in the Hankel region its truncation bound replaces
-            # _RECURRENCE_ERR
-            take, *vals = _log_ik_hankel(nu, x[~series])
-            hankel[~series] = take
-            log_i[hankel], log_k[hankel], err_i[hankel], err_k[hankel] = vals
-            method[hankel] = HANKEL
-        wr = ~series & ~hankel & want_i
-        cf2 = (~temme & ~hankel & want_k) | wr
-        if cf2.any():
-            lk0, lk1 = _log_k_cf2(nu, x[cf2])
-            log_k[cf2] = lk0
-            # CF1 plus the Wronskian I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x:
-            # I_nu = 1 / (x (K_{nu+1} + r K_nu)), r = I_{nu+1} / I_nu
-            if wr.any():
-                w = wr[cf2]
-                xw, lk0, lk1 = x[wr], lk0[w], lk1[w]
-                r = _cf1_ratio(nu, xw)
-                log_i[wr] = (-np.log(xw)
-                             - (lk1 + np.log1p(r * np.exp(lk0 - lk1))))
+        # rows log I, log K, err_i, err_k
+        out = np.empty((4, x.size))
+        method = np.empty(x.shape, dtype=int)
+        uniform = nu >= ASYMPTOTIC_MIN_ORDER
+        for group, evaluate in ((uniform, _log_ik_uniform),
+                                (~uniform, _log_ik_moderate)):
+            out[:, group], method[group] = evaluate(nu[group], x[group],
+                                                    want_i, want_k)
+    log_i, log_k, err_i, err_k = out
     # a side not asked for may hold unfilled np.empty entries: no floor
     if want_i:
         err_i += _log_floor(log_i)
@@ -606,22 +738,30 @@ def _log_bessel(nu: float, x: np.ndarray, sides: str):
     return log_i, log_k, err_i, err_k, method
 
 
-def log_bessel_ik(nu: float, x):
-    """(log I_nu, log K_nu, err_i, err_k, branch codes) vectorized over x.
+def log_bessel_ik(nu: float, x, offset=0):
+    """(log I, log K, err_i, err_k, branch codes) over (order, argument) pairs.
 
-    Branch codes: SERIES_TEMME (x <= TEMME_MAX_ARG), SERIES_CF2
-    (x <= SERIES_MAX_ARG), HANKEL where Hankel's expansion reaches its
-    tolerance, CF1_WRONSKIAN for the other x > SERIES_MAX_ARG, and UNIFORM
-    for nu >= ASYMPTOTIC_MIN_ORDER; bessel_i and bessel_k name the branch
-    from its code.  Both sides are computed.  Below ASYMPTOTIC_MIN_ORDER
-    each routine runs at most once per call: the I series over
-    x <= SERIES_MAX_ARG, Temme's K series over x <= TEMME_MAX_ARG, Hankel
-    over x > SERIES_MAX_ARG, CF2 over the other K values, and CF1 plus the
+    Element j is evaluated at order nu + offset[j] and argument x[j], where
+    ``offset`` is a non-negative int array (or int) that broadcasts against
+    x; the outputs have the broadcast shape, at least 1-d.  An order <= 0
+    or non-finite raises DomainError naming it.  Branch codes: UNIFORM for
+    orders >= ASYMPTOTIC_MIN_ORDER; below it SERIES_TEMME
+    (x <= TEMME_MAX_ARG), SERIES_CF2 (x <= SERIES_MAX_ARG), HANKEL where
+    Hankel's expansion reaches its tolerance and CF1_WRONSKIAN for the
+    other x > SERIES_MAX_ARG; bessel_i and bessel_k name the branch from
+    its code.  Both sides are computed.  Each routine runs at most once per
+    call, over all its pairs whatever their orders: the uniform branch over
+    the large orders; below them the I series over x <= SERIES_MAX_ARG,
+    Temme's K series over x <= TEMME_MAX_ARG, Hankel over
+    x > SERIES_MAX_ARG, CF2 over the other K values, and CF1 plus the
     Wronskian over the other I values.  Each value depends on its own
-    argument alone, not on the batch it is computed in.
+    order and argument alone, not on the batch it is computed in.
     """
-    nu, x = _check_args(nu, x)
-    return _log_bessel(nu, x, "IK")
+    offset = np.asarray(offset)
+    if offset.dtype.kind not in "iu" or np.any(offset < 0):
+        raise DomainError("order offsets must be non-negative integers")
+    nu, x, shape = _check_args(_check_order(nu) + offset, x)
+    return tuple(v.reshape(shape) for v in _log_bessel(nu, x, "IK"))
 
 
 def _scale_exponent(nu: float, x: np.ndarray):
@@ -643,7 +783,7 @@ def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
     value that the bound allows to overflow is refused, and math.exp never
     overflows (log(DBL_MAX) rounds down, and exp of it is finite).
     """
-    nu, xs = _check_args(nu, x)
+    nu, xs, _ = _check_args(nu, x)
     li, lk, ei, ek, meth = _log_bessel(nu, xs, kind)
     if kind == "I":
         log_v, err, sign = float(li[0]), float(ei[0]), -1.0
@@ -697,16 +837,16 @@ def wronskian_residual(nus, xs) -> float:
     """Worst |x (I_nu(x) K_{nu+1}(x) + I_{nu+1}(x) K_nu(x)) - 1| on nus x xs.
 
     The Wronskian identity holds exactly, so the residual measures the
-    evaluator's combined error at orders nu and nu + 1.
+    evaluator's combined error at orders nu and nu + 1.  All the orders
+    and their nu + 1 are evaluated in one pass.
     """
     xs = np.asarray(xs, dtype=float)
-    worst = 0.0
-    for nu in nus:
-        li0, lk0, *_ = log_bessel_ik(nu, xs)
-        li1, lk1, *_ = log_bessel_ik(nu + 1.0, xs)
-        prod = np.exp(li0 + lk1) + np.exp(li1 + lk0)
-        worst = max(worst, float(np.max(np.abs(xs * prod - 1.0))))
-    return worst
+    nus = np.asarray(nus, dtype=float).reshape(-1, 1)
+    nu, x, shape = _check_args([nus, nus + 1.0], xs)
+    (li0, li1), (lk0, lk1) = (v.reshape(shape)
+                              for v in _log_bessel(nu, x, "IK")[:2])
+    prod = np.exp(li0 + lk1) + np.exp(li1 + lk0)
+    return float(np.max(np.abs(xs * prod - 1.0), initial=0.0))
 
 
 def uniform_asymptotic_excess(mu: float, xs):

@@ -152,9 +152,9 @@ def nystrom_assemble(kernel: ConeKernel, actions,
 
     The kernel factors at the nodes (rows and columns) and at the cell
     points are evaluated once and shared by every action: for beta > 0,
-    one log_bessel_ik call per order nu..nu+a_max at the N nodes (a_max
-    the largest edge-derivative count) and one at order nu on the
-    DIAG_CELL_NODES * N cell points.  An empty ``actions`` raises
+    two log_bessel_ik calls, one over the orders nu..nu+a_max at the N
+    nodes (a_max the largest edge-derivative count) and one at order nu
+    on the DIAG_CELL_NODES * N cell points.  An empty ``actions`` raises
     ConfigurationError.  A matrix with a non-finite entry, or with every
     entry zero, has no norm worth reporting: it raises DomainError naming
     (nu, beta) and the window.

@@ -15,11 +15,11 @@ kernel and by the order recurrences
     (u d/du)[u^k I_m] = (k+m) u^k I_m + u^{k+1} I_{m+1},
 
 for the Bessel kernel.  They are evaluated in log space in two stages:
-``kernel_factors`` takes the logarithms, the Bessel factors and the
-y-side generators ln g_lo, ln g_hi at each side's points before
-broadcasting, and ``weighted_kernel_from_factors`` combines them, masking
-and exponentiating both branches in one place; underflow clamps to 0 and
-overflow gives inf.
+``kernel_factors`` takes the logarithms, the Bessel factors (all orders in
+one log_bessel_ik call) and the y-side generators ln g_lo, ln g_hi at each
+side's points before broadcasting, and ``weighted_kernel_from_factors``
+combines them, exponentiating each entry's own branch in place in the
+result; underflow clamps to 0 and overflow gives inf.
 ``weighted_kernel_matrix`` is the one evaluator of the weighted kernel;
 one set of factors at the grid nodes serves the x-side and the y-side of
 every action's matrix.
@@ -151,8 +151,9 @@ class KernelFactors:
 def kernel_factors(kernel: ConeKernel, x, orders: int = 1) -> KernelFactors:
     """Factor stage of the weighted kernel at the positive, finite points x.
 
-    For beta > 0 it makes one log_bessel_ik call per order nu..nu+orders-1
-    at beta x; the free kernel needs no Bessel factor.
+    For beta > 0 it makes one log_bessel_ik call, over the orders
+    nu..nu+orders-1 at every beta x; the free kernel needs no Bessel
+    factor.
     """
     x = np.asarray(x, float)
     if not np.all((x > 0.0) & (x < np.inf)):
@@ -162,9 +163,11 @@ def kernel_factors(kernel: ConeKernel, x, orders: int = 1) -> KernelFactors:
         return KernelFactors(x, log_x, (nu + 0.5) * log_x,
                              (-nu + 0.5) * log_x)
     u = kernel.beta * x
-    log_ik = [log_bessel_ik(nu + off, u)[:2] for off in range(orders)]
-    log_i = tuple(li for li, _ in log_ik)
-    log_k = tuple(lk for _, lk in log_ik)
+    # row j of the one call holds order nu + j at every point
+    offset = np.arange(orders).reshape((orders,) + (1,) * u.ndim)
+    log_i, log_k = log_bessel_ik(nu, np.broadcast_to(u, (orders,) + u.shape),
+                                 offset)[:2]
+    log_i, log_k = tuple(log_i), tuple(log_k)
     half_log_x = 0.5 * log_x
     return KernelFactors(x, log_x, half_log_x + log_i[0],
                          half_log_x + log_k[0], np.log(u), log_i, log_k)
@@ -205,8 +208,10 @@ def weighted_kernel_from_factors(kernel: ConeKernel, action: WeightedAction,
 
     It makes no Bessel call, so the factors can be shared by every action.
     The x-side is the only part that depends on the kernel; the branches
-    meet here, in one masked exponential each.  Underflow clamps to 0 and
-    overflow gives inf, which ``grids.nystrom_assemble`` refuses.
+    meet here, in the result array itself: each entry's exponent is that of
+    its own branch, exponentiated in place and scaled by that branch's S,
+    so beside the result only the branch masks are held.  Underflow clamps
+    to 0 and overflow gives inf, which ``grids.nystrom_assemble`` refuses.
     """
     nu, w, a = kernel.nu, action.weight_power, action.edge_derivatives
     if kernel.beta == 0.0:
@@ -215,12 +220,16 @@ def weighted_kernel_from_factors(kernel: ConeKernel, action: WeightedAction,
         x_part = _bessel_x_part(nu, w, a, kernel.beta, fx)
     (s_lo, log_f_lo), (s_hi, log_f_hi) = x_part
     lower = fy.x <= fx.x
-    # mask the unused branch before exponentiating: its log magnitude can
-    # overflow even though the selected branch never does
-    e_lo = np.where(lower, log_f_lo + fy.log_g_lo, -np.inf)
-    e_hi = np.where(lower, -np.inf, log_f_hi + fy.log_g_hi)
+    upper = ~lower
+    # only the selected branch is exponentiated: the unused one's log
+    # magnitude can overflow even though the selected branch never does
+    out = np.add(log_f_hi, fy.log_g_hi)
+    np.add(log_f_lo, fy.log_g_lo, out=out, where=lower)
     with np.errstate(under="ignore", over="ignore"):
-        return s_lo * np.exp(e_lo) + s_hi * np.exp(e_hi)
+        np.exp(out, out=out)
+        np.multiply(out, s_lo, out=out, where=lower)
+        np.multiply(out, s_hi, out=out, where=upper)
+    return out
 
 
 def weighted_kernel_matrix(kernel: ConeKernel, action: WeightedAction, xs, ys,

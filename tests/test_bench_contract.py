@@ -17,8 +17,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 COUNTED = ("model.sweep.cells", "grids.nystrom.calls",
            "kernels.matrix.calls", "grids.operator_norm.calls",
            "grids.fd_assemble.calls", "parametrix.lu_factor.calls",
-           "parametrix.modes", "bessel.calls", "bessel.large_nu.args",
-           "kernels.bessel_calls_per_assembly")
+           "parametrix.modes", "bessel.calls", "bessel.args",
+           "bessel.large_nu.args", "kernels.bessel_calls_per_assembly")
 
 
 def test_traced_layers_are_counted(monkeypatch):

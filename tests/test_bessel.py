@@ -284,6 +284,54 @@ def test_values_independent_of_batch(nu, xs):
             assert np.array_equal(part_batch[j:j + 1], part_alone)
 
 
+# Orders on both sides of ASYMPTOTIC_MIN_ORDER, integer (Temme's mu = 0),
+# half-integer and neither; arguments on both sides of 2 and 10, in the
+# window (10, 17.3) where Hankel gives way to CF1, and beyond it
+MIXED_ORDERS = [0.3, 1.0, 2.0, 2.5, 3.0, 7.5, 40.0, 249.0, 250.0, 300.5,
+                1000.0]
+MIXED_XS = [1e-3, 0.5, 2.0, 2.5, 5.0, 10.0, 10.5, 12.0, 15.0, 17.2, 17.4,
+            50.0, 1e3, 1e5]
+
+
+def _bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_mixed_orders_equal_per_order_calls():
+    xs = np.array(MIXED_XS)
+    nu, x, shape = bessel._check_args(np.array(MIXED_ORDERS)[:, None], xs)
+    assert shape == (len(MIXED_ORDERS), xs.size) and np.ndim(nu) == 1
+    mixed = [v.reshape(shape) for v in bessel._log_bessel(nu, x, "IK")]
+    assert set(mixed[4].ravel().tolist()) == {
+        SERIES_TEMME, SERIES_CF2, CF1_WRONSKIAN, HANKEL, UNIFORM}
+    for i, order in enumerate(MIXED_ORDERS):
+        for part_mixed, part_alone in zip(mixed, log_bessel_ik(order, xs)):
+            assert _bitwise_equal(part_mixed[i], part_alone), order
+    # the public face: orders nu + offset, here 2, 3, 7, 249, 250 and 302
+    offset = np.array([0, 1, 5, 247, 248, 300])[:, None]
+    mixed = log_bessel_ik(2.0, xs, offset)
+    assert mixed[0].shape == (offset.size, xs.size)
+    for i, off in enumerate(offset[:, 0]):
+        for part_mixed, part_alone in zip(mixed, log_bessel_ik(2.0 + off, xs)):
+            assert _bitwise_equal(part_mixed[i], part_alone), off
+
+
+def test_mixed_orders_name_the_bad_one():
+    # one bad order among good ones raises DomainError naming it
+    for bad, text in ((-1.0, "got -1.0"), (0.0, "got 0.0"),
+                      (math.nan, "got nan"), (1e80, "1e\\+80")):
+        with pytest.raises(DomainError, match=text):
+            wronskian_residual([2.0, bad, 3.0], [1.0, 5.0])
+    for offset in (np.array([0, -1]), np.array([0.0, 1.0])):
+        with pytest.raises(DomainError, match="offsets"):
+            log_bessel_ik(2.0, [1.0, 5.0], offset)
+    # no order at all measures nothing: the residual is 0.0
+    assert wronskian_residual([], [1.0, 5.0]) == 0.0
+    # a loop at its cap names the order of its worst element
+    with pytest.raises(NumericalError, match="nu=3.0: worst x=1000000000.0"):
+        _cf1_ratio(np.array([2.0, 3.0]), np.array([1e3, 1e9]))
+
+
 # (nu, x) in every branch: I series/K Temme, I series/K CF2, CF1 plus the
 # Wronskian/K CF2 (at two orders), Hankel, uniform
 BRANCH_POINTS = [(2.0, 1.0), (2.0, 5.0), (2.0, 15.0), (40.0, 50.0),

@@ -100,19 +100,20 @@ def test_diagonal_cell_integrals_match_dense_rows(kern, action):
 
 
 def test_sweep_cell_shares_bessel_factors(monkeypatch):
-    # one Bessel cell evaluates orders nu, nu+1, nu+2 on the N nodes and
-    # order nu on the 16 N diagonal-cell points, for all three actions
+    # one Bessel cell evaluates orders nu, nu+1, nu+2 on the N nodes in one
+    # call and order nu on the 16 N diagonal-cell points in another, for
+    # all three actions
     n = 40
     calls = []
 
-    def counting(nu, x):
+    def counting(nu, x, offset=0):
         calls.append(np.size(x))
-        return bessel_ik(nu, x)
+        return bessel_ik(nu, x, offset)
 
     bessel_ik = kernels.log_bessel_ik
     monkeypatch.setattr(kernels, "log_bessel_ik", counting)
     uniform_bound_sweep(FiberSpectrum((2.5,)), [1.3], grid_n=n)
-    assert len(calls) == 4 and sum(calls) == 19 * n
+    assert calls == [3 * n, 16 * n]
     monkeypatch.undo()
 
     # each shared-factor operator is the one built per action, bit for bit

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -262,14 +263,35 @@ def test_weighted_kernel_pairs_equal_matrix_entries(kern, action):
 def test_bessel_matrix_calls_each_order_once(monkeypatch, a):
     calls = []
 
-    def counting(nu, x):
-        calls.append(nu)
-        return bessel_ik(nu, x)
+    def counting(nu, x, offset=0):
+        orders = nu + np.broadcast_to(offset, np.shape(x))
+        calls.append(sorted(set(orders.ravel().tolist())))
+        return bessel_ik(nu, x, offset)
 
     bessel_ik = kernels.log_bessel_ik
     monkeypatch.setattr(kernels, "log_bessel_ik", counting)
     xs = np.geomspace(1e-3, 1e2, 30)
     weighted_kernel_matrix(ConeKernel(2.5, 1.0),
                            WeightedAction(-2, a), xs, xs)
-    # orders nu..nu+a at beta x, order nu at beta y
-    assert len(calls) == a + 2
+    # orders nu..nu+a at beta x in one call, order nu at beta y in another
+    assert calls == [[2.5 + j for j in range(a + 1)], [2.5]]
+
+
+@pytest.mark.parametrize("kern", [ConeKernel(3.0), ConeKernel(3.0, 1.0)])
+def test_combine_holds_no_square_temporary(kern):
+    # the combine builds its result in place: beside the N x N result it
+    # holds the two branch masks (N^2 / 4 doubles) and nothing of size
+    # N^2 in doubles, so one N = 400 combine stays within N^2 doubles more
+    n = 400
+    x = build_grid(n, 1e-4, 1e3).nodes
+    action = WeightedAction(-2, 2)
+    fx = kernel_factors(kern, x, 3).reshape(-1, 1)
+    fy = kernel_factors(kern, x).reshape(1, -1)
+    tracemalloc.start()
+    try:
+        m = weighted_kernel_from_factors(kern, action, fx, fy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (n, n)
+    assert peak - m.nbytes <= n * n * 8
