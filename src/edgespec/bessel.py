@@ -599,18 +599,20 @@ def _olver_bounds(nu, p, consts=None):
     return b_i, b_k, b_inf
 
 
-def _log_ik_olver(nu, x: np.ndarray):
+def _log_ik_olver(nu, x: np.ndarray, eta=None):
     """Uniform large-order asymptotics with total-variation error bounds.
 
     Returns (log_i, log_k, err_i, err_k); the errors are truncation bounds
-    without the representation floor.
+    without the representation floor.  ``eta`` is olver_eta(x / nu), when
+    the caller has it.
     """
     table = _olver_table()
     consts = _per_order(_olver_constants, nu)
     log_2pi_nu, log_pi_2nu = consts[-2:]
     z = x / nu
     p = 1.0 / np.hypot(1.0, z)
-    eta = olver_eta(z)
+    if eta is None:
+        eta = olver_eta(z)
     su_i = np.zeros_like(x)
     su_k = np.zeros_like(x)
     for j in range(ASYMPTOTIC_TERMS):
@@ -651,10 +653,12 @@ def _check_args(nu, x):
     return nu.reshape(-1), x, shape
 
 
-def _log_ik_uniform(nu, x: np.ndarray, want_i: bool, want_k: bool):
+def _log_ik_uniform(nu, x: np.ndarray, want_i: bool, want_k: bool,
+                    eta=None):
     """((log I, log K, err_i, err_k), branch codes) of the uniform branch
-    for orders >= ASYMPTOTIC_MIN_ORDER, both sides whatever is asked."""
-    return _log_ik_olver(nu, x), np.full(x.shape, UNIFORM)
+    for orders >= ASYMPTOTIC_MIN_ORDER, both sides whatever is asked;
+    ``eta`` as for _log_ik_olver."""
+    return _log_ik_olver(nu, x, eta), np.full(x.shape, UNIFORM)
 
 
 def _log_ik_moderate(nu, x: np.ndarray, want_i: bool, want_k: bool):
@@ -700,14 +704,15 @@ def _log_ik_moderate(nu, x: np.ndarray, want_i: bool, want_k: bool):
     return out, method
 
 
-def _log_bessel(nu, x: np.ndarray, sides: str):
+def _log_bessel(nu, x: np.ndarray, sides: str, eta=None):
     """log_bessel_ik on checked arguments, filling the sides ("I", "K") asked.
 
     ``nu`` is one order shared by every element or one order per element
     of the 1-d x.  The elements of order >= ASYMPTOTIC_MIN_ORDER take the
     uniform branch and the others the moderate-order branches, in the same
     call.  Branch codes do not depend on ``sides``; the log and error of a
-    side not asked for are None.
+    side not asked for are None.  ``eta``, olver_eta(x / nu) per element
+    when the caller has it, spares the uniform branch computing it again.
     """
     want_i, want_k = "I" in sides, "K" in sides
     least, largest = _span(nu)
@@ -715,16 +720,17 @@ def _log_bessel(nu, x: np.ndarray, sides: str):
     if largest < ASYMPTOTIC_MIN_ORDER:
         out, method = _log_ik_moderate(nu, x, want_i, want_k)
     elif least >= ASYMPTOTIC_MIN_ORDER:
-        out, method = _log_ik_uniform(nu, x, want_i, want_k)
+        out, method = _log_ik_uniform(nu, x, want_i, want_k, eta)
     else:
         # rows log I, log K, err_i, err_k
         out = np.empty((4, x.size))
         method = np.empty(x.shape, dtype=int)
         uniform = nu >= ASYMPTOTIC_MIN_ORDER
-        for group, evaluate in ((uniform, _log_ik_uniform),
-                                (~uniform, _log_ik_moderate)):
-            out[:, group], method[group] = evaluate(nu[group], x[group],
-                                                    want_i, want_k)
+        out[:, uniform], method[uniform] = _log_ik_uniform(
+            nu[uniform], x[uniform], want_i, want_k, _at(eta, uniform))
+        rest = ~uniform
+        out[:, rest], method[rest] = _log_ik_moderate(nu[rest], x[rest],
+                                                      want_i, want_k)
     log_i, log_k, err_i, err_k = out
     # a side not asked for may hold unfilled np.empty entries: no floor
     if want_i:
@@ -764,10 +770,6 @@ def log_bessel_ik(nu: float, x, offset=0):
     return tuple(v.reshape(shape) for v in _log_bessel(nu, x, "IK"))
 
 
-def _scale_exponent(nu: float, x: np.ndarray):
-    return nu * olver_eta(np.asarray(x, dtype=float) / nu)
-
-
 def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
     """Shared body of bessel_i (kind "I") and bessel_k (kind "K").
 
@@ -784,7 +786,9 @@ def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
     overflows (log(DBL_MAX) rounds down, and exp of it is finite).
     """
     nu, xs, _ = _check_args(nu, x)
-    li, lk, ei, ek, meth = _log_bessel(nu, xs, kind)
+    # the scale exponent nu eta(x/nu); the uniform branch reuses eta
+    eta = olver_eta(xs / nu) if scaled else None
+    li, lk, ei, ek, meth = _log_bessel(nu, xs, kind, eta)
     if kind == "I":
         log_v, err, sign = float(li[0]), float(ei[0]), -1.0
     else:
@@ -795,7 +799,7 @@ def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
             ">= 1, which certifies no digit")
     method = _METHOD_LABELS[kind][int(meth[0])]
     if scaled:
-        scale = float(_scale_exponent(nu, np.array([x]))[0])
+        scale = nu * float(eta[0])
         return BesselEval(math.exp(log_v + sign * scale), err, method)
     if log_v + err > _LOG_MAX:
         raise OverflowModeError(

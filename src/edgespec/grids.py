@@ -21,14 +21,23 @@ metric of the grid weights.
 it takes the actions of one kernel, evaluates the kernel factors at the
 nodes and at the diagonal-cell points once, and returns one matrix per
 action.  Its diagonal pass evaluates the kernel only at the pairs it keeps.
-``operator_norm`` iterates on a Gram matrix formed once, one numpy matvec
-per step.  It first flushes the entries below sqrt(tiny) of its scaled
-matrix to zero, which moves the norm by at most N sqrt(tiny) = N 1.5e-154
+
+``operator_norm`` returns the value at which a power iteration on the Gram
+matrix B stops, without running its steps.  Each step's estimate
+lambda_s = mu_(2s+1) / mu_(2s) is a ratio of Krylov moments
+mu_p = z_0^T B^p z_0, and j Lanczos steps give a tridiagonal T_j whose
+Gauss rule reproduces every moment of degree <= 2j - 1 (Golub and Meurant,
+*Matrices, Moments and Quadrature with Applications*, 2010, ch. 6).  So the
+stopping rule is evaluated on T_j's eigenvalues and weights.  The result is
+taken when its stopping step s* is below j (then it is exact up to
+rounding), or when two successive checks agree on s* and on the value.
+The 45 sweep norms need Lanczos dimensions of 16 to 136, where the
+iteration runs up to 7567 steps.  The value is the power iteration's, not
+the top singular value, because the stored reference values pin it.
+Before forming B, entries below sqrt(tiny) of the scaled matrix are
+flushed to zero, which moves the norm by at most N sqrt(tiny) = N 1.5e-154
 relative and keeps subnormal doubles, several times slower to multiply,
-out of the Gram matrix.  A loop still running after _JUMP_AFTER steps
-jumps 16 steps per matvec with a power of the Gram matrix and replays the
-last plain steps when the stopping rule fires, so it stops where the plain
-loop does (the condition is in its docstring).
+out of the Gram matrix.
 
 The module needs only numpy on import; scipy's LAPACK band routines are
 imported inside ``band_lu_factor`` and ``band_lu_solve``, on the first
@@ -53,16 +62,12 @@ DIAG_CELL_NODES = 16
 
 POWER_ITER_TOL = 1e-8
 POWER_ITER_MAX = 10_000
-# operator_norm: plain power steps before it jumps, and squarings per jump
-# (2^4 = 16 steps).  At N = 400 the jump matrix (four syrk squarings, five
-# flushes) costs about 5 ms, some 200 matvecs of 25 us, and a jump does 16
-# steps in 3 matvecs; the sweep's norms that pass 128 steps take up to 7600.
-# Jumping after 64, 128, 256 or 512 steps times the same on the 45 sweep
-# norms (0.75-0.79 s, one thread); 3 squarings take 0.98 s.  Without the
-# jump (the flush alone) the sweep's run_s is 2.23 s against 1.60 s with
-# it (medians of ten alternating benchmark pairs, one thread of 2 vCPUs).
-_JUMP_AFTER = 128
-_SQUARINGS = 4
+# operator_norm: Lanczos steps per check of the stopping rule, the relative
+# agreement of two checks that ends the run, and the log-weight below the
+# largest at which a Ritz value's share of the moments is dropped
+_CHECK_EVERY = 8
+_AGREE = 1e-13
+_NEGLIGIBLE = 80.0
 # entries below this are flushed to zero: the product of two entries at
 # least this large is a normal double
 _FLUSH = math.sqrt(np.finfo(float).tiny)
@@ -340,40 +345,82 @@ def _flushed(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _power_steps(b: np.ndarray, z: np.ndarray, lam, start: int, stop: int):
-    """Plain power steps start, ..., stop - 1 on B from the unit vector z,
-    with lam the estimate of step start - 1 (None before step 0).
+def _power_stop(theta: np.ndarray, tau: np.ndarray, lam0: float, cap: int):
+    """(step, lam): the first step s in 1, ..., cap - 1 at which the power
+    iteration's stopping rule fires, with its estimate lambda_s, where
 
-    Returns (lam, z, step): the estimate and the step at which the stopping
-    rule fired (or B z vanished), or, with step None, the estimate of step
-    stop - 1 and the unit vector that step stop starts from.
+        lambda_s = sum tau theta^(2s+1) / sum tau theta^(2s)
+
+    for s >= 1 and lambda_0 = lam0.  If the rule fires at no such step,
+    step is None and lam is lambda_(cap-1).
+
+    The sums run in log space over blocks of steps, relative to the
+    largest theta and to each step's largest term.  At a block's start a
+    term below e^-_NEGLIGIBLE of the largest, whose theta is no larger
+    than the largest term's, is dropped: its share can only fall.
     """
-    # B is symmetric, so z @ b is B z; it runs about a fifth faster than
-    # b @ z at N = 400
-    for step in range(start, stop):
-        bz = z @ b
-        lam_new = float(bz @ z)
-        norm_bz = math.sqrt(float(bz @ bz))
-        if norm_bz == 0.0:
-            return 0.0, z, step
-        z = bz / norm_bz
-        if (lam is not None and abs(lam_new - lam)
-                <= POWER_ITER_TOL * max(lam_new, 1e-300)):
-            return lam_new, z, step
-        lam = lam_new
-    return lam, z, None
+    # eigh orders theta ascending, so the top is the last kept value and
+    # the values above a term's are the ones after it
+    keep = (theta > 0.0) & (tau > 0.0)
+    top = float(theta[keep][-1])
+    r = theta[keep] / top
+    log_r, log_w = np.log(r), np.log(tau[keep])
+    lam, s = lam0, 1
+    while s < cap:
+        lw = log_w + (2.0 * s) * log_r
+        lead = int(lw.argmax())
+        live = lw >= lw[lead] - _NEGLIGIBLE
+        live[lead:] = True
+        r, log_r, log_w = r[live], log_r[live], log_w[live]
+        # at least s steps, so that the blocks double, and about 2048 terms
+        steps = np.arange(float(s), s + min(max(s, 2048 // r.size), cap - s))
+        terms = np.multiply.outer(2.0 * log_r, steps)
+        terms += log_w[:, None]
+        terms -= terms.max(axis=0)
+        # a term below e^-_NEGLIGIBLE of its step's largest moves no bit of
+        # the sums; clipped there, exp makes no subnormal, which costs it
+        # some fifty times a normal result
+        terms = np.exp(np.maximum(terms, -_NEGLIGIBLE, out=terms), out=terms)
+        lams = (r @ terms) / terms.sum(axis=0)
+        lams *= top
+        fired = np.flatnonzero(np.abs(np.diff(lams, prepend=lam))
+                               <= POWER_ITER_TOL * lams)
+        if fired.size:
+            return s + int(fired[0]), float(lams[fired[0]])
+        lam, s = float(lams[-1]), s + steps.size
+    return None, lam
 
 
 def operator_norm(m: np.ndarray, weights: np.ndarray) -> float:
     """Largest singular value of the matrix m in the inner product of the
-    quadrature weights, W = diag(weights).
+    quadrature weights, W = diag(weights), as the power iteration measures
+    it.
 
-    Power iteration on M*M (metric adjoint M* = W^{-1} M^T W) from the
+    The power iteration on M*M (metric adjoint M* = W^{-1} M^T W) from the
     all-ones vector, run as z = W^{1/2} v on the Gram matrix B = A^T A of
-    A = W^{1/2} M W^{-1/2}, formed once; each step is one numpy matvec and
-    two dot products.  The iteration stops at the first step whose lambda
-    differs from the previous step's by at most POWER_ITER_TOL relative,
-    and raises NumericalError after POWER_ITER_MAX steps.
+    A = W^{1/2} M W^{-1/2}, stops at the first step s >= 1 whose
+    lambda_s = z_s^T B z_s differs from lambda_(s-1) by at most
+    POWER_ITER_TOL relative, and raises NumericalError if no step below
+    POWER_ITER_MAX does.  The value is its sqrt(lambda_s), not the top
+    singular value: the stored benchmark reference values pin that number,
+    which lies below the top singular value by up to 1.6e-5 relative (a
+    certified norm is an open item of ROADMAP.md).
+
+    Moments.  With z_0 the unit start vector, lambda_s = mu_(2s+1) /
+    mu_(2s) for the Krylov moments mu_p = z_0^T B^p z_0.  j steps of
+    Lanczos on B from z_0 (with full reorthogonalization) give a
+    tridiagonal T_j = Y Theta Y^T whose Gauss rule, nodes theta and
+    weights tau = Y[0]^2, reproduces every mu_p with p <= 2j - 1 exactly
+    (in exact arithmetic).  So the stopping step s* and lambda_s* are read
+    off sum tau theta^p (``_power_stop``) without running the steps.  At
+    every _CHECK_EVERY-th Lanczos step the rule is evaluated on T_j, and
+    the result is taken when
+      * s* < j: every moment it used is exact, so it is the iteration's
+        up to rounding;
+      * or two successive checkpoints agree on s* and on lambda_s* to
+        _AGREE relative: a check, not a proof;
+      * or Lanczos breaks down (beta = 0) or reaches j = N, where T_j holds
+        every moment.
 
     Flush.  A is first scaled by a power of two (exactly) so that its
     largest entry lies in [1, 2), and its entries below sqrt(tiny) =
@@ -383,19 +430,6 @@ def operator_norm(m: np.ndarray, weights: np.ndarray) -> float:
     ||E||_2 <= ||E||_F < N sqrt(tiny) <= N sqrt(tiny) ||A||_2, and the top
     singular value moves by at most ||E||_2 (Weyl), far below the rounding
     of B's entries.
-
-    Jump.  A loop that has not stopped after _JUMP_AFTER steps goes on 16
-    steps at a time: C = (B/lambda)^16 is formed by four squarings (each
-    flushed likewise) and z <- C z / ||C z||.  At each jump point j two
-    plain steps test the stopping rule at step j + 1 (and at j itself at
-    the first jump point, where lambda of step j - 1 is known).  When it
-    fires, the plain steps from two past the previous jump point are
-    replayed, and their first firing step is returned; at the step cap the
-    replay runs to POWER_ITER_MAX and raises if the rule never fired.  The
-    value is the plain loop's (up to the rounding of the jumped iterates)
-    provided the change in lambda, once within the tolerance, stays within
-    it for the next 16 steps; then the rule fires in the replay at the
-    plain loop's step.
     """
     sw = np.sqrt(weights)
     a = sw[:, None] * m / sw[None, :]
@@ -403,34 +437,43 @@ def operator_norm(m: np.ndarray, weights: np.ndarray) -> float:
     e = math.frexp(float(np.max(np.abs(a))))[1]
     a = _flushed(np.ldexp(a, 1 - e, out=a))
     b = a.T @ a
-    z = sw / np.linalg.norm(sw)  # v = 1 / ||1||_W
-    lam, z, step = _power_steps(b, z, None, 0,
-                                min(_JUMP_AFTER, POWER_ITER_MAX))
-    if step is None and _JUMP_AFTER < POWER_ITER_MAX:
-        # B/lambda and its powers have norm about 1; C only steers the
-        # jumps, so flushing it needs no bound.  c is symmetric, and
-        # c.T @ c is numpy's half-cost syrk
-        c = _flushed(b / lam)
-        for _ in range(_SQUARINGS):
-            c = _flushed(c.T @ c)
-        j, replay = _JUMP_AFTER, None
-        while True:
-            stop = min(j + 2, POWER_ITER_MAX)
-            lam_j, z_j, step = _power_steps(b, z, lam, j, stop)
-            if step is not None or stop == POWER_ITER_MAX:
+    del a
+    n = b.shape[0]
+    # the Lanczos basis, one row per vector, doubled when full
+    v = np.empty((min(n, 2 * _CHECK_EVERY), n))
+    v[0] = sw / np.linalg.norm(sw)  # v = 1 / ||1||_W
+    alpha, beta, last = [], [], None
+    for j in range(1, n + 1):
+        # B is symmetric, so v @ b is B v; it runs about a fifth faster
+        # than b @ v at N = 400
+        w = v[j - 1] @ b
+        alpha.append(float(w @ v[j - 1]))
+        if j == 1 and float(w @ w) == 0.0:
+            return 0.0  # B z_0 = 0: the iteration stops at step 0
+        w -= alpha[-1] * v[j - 1]
+        if j > 1:
+            w -= beta[-1] * v[j - 2]
+        # full reorthogonalization: Gram-Schmidt against the basis, twice
+        for _ in range(2):
+            w -= (v[:j] @ w) @ v[:j]
+        beta_j = math.sqrt(float(w @ w))
+        done = beta_j == 0.0 or j == n
+        if done or j % _CHECK_EVERY == 0:
+            t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, y = np.linalg.eigh(t)
+            step, lam = _power_stop(theta, y[0] ** 2, alpha[0],
+                                    POWER_ITER_MAX)
+            stop = POWER_ITER_MAX if step is None else step
+            if (done or stop < j or (last is not None and last[0] == stop
+                                     and abs(lam - last[1]) <= _AGREE * lam)):
                 break
-            replay = (stop, z_j, lam_j)
-            cz = z @ c
-            z = cz / math.sqrt(float(cz @ cz))
-            lam, j = None, j + 2 ** _SQUARINGS
-        if replay is not None:
-            start, z_r, lam_r = replay
-            lam_r, _, step_r = _power_steps(b, z_r, lam_r, start, stop)
-            if step_r is not None or step is None:
-                lam_j, step = lam_r, step_r
-        lam = lam_j
+            last = (stop, lam)
+        beta.append(beta_j)
+        if j == len(v):
+            v = np.concatenate((v, np.empty((min(j, n - j), n))))
+        v[j] = w / beta_j
     if step is None:
         raise NumericalError(
             f"power iteration did not converge in {POWER_ITER_MAX} steps; "
             f"last eigenvalue estimate {np.ldexp(lam, 2 * e - 2):.6e}")
-    return float(np.ldexp(math.sqrt(max(lam, 0.0)), e - 1))
+    return float(np.ldexp(math.sqrt(lam), e - 1))

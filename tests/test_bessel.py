@@ -380,6 +380,25 @@ def test_scalar_calls_run_only_their_side(monkeypatch):
         "_log_i_series", "_log_k_temme", "_log_k_cf2", "_cf1_ratio"}
 
 
+def test_scaled_value_computes_eta_once(monkeypatch):
+    # the scale exponent nu eta(x/nu) and the uniform branch share one eta
+    calls = []
+
+    def counted(x, _fn=bessel.olver_eta):
+        calls.append(x)
+        return _fn(x)
+
+    monkeypatch.setattr(bessel, "olver_eta", counted)
+    for fn, nu, x in ((bessel_k, 300.0, 1e3), (bessel_i, 300.0, 500.0),
+                      (bessel_k, 2.0, 5.0)):
+        calls.clear()
+        fn(nu, x, scaled=True)
+        assert len(calls) == 1
+        calls.clear()
+        log_bessel_ik(nu, x)
+        assert len(calls) == (nu >= bessel.ASYMPTOTIC_MIN_ORDER)
+
+
 # ---------------------------------------------------------------------------
 # Oracle gate: every evaluation within its own err_bound against mpmath
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_sweep_cell_shares_bessel_factors(monkeypatch):
         np.fill_diagonal(alone, np.sum(weighted_kernel_from_factors(
             kern, act, fx, kernel_factors(kern, ys)) * ws, axis=1))
         assert np.array_equal(m, alone)
-        # the flushed, jumping iteration agrees with the plain one to
+        # the flushed Lanczos read-out agrees with the plain loop to
         # rounding
         assert operator_norm(m, g.weights) == pytest.approx(
             _numpy_power_norm(m, g.weights)[0], rel=1e-12)
@@ -181,27 +181,75 @@ def _numpy_power_norm(m, weights):
     raise AssertionError("reference power iteration did not converge")
 
 
-def test_operator_norm_jumps_reproduce_the_plain_loop(monkeypatch):
-    # X^-2 K at (nu, beta) = (3, 0.1) stops before the jumps start; its
-    # first edge derivative needs thousands of steps, nearly all in jumps
+def _stops_where_the_plain_loop_does(monkeypatch, m, weights):
+    """operator_norm(m) is the plain loop's value, and its step cap counts
+    the plain loop's steps: a cap of exactly those steps passes, one less
+    raises."""
+    norm, steps = _numpy_power_norm(m, weights)
+    assert operator_norm(m, weights) == pytest.approx(norm, rel=1e-14)
+    with monkeypatch.context() as patch:
+        patch.setattr(grids, "POWER_ITER_MAX", steps)
+        assert operator_norm(m, weights) == pytest.approx(norm, rel=1e-14)
+        patch.setattr(grids, "POWER_ITER_MAX", steps - 1)
+        with pytest.raises(NumericalError, match=f"in {steps - 1} steps"):
+            operator_norm(m, weights)
+    return steps
+
+
+def test_operator_norm_reproduces_the_plain_loop(monkeypatch):
+    # X^-2 K at (nu, beta) = (3, 0.1) stops after 119 steps; its first edge
+    # derivative needs 7568, far more than the Lanczos dimension
     g = build_grid(400, 1e-4, 1e3)
     kern = ConeKernel(3.0, 0.1)
     fast, slow = nystrom_assemble(kern, ACTIONS[:2], g)
-    fast_norm, fast_steps = _numpy_power_norm(fast, g.weights)
-    slow_norm, slow_steps = _numpy_power_norm(slow, g.weights)
-    assert fast_steps < grids._JUMP_AFTER < 5000 < slow_steps
-    assert operator_norm(fast, g.weights) == pytest.approx(fast_norm,
-                                                           rel=1e-14)
-    assert operator_norm(slow, g.weights) == pytest.approx(slow_norm,
-                                                           rel=1e-14)
-    # the step cap counts plain steps, also when it falls inside a jump
-    monkeypatch.setattr(grids, "POWER_ITER_MAX", slow_steps)
-    assert operator_norm(slow, g.weights) == pytest.approx(slow_norm,
-                                                           rel=1e-14)
-    for cap in (slow_steps - 1, 1000, grids._JUMP_AFTER + 1):
-        monkeypatch.setattr(grids, "POWER_ITER_MAX", cap)
-        with pytest.raises(NumericalError, match=f"in {cap} steps"):
-            operator_norm(slow, g.weights)
+    fast_steps = _stops_where_the_plain_loop_does(monkeypatch, fast,
+                                                  g.weights)
+    slow_steps = _stops_where_the_plain_loop_does(monkeypatch, slow,
+                                                  g.weights)
+    assert fast_steps < 5000 < slow_steps
+    monkeypatch.setattr(grids, "POWER_ITER_MAX", 1000)
+    with pytest.raises(NumericalError, match="in 1000 steps"):
+        operator_norm(slow, g.weights)
+
+
+@pytest.mark.parametrize("nu, beta", [(1.6, 0.1), (10.0, 1.0), (2.0, 0.0)])
+def test_operator_norm_stops_with_the_plain_loop_on_small_grids(
+        monkeypatch, nu, beta):
+    g = build_grid(64, 1e-4, 1e3)
+    for m in nystrom_assemble(ConeKernel(nu, beta), ACTIONS, g):
+        _stops_where_the_plain_loop_does(monkeypatch, m, g.weights)
+
+
+def test_operator_norm_stops_with_the_plain_loop_on_special_spectra(
+        monkeypatch):
+    # the identity (Lanczos breaks down at once), a rank-one matrix and a
+    # top singular value of multiplicity two
+    rng = np.random.default_rng(5)
+    g = build_grid(64, 1e-2, 10.0)
+    u, _ = np.linalg.qr(rng.normal(size=(g.n, g.n)))
+    v, _ = np.linalg.qr(rng.normal(size=(g.n, g.n)))
+    s = np.linspace(2.0, 0.01, g.n)
+    s[1] = s[0]
+    sw = np.sqrt(g.weights)
+    doubled = (u * s) @ v.T * sw[None, :] / sw[:, None]
+    rank_one = np.outer(rng.random(g.n), rng.random(g.n))
+    steps = [_stops_where_the_plain_loop_does(monkeypatch, m, g.weights)
+             for m in (np.eye(g.n), rank_one, doubled)]
+    assert steps[:2] == [2, 3]
+
+
+def test_operator_norm_memory_is_two_gram_matrices():
+    # the scaled copy and the Gram matrix B, a Lanczos basis sized to the
+    # dimension reached (56 rows here) and no dense power of B
+    g = build_grid(400, 1e-4, 1e3)
+    [m] = nystrom_assemble(ConeKernel(3.0, 0.1), ACTIONS[1:2], g)
+    tracemalloc.start()
+    try:
+        operator_norm(m, g.weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * g.n ** 2
 
 
 def test_operator_norm_scale_is_exact():
