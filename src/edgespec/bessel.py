@@ -574,18 +574,16 @@ def _olver_constants(nu: float):
             math.log(2.0 * math.pi * nu), math.log(0.5 * math.pi / nu))
 
 
-def _olver_bounds(nu, p, consts=None):
+def _olver_bounds(nu, p, consts):
     """(b_i, b_k, b_inf): error-term bounds of the uniform expansions.
 
     b_i and b_k bound the error terms of the I- and K-expansions with
     n = ASYMPTOTIC_TERMS terms at p = (1+(x/nu)^2)^{-1/2}, from the
     variations of U_1 and of the first omitted polynomial U_n over (p, 1)
     resp. (0, p); b_inf is b_i's limit as p -> 0.  ``consts`` are the
-    order's _olver_constants, when the caller has them.
+    order's _olver_constants.
     """
     n = ASYMPTOTIC_TERMS
-    if consts is None:
-        consts = _per_order(_olver_constants, nu)
     nu_n, b_inf = consts[n], consts[n + 1]
     table = _olver_table()
     v1_tot, vn_tot = table[1][3][-1], table[n][3][-1]
@@ -630,17 +628,20 @@ def _log_ik_olver(nu, x: np.ndarray, eta=None):
 def _check_args(nu, x):
     """Orders and arguments, validated and broadcast against each other.
 
-    ``nu`` is one order or an array of orders that broadcasts against x;
-    each distinct order is validated, so a bad one raises DomainError
-    naming it.  Returns (nu, x, shape): nu a Python float when every
-    element has the same order, else a float array with one order per
-    element of x; x a 1-d float array; shape the shape of the outputs,
-    the broadcast shape made at least 1-d.
+    ``nu`` is one order or an array of orders that broadcasts against x.
+    Its least and largest orders are validated, so a bad one raises
+    DomainError naming it: the least is NaN or <= 0 if any order is, the
+    largest infinite or too large for nu^ASYMPTOTIC_TERMS if any is.
+    Returns (nu, x, shape): nu a Python float when every element has the
+    same order, else a float array with one order per element of x; x a
+    1-d float array; shape the shape of the outputs, the broadcast shape
+    made at least 1-d.
     """
     nu = np.asarray(nu, dtype=float)
-    orders = np.unique(nu) if nu.ndim else nu.reshape(1)
-    for v in orders:
-        _check_order(v)
+    # an empty array has no extremes to validate
+    least = largest = None
+    if nu.size:
+        least, largest = _check_order(nu.min()), _check_order(nu.max())
     x = np.asarray(x, dtype=float)
     if nu.ndim:
         nu, x = np.broadcast_arrays(nu, x)
@@ -648,17 +649,9 @@ def _check_args(nu, x):
     x = x.reshape(-1)
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise DomainError("argument must be positive and finite")
-    if orders.size == 1:
-        return float(orders[0]), x, shape
+    if least is not None and least == largest:
+        return least, x, shape
     return nu.reshape(-1), x, shape
-
-
-def _log_ik_uniform(nu, x: np.ndarray, want_i: bool, want_k: bool,
-                    eta=None):
-    """((log I, log K, err_i, err_k), branch codes) of the uniform branch
-    for orders >= ASYMPTOTIC_MIN_ORDER, both sides whatever is asked;
-    ``eta`` as for _log_ik_olver."""
-    return _log_ik_olver(nu, x, eta), np.full(x.shape, UNIFORM)
 
 
 def _log_ik_moderate(nu, x: np.ndarray, want_i: bool, want_k: bool):
@@ -720,14 +713,17 @@ def _log_bessel(nu, x: np.ndarray, sides: str, eta=None):
     if largest < ASYMPTOTIC_MIN_ORDER:
         out, method = _log_ik_moderate(nu, x, want_i, want_k)
     elif least >= ASYMPTOTIC_MIN_ORDER:
-        out, method = _log_ik_uniform(nu, x, want_i, want_k, eta)
+        # the uniform branch computes both sides whatever is asked
+        out = _log_ik_olver(nu, x, eta)
+        method = np.full(x.shape, UNIFORM)
     else:
         # rows log I, log K, err_i, err_k
         out = np.empty((4, x.size))
         method = np.empty(x.shape, dtype=int)
         uniform = nu >= ASYMPTOTIC_MIN_ORDER
-        out[:, uniform], method[uniform] = _log_ik_uniform(
-            nu[uniform], x[uniform], want_i, want_k, _at(eta, uniform))
+        out[:, uniform] = _log_ik_olver(nu[uniform], x[uniform],
+                                        _at(eta, uniform))
+        method[uniform] = UNIFORM
         rest = ~uniform
         out[:, rest], method[rest] = _log_ik_moderate(nu[rest], x[rest],
                                                       want_i, want_k)

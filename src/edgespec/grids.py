@@ -339,20 +339,14 @@ def band_lu_solve(factors, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _flushed(x: np.ndarray) -> np.ndarray:
-    """x, its entries below _FLUSH in magnitude set to zero in place."""
-    np.putmask(x, np.abs(x) < _FLUSH, 0.0)
-    return x
-
-
-def _power_stop(theta: np.ndarray, tau: np.ndarray, lam0: float, cap: int):
+def _power_stop(theta: np.ndarray, tau: np.ndarray, lam0: float):
     """(step, lam): the first step s in 1, ..., cap - 1 at which the power
     iteration's stopping rule fires, with its estimate lambda_s, where
 
         lambda_s = sum tau theta^(2s+1) / sum tau theta^(2s)
 
-    for s >= 1 and lambda_0 = lam0.  If the rule fires at no such step,
-    step is None and lam is lambda_(cap-1).
+    for s >= 1 and lambda_0 = lam0, and cap is POWER_ITER_MAX.  If the
+    rule fires at no such step, step is None and lam is lambda_(cap-1).
 
     The sums run in log space over blocks of steps, relative to the
     largest theta and to each step's largest term.  At a block's start a
@@ -365,6 +359,7 @@ def _power_stop(theta: np.ndarray, tau: np.ndarray, lam0: float, cap: int):
     top = float(theta[keep][-1])
     r = theta[keep] / top
     log_r, log_w = np.log(r), np.log(tau[keep])
+    cap = POWER_ITER_MAX
     lam, s = lam0, 1
     while s < cap:
         lw = log_w + (2.0 * s) * log_r
@@ -435,7 +430,8 @@ def operator_norm(m: np.ndarray, weights: np.ndarray) -> float:
     a = sw[:, None] * m / sw[None, :]
     # scaling by 2^(1 - e) rounds nothing
     e = math.frexp(float(np.max(np.abs(a))))[1]
-    a = _flushed(np.ldexp(a, 1 - e, out=a))
+    np.ldexp(a, 1 - e, out=a)
+    np.putmask(a, np.abs(a) < _FLUSH, 0.0)
     b = a.T @ a
     del a
     n = b.shape[0]
@@ -461,8 +457,7 @@ def operator_norm(m: np.ndarray, weights: np.ndarray) -> float:
         if done or j % _CHECK_EVERY == 0:
             t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
             theta, y = np.linalg.eigh(t)
-            step, lam = _power_stop(theta, y[0] ** 2, alpha[0],
-                                    POWER_ITER_MAX)
+            step, lam = _power_stop(theta, y[0] ** 2, alpha[0])
             stop = POWER_ITER_MAX if step is None else step
             if (done or stop < j or (last is not None and last[0] == stop
                                      and abs(lam - last[1]) <= _AGREE * lam)):

@@ -32,6 +32,7 @@ the weighted inverses from their Mellin symbols (``mellin_symbol``).
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,6 +42,8 @@ from .errors import (ConfigurationError, DomainError, PreconditionError,
 
 WEIGHT_POWERS = (0, -1, -2)
 EDGE_DERIVATIVES = (0, 1, 2)
+# the Witt floor on the Bessel order, exact so that Fraction inputs stay so
+WITT_FLOOR = Fraction(3, 2)
 
 
 def require_witt_order(nu) -> None:
@@ -50,14 +53,15 @@ def require_witt_order(nu) -> None:
     spectral Witt condition |s| > 1.  It is where the Schur row integral of
     x^-2 k, (nu^2 - 9/4)^-1, diverges: the free kernel's branch
     x^(nu+1/2) y^(1/2-nu) for y >= x is integrable as y -> infinity only for
-    nu > 3/2.  The test is written ``not nu > 1.5`` so that NaN fails.
-    This is the only place that raises WittViolationError.  An order whose
-    square nu^2 (the coefficient of every model operator) is not a finite
-    float raises ConfigurationError.
+    nu > 3/2.  The test ``not nu > float(WITT_FLOOR)`` fails NaN, is exact
+    for a Fraction nu, and spares a float nu a Fraction comparison (about
+    100 times slower).  This is the only place that raises
+    WittViolationError.  An order whose square nu^2 (the coefficient of
+    every model operator) is not a finite float raises ConfigurationError.
     """
-    if not nu > 1.5:
+    if not nu > float(WITT_FLOOR):
         raise WittViolationError(
-            f"order nu={nu} violates the Witt floor nu > 3/2")
+            f"order nu={nu} violates the Witt floor nu > {WITT_FLOOR}")
     if not math.isfinite(float(nu) * float(nu)):
         raise ConfigurationError(f"order nu={nu} is too large: nu^2 overflows")
 

@@ -13,6 +13,7 @@ model operators, with their formulas, come from the one builder
 """
 
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,8 +22,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .grids import (X_MAX_DEFAULT, X_MIN_DEFAULT, HalfLineGrid, build_grid,
                     fd_assemble_model, nystrom_assemble, operator_norm)
-from .kernels import (ConeKernel, WeightedAction, require_witt_order,
-                      weighted_kernel_matrix)
+from .kernels import (WITT_FLOOR, ConeKernel, WeightedAction,
+                      require_witt_order, weighted_kernel_matrix)
 
 DEFAULT_GAP = 1.0
 
@@ -70,7 +71,7 @@ def check_witt(spectrum: FiberSpectrum) -> WittReport:
     mags = [abs(s) for s in spectrum.eigenvalues]
     min_abs = min(mags)
     floor = min_abs + _half_like(min_abs)
-    delta = floor - 3 * _half_like(min_abs)
+    delta = floor - WITT_FLOOR
     return WittReport(passes=min_abs > spectrum.gap,
                       min_abs=min_abs,
                       implied_nu_floor=floor,
@@ -199,10 +200,12 @@ def uniform_bound_sweep(spectrum: FiberSpectrum, betas, grid_n: int = 400,
             })
     summary = {}
     for key in ("ratio0", "ratio1", "ratio2"):
-        vals = np.array([r[key] for r in rows])
+        vals = [r[key] for r in rows]
+        # np.median's value, without importing numpy.ma
+        median = statistics.median(vals)
         summary[key] = {
-            "max": float(vals.max()),
-            "median": float(np.median(vals)),
-            "uniform": bool(vals.max() <= UNIFORM_FACTOR * np.median(vals)),
+            "max": max(vals),
+            "median": median,
+            "uniform": max(vals) <= UNIFORM_FACTOR * median,
         }
     return {"rows": rows, "summary": summary}

@@ -16,7 +16,8 @@ import sympy as sp
 from edgespec import bessel
 from edgespec.bessel import (CF1_WRONSKIAN, HANKEL, SERIES_CF2, SERIES_TEMME,
                              UNIFORM, BesselEval, _cf1_ratio,
-                             _olver_bounds, _olver_table, bessel_i, bessel_k,
+                             _olver_bounds, _olver_constants, _olver_table,
+                             bessel_i, bessel_k,
                              log_bessel_ik,
                              olver_eta, uniform_asymptotic_excess,
                              wronskian_residual)
@@ -236,8 +237,8 @@ def test_olver_branch_within_bounds():
 def test_asymptotic_bounds_scale():
     # x = nu/2 at both orders, so p = (1 + (x/nu)^2)^(-1/2) is shared
     p = 1.0 / math.hypot(1.0, 0.5)
-    b10 = max(_olver_bounds(10.0, p)[:2])
-    b20 = max(_olver_bounds(20.0, p)[:2])
+    b10 = max(_olver_bounds(10.0, p, _olver_constants(10.0))[:2])
+    b20 = max(_olver_bounds(20.0, p, _olver_constants(20.0))[:2])
     ratio = b10 / b20
     assert 8.0 <= ratio <= 32.0  # nu^-4 scaling within a factor of 2
 
@@ -317,11 +318,14 @@ def test_mixed_orders_equal_per_order_calls():
 
 
 def test_mixed_orders_name_the_bad_one():
-    # one bad order among good ones raises DomainError naming it
+    # one bad order among good ones raises DomainError naming it, first,
+    # in the middle and last
     for bad, text in ((-1.0, "got -1.0"), (0.0, "got 0.0"),
-                      (math.nan, "got nan"), (1e80, "1e\\+80")):
-        with pytest.raises(DomainError, match=text):
-            wronskian_residual([2.0, bad, 3.0], [1.0, 5.0])
+                      (math.nan, "got nan"), (math.inf, "got inf"),
+                      (1e80, "1e\\+80")):
+        for nus in ([bad, 2.0, 3.0], [2.0, bad, 3.0], [2.0, 3.0, bad]):
+            with pytest.raises(DomainError, match=text):
+                wronskian_residual(nus, [1.0, 5.0])
     for offset in (np.array([0, -1]), np.array([0.0, 1.0])):
         with pytest.raises(DomainError, match="offsets"):
             log_bessel_ik(2.0, [1.0, 5.0], offset)
@@ -511,5 +515,6 @@ def test_bound_of_one_or_more_raises(fn, scaled):
 def test_asymptotic_bounds_nonnegative(mu):
     # near p = 1 a variation from zero can round above the total variation
     xs = np.logspace(-6, 9, 300)
-    b_i, b_k, _ = _olver_bounds(mu, 1.0 / np.hypot(1.0, xs / mu))
+    b_i, b_k, _ = _olver_bounds(mu, 1.0 / np.hypot(1.0, xs / mu),
+                                _olver_constants(mu))
     assert np.all(b_i >= 0.0) and np.all(b_k >= 0.0)

@@ -1,11 +1,13 @@
-"""The benchmark's set-up loads no computer algebra and no scipy, and
-``edgespec all`` no computer algebra.
+"""The benchmark's set-up loads no computer algebra, no scipy and no
+numpy.ma, and ``edgespec all`` no computer algebra.
 
 Importing sympy (with mpmath) costs about 0.3 s, and scipy.linalg pulls in
 about 300 more modules; nothing on the set-up path needs either.  scipy
 serves only the parametrix's banded LU, loaded on its first solve, so
-``edgespec all`` may load it.  pytest's own process has loaded all three
-for other tests, so the checks run in a fresh interpreter.
+``edgespec all`` may load it.  The toolkit masks no array, and numpy.ma
+costs about 9 ms and 1.2 MiB; scipy.linalg imports it, so ``edgespec
+all`` may load it too.  pytest's own process has loaded all of these for
+other tests, so the checks run in a fresh interpreter.
 """
 
 import json
@@ -23,7 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = """
 import json, sys
 sys.path[:0] = sys.argv[1:]
-heavy = {"sympy", "mpmath", "scipy"}
+heavy = {"sympy", "mpmath", "scipy", "numpy.ma"}
 import setup_probe
 es = setup_probe.import_edgespec()
 setup_probe.warm_up(es)
@@ -52,3 +54,8 @@ def test_setup_and_all_suite_load_no_sympy(loaded):
 def test_setup_loads_no_scipy(loaded):
     setup, _ = loaded
     assert "scipy" not in setup
+
+
+def test_setup_loads_no_numpy_ma(loaded):
+    setup, _ = loaded
+    assert "numpy.ma" not in setup
