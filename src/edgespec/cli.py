@@ -26,9 +26,9 @@ from .clifford import commutator_report
 from .errors import ConfigurationError, EdgespecError, PreconditionError
 from .grids import (X_MAX_DEFAULT, X_MIN_DEFAULT, build_grid,
                     free_column_quadrature, nystrom_assemble, operator_norm)
-from .kernels import (ConeKernel, WeightedAction, exact_weighted_norm,
-                      free_schur_integrals)
-from .model import DEFAULT_GAP, FiberSpectrum, check_witt, round_trip_residual
+from .kernels import (WITT_FLOOR, ConeKernel, WeightedAction,
+                      exact_weighted_norm, free_schur_integrals)
+from .model import FiberSpectrum, check_witt, round_trip_residual
 from .parametrix import mapping_bounds, random_section
 from .scales import (DEFAULT_SEED, TENSOR_CHECK_TOL, intersection_scale_check,
                      random_generator, random_psd_block, same_scale_demo,
@@ -64,7 +64,6 @@ class RunConfig:
     nu: float = 2.0
     beta: float = 0.0
     spectrum: tuple = (1.6, -1.6, 2.6, -2.6)
-    gap: float = DEFAULT_GAP
     seed: int = DEFAULT_SEED
 
 
@@ -188,11 +187,13 @@ def _suite_scales(cfg: RunConfig):
 
 def _suite_witt(cfg: RunConfig):
     t0 = time.perf_counter()
-    rep = check_witt(FiberSpectrum(tuple(cfg.spectrum), cfg.gap))
+    rep = check_witt(FiberSpectrum(tuple(cfg.spectrum)))
+    # the spectral gap |s| > 1 that the order floor nu > WITT_FLOOR implies
+    gap = float(WITT_FLOOR) - 0.5
     return [_record("witt.spectral_gap",
                     {"spectrum": ",".join(str(s) for s in cfg.spectrum),
-                     "gap": cfg.gap},
-                    rep.min_abs, cfg.gap, rep.passes, t0)]
+                     "gap": gap},
+                    rep.min_abs, gap, rep.passes, t0)]
 
 
 _SUITE_FUNCS = {
@@ -270,20 +271,38 @@ def _build_parser():
         prog="edgespec",
         description="Run numerical verification suites for the cone-edge "
                     "model-operator toolkit.")
-    p.add_argument("suite", choices=SUITES)
+    p.add_argument("suite", choices=SUITES,
+                   help="the suite to run ('all' runs every suite); bessel "
+                        "and gb take no parameters")
     defaults = RunConfig()
-    p.add_argument("--grid-n", type=int, default=defaults.grid_n)
-    p.add_argument("--x-min", type=float, default=defaults.x_min)
-    p.add_argument("--x-max", type=float, default=defaults.x_max)
-    p.add_argument("--nu", type=float, default=defaults.nu)
-    p.add_argument("--beta", type=float, default=defaults.beta)
+    p.add_argument("--grid-n", type=int, default=defaults.grid_n,
+                   help="grid size N of schur and model, of scales' boundary "
+                        "fingerprint, and of parametrix (at least 200 there)"
+                        " (default %(default)s)")
+    p.add_argument("--x-min", type=float, default=defaults.x_min,
+                   help="left end of schur's window; model clamps the window"
+                        " to [1e-2, 1e2], parametrix uses [1e-2, 1e2] "
+                        "whatever it is (default %(default)s)")
+    p.add_argument("--x-max", type=float, default=defaults.x_max,
+                   help="right end of schur's window, clamped and ignored as"
+                        " for --x-min (default %(default)s)")
+    p.add_argument("--nu", type=float, default=defaults.nu,
+                   help=f"Bessel order of schur and model, above "
+                        f"{WITT_FLOOR} (default %(default)s)")
+    p.add_argument("--beta", type=float, default=defaults.beta,
+                   help="|xi| of schur and model, nonnegative; schur's column"
+                        " integral runs only at 0 (default %(default)s)")
     p.add_argument("--spectrum", type=str,
                    default=",".join(str(v) for v in defaults.spectrum),
-                   help="comma-separated fiber eigenvalues")
-    p.add_argument("--gap", type=float, default=defaults.gap)
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--output", choices=("json", "csv"), default="json")
-    p.add_argument("--out", type=str, default=None)
+                   help="comma-separated fiber eigenvalues, read by witt and"
+                        " parametrix (default %(default)s)")
+    p.add_argument("--seed", type=int, default=defaults.seed,
+                   help="nonnegative seed of parametrix's and scales' random"
+                        " inputs (default %(default)s)")
+    p.add_argument("--output", choices=("json", "csv"), default="json",
+                   help="report format (default %(default)s)")
+    p.add_argument("--out", type=str, default=None,
+                   help="write the report to this file instead of stdout")
     return p
 
 
@@ -297,7 +316,7 @@ def main(argv=None):
         return 2
     cfg = RunConfig(grid_n=args.grid_n, x_min=args.x_min, x_max=args.x_max,
                     nu=args.nu, beta=args.beta, spectrum=spectrum,
-                    gap=args.gap, seed=args.seed)
+                    seed=args.seed)
     try:
         records = run_suite(args.suite, cfg)
         payload = emit(records, args.output)

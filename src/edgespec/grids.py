@@ -196,14 +196,17 @@ def nystrom_assemble(kernel: ConeKernel, actions,
 def free_column_quadrature(nu: float) -> float:
     """Column integral of x^-2 k(x, 1) over x in (0, infinity), by quadrature.
 
-    The free kernel's two branches decay like powers, so 1024-node log-Gauss
-    panels on [1e-10, 1] and [1, 1e8], split at the branch kink x = y = 1,
-    resolve it to quadrature precision.  ``free_schur_integrals`` gives the
-    closed form (nu^2 - 1/4)^-1.
+    In t = ln x the integrand is e^{(nu - 1/2) t} for x < 1 and
+    e^{-(nu + 1/2) t} for x > 1 (times the closed form), so 1024-node
+    log-Gauss panels on [e^{-T/(nu - 1/2)}, 1] and [1, e^{T/(nu + 1/2)}],
+    split at the branch kink x = y = 1, resolve its layer of width 1/nu at
+    every order and drop tails of relative size e^{-T}, T = 40.
+    ``free_schur_integrals`` gives the closed form (nu^2 - 1/4)^-1.
     """
     kern = ConeKernel(nu)
     total = 0.0
-    for lo, hi in ((1e-10, 1.0), (1.0, 1e8)):
+    for lo, hi in ((math.exp(-40.0 / (nu - 0.5)), 1.0),
+                   (1.0, math.exp(40.0 / (nu + 0.5)))):
         nodes, weights = log_gauss_rule(1024, lo, hi)
         vals = weighted_kernel_matrix(kern, WeightedAction(-2, 0), nodes,
                                       [1.0])[:, 0]

@@ -145,6 +145,14 @@ def test_schur_integrals_match_quadrature():
         assert free_column_quadrature(nu) == pytest.approx(col, rel=1e-8)
 
 
+def test_column_quadrature_resolves_large_orders():
+    # the integrand's layer at x = 1 is 1/nu wide in ln x; panels fixed in x
+    # missed it (relative error 3.8e-8 at nu = 300, 1.0 at 1e5)
+    for nu in (300.0, 1e3, 1e4, 1e6):
+        _, col = free_schur_integrals(nu)
+        assert free_column_quadrature(nu) == pytest.approx(col, rel=1e-8)
+
+
 def _product_pair(nu, x, y):
     """(|K_nu(x) I_nu(y)|, (1/nu)(y/x)^nu) for y <= x, read off the kernels.
 
