@@ -23,7 +23,9 @@ nodes and at the diagonal-cell points once, and returns one matrix per
 action.  Its diagonal pass evaluates the kernel only at the pairs it keeps.
 
 ``operator_norm`` returns the value at which a power iteration on the Gram
-matrix B stops, without running its steps.  Each step's estimate
+matrix B = A^T A stops, without running its steps and without forming B:
+each Lanczos step applies B as two matrix-vector products with A.  Each
+step's estimate
 lambda_s = mu_(2s+1) / mu_(2s) is a ratio of Krylov moments
 mu_p = z_0^T B^p z_0, and j Lanczos steps give a tridiagonal T_j whose
 Gauss rule reproduces every moment of degree <= 2j - 1 (Golub and Meurant,
@@ -34,10 +36,9 @@ rounding), or when two successive checks agree on s* and on the value.
 The 45 sweep norms need Lanczos dimensions of 16 to 136, where the
 iteration runs up to 7567 steps.  The value is the power iteration's, not
 the top singular value, because the stored reference values pin it.
-Before forming B, entries below sqrt(tiny) of the scaled matrix are
-flushed to zero, which moves the norm by at most N sqrt(tiny) = N 1.5e-154
-relative and keeps subnormal doubles, several times slower to multiply,
-out of the Gram matrix.
+Entries below sqrt(tiny) of the scaled A are flushed to zero first, which
+moves the norm by at most N sqrt(tiny) = N 1.5e-154 relative and keeps
+subnormal doubles, several times slower to multiply, out of the products.
 
 The module needs only numpy on import; scipy's LAPACK band routines are
 imported inside ``band_lu_factor`` and ``band_lu_solve``, on the first
@@ -157,9 +158,9 @@ def nystrom_assemble(kernel: ConeKernel, actions,
 
     The kernel factors at the nodes (rows and columns) and at the cell
     points are evaluated once and shared by every action: for beta > 0,
-    two log_bessel_ik calls, one over the orders nu..nu+a_max at the N
-    nodes (a_max the largest edge-derivative count) and one at order nu
-    on the DIAG_CELL_NODES * N cell points.  An empty ``actions`` raises
+    one log_bessel_ik call over the orders nu..nu+a_max at the N nodes
+    (a_max the largest edge-derivative count) and order nu at the
+    DIAG_CELL_NODES * N cell points.  An empty ``actions`` raises
     ConfigurationError.  A matrix with a non-finite entry, or with every
     entry zero, has no norm worth reporting: it raises DomainError naming
     (nu, beta) and the window.
@@ -169,9 +170,8 @@ def nystrom_assemble(kernel: ConeKernel, actions,
         raise ConfigurationError("nystrom_assemble needs at least one action")
     x = grid.nodes
     orders = 1 + max(act.edge_derivatives for act in actions)
-    nodes = kernel_factors(kernel, x, orders)
     cell_points, cell_weights = _diagonal_cells(x)
-    cells = kernel_factors(kernel, cell_points)
+    nodes, cells = kernel_factors(kernel, x, orders, cell_points)
     rows = nodes.reshape(-1, 1)
     out = []
     for act in actions:
@@ -420,32 +420,56 @@ def operator_norm(m: np.ndarray, weights: np.ndarray) -> float:
       * or Lanczos breaks down (beta = 0) or reaches j = N, where T_j holds
         every moment.
 
+    B is never formed: each Lanczos step applies it as (A v) A, two
+    matrix-vector products, so one call holds A, the Lanczos basis and no
+    other N x N array.
+
     Flush.  A is first scaled by a power of two (exactly) so that its
     largest entry lies in [1, 2), and its entries below sqrt(tiny) =
-    1.5e-154 are set to zero.  Every product of two kept entries is then a
-    normal double, so forming B makes no subnormal, which costs the
-    processor several times as much as a normal number.  The change E has
-    ||E||_2 <= ||E||_F < N sqrt(tiny) <= N sqrt(tiny) ||A||_2, and the top
-    singular value moves by at most ||E||_2 (Weyl), far below the rounding
-    of B's entries.
+    1.5e-154 are set to zero.  So A holds no subnormal, and its product
+    with any factor of at least sqrt(tiny) is a normal double: the
+    products make no subnormal from A's tiny entries, which would cost
+    the processor several times as much as a normal number.  The change E
+    has ||E||_2 <= ||E||_F < N sqrt(tiny) <= N sqrt(tiny) ||A||_2, and the
+    top singular value moves by at most ||E||_2 (Weyl), far below the
+    rounding of the products.
+
+    A matrix that is empty or not square, or weights that are not one
+    positive, finite value per row, raise ConfigurationError; a weighted
+    matrix with a non-finite entry raises DomainError.
     """
+    m = np.asarray(m)
+    weights = np.asarray(weights, float)
+    n = m.shape[0] if m.ndim == 2 else 0
+    if n == 0 or m.shape != (n, n) or weights.shape != (n,):
+        raise ConfigurationError(
+            f"operator_norm needs a square matrix and one weight per row, "
+            f"got shapes {m.shape} and {weights.shape}")
+    if not np.all((weights > 0.0) & (weights < np.inf)):
+        raise ConfigurationError("quadrature weights must be positive and "
+                                 "finite")
     sw = np.sqrt(weights)
-    a = sw[:, None] * m / sw[None, :]
+    a = m * sw[:, None]
+    a /= sw
+    # min and max are finite only if every entry is
+    hi, lo = float(a.max()), float(a.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise DomainError("operator_norm: the weighted matrix has a "
+                          "non-finite entry")
     # scaling by 2^(1 - e) rounds nothing
-    e = math.frexp(float(np.max(np.abs(a))))[1]
+    e = math.frexp(max(hi, -lo))[1]
     np.ldexp(a, 1 - e, out=a)
-    np.putmask(a, np.abs(a) < _FLUSH, 0.0)
-    b = a.T @ a
-    del a
-    n = b.shape[0]
+    small = a < _FLUSH
+    small &= a > -_FLUSH
+    a[small] = 0.0
+    del small  # freed before the Lanczos basis grows
     # the Lanczos basis, one row per vector, doubled when full
     v = np.empty((min(n, 2 * _CHECK_EVERY), n))
     v[0] = sw / np.linalg.norm(sw)  # v = 1 / ||1||_W
     alpha, beta, last = [], [], None
     for j in range(1, n + 1):
-        # B is symmetric, so v @ b is B v; it runs about a fifth faster
-        # than b @ v at N = 400
-        w = v[j - 1] @ b
+        # B v = A^T (A v), as two matrix-vector products
+        w = (a @ v[j - 1]) @ a
         alpha.append(float(w @ v[j - 1]))
         if j == 1 and float(w @ w) == 0.0:
             return 0.0  # B z_0 = 0: the iteration stops at step 0

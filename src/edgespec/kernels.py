@@ -15,11 +15,12 @@ kernel and by the order recurrences
     (u d/du)[u^k I_m] = (k+m) u^k I_m + u^{k+1} I_{m+1},
 
 for the Bessel kernel.  They are evaluated in log space in two stages:
-``kernel_factors`` takes the logarithms, the Bessel factors (all orders in
-one log_bessel_ik call) and the y-side generators ln g_lo, ln g_hi at each
-side's points before broadcasting, and ``weighted_kernel_from_factors``
-combines them, exponentiating each entry's own branch in place in the
-result; underflow clamps to 0 and overflow gives inf.
+``kernel_factors`` takes the logarithms, the Bessel factors (all orders,
+of one point set or of two, in one log_bessel_ik call) and the y-side
+generators ln g_lo, ln g_hi at each side's points before broadcasting, and
+``weighted_kernel_from_factors`` combines them, exponentiating each entry's
+own branch in place in the result; underflow clamps to 0 and overflow gives
+inf.
 ``weighted_kernel_matrix`` is the one evaluator of the weighted kernel;
 one set of factors at the grid nodes serves the x-side and the y-side of
 every action's matrix.
@@ -152,29 +153,49 @@ class KernelFactors:
                              tuple(map(r, self.log_k)))
 
 
-def kernel_factors(kernel: ConeKernel, x, orders: int = 1) -> KernelFactors:
-    """Factor stage of the weighted kernel at the positive, finite points x.
+def kernel_factors(kernel: ConeKernel, x, orders: int = 1, y=None):
+    """Factor stage of the weighted kernel at the positive, finite points x,
+    holding the orders nu..nu+orders-1; ``orders`` is an int >= 1.
 
-    For beta > 0 it makes one log_bessel_ik call, over the orders
-    nu..nu+orders-1 at every beta x; the free kernel needs no Bessel
-    factor.
+    Given a second point set ``y``, it returns the pair (factors of x,
+    factors of y at order nu alone).  For beta > 0 it makes one
+    log_bessel_ik call over every (order, point) pair of both sets; the
+    free kernel needs no Bessel factor.  A value depends on its own order
+    and point alone, so it is the same whichever call computes it.
     """
-    x = np.asarray(x, float)
-    if not np.all((x > 0.0) & (x < np.inf)):
-        raise DomainError("kernel arguments must be positive and finite")
-    nu, log_x = kernel.nu, np.log(x)
-    if kernel.beta == 0.0:
-        return KernelFactors(x, log_x, (nu + 0.5) * log_x,
-                             (-nu + 0.5) * log_x)
-    u = kernel.beta * x
-    # row j of the one call holds order nu + j at every point
-    offset = np.arange(orders).reshape((orders,) + (1,) * u.ndim)
-    log_i, log_k = log_bessel_ik(nu, np.broadcast_to(u, (orders,) + u.shape),
-                                 offset)[:2]
-    log_i, log_k = tuple(log_i), tuple(log_k)
-    half_log_x = 0.5 * log_x
-    return KernelFactors(x, log_x, half_log_x + log_i[0],
-                         half_log_x + log_k[0], np.log(u), log_i, log_k)
+    if not (isinstance(orders, (int, np.integer)) and orders >= 1):
+        raise ConfigurationError(
+            f"kernel factors need an int count of orders >= 1, not {orders!r}")
+    sets = [(np.asarray(x, float), orders)]
+    if y is not None:
+        sets.append((np.asarray(y, float), 1))
+    for points, _ in sets:
+        if not np.all((points > 0.0) & (points < np.inf)):
+            raise DomainError("kernel arguments must be positive and finite")
+    nu, beta = kernel.nu, kernel.beta
+    if beta > 0.0:
+        us = [beta * points for points, _ in sets]
+        # each set in turn, row j of a set holding order nu + j at its points
+        log_i, log_k = log_bessel_ik(
+            nu, np.concatenate([np.tile(u.ravel(), n)
+                                for u, (_, n) in zip(us, sets)]),
+            np.concatenate([np.repeat(np.arange(n), u.size)
+                            for u, (_, n) in zip(us, sets)]))[:2]
+    out, start = [], 0
+    for k, (points, n) in enumerate(sets):
+        log_x = np.log(points)
+        if beta == 0.0:
+            out.append(KernelFactors(points, log_x, (nu + 0.5) * log_x,
+                                     (-nu + 0.5) * log_x))
+            continue
+        u, stop = us[k], start + n * points.size
+        li = tuple(log_i[start:stop].reshape((n,) + u.shape))
+        lk = tuple(log_k[start:stop].reshape((n,) + u.shape))
+        half_log_x = 0.5 * log_x
+        out.append(KernelFactors(points, log_x, half_log_x + li[0],
+                                 half_log_x + lk[0], np.log(u), li, lk))
+        start = stop
+    return out[0] if y is None else tuple(out)
 
 
 def _free_x_part(nu, w, a, fx: KernelFactors):

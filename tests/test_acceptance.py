@@ -65,12 +65,16 @@ def test_criterion_1_free_schur_bound():
     for nu in NU_SET:
         row, _ = free_schur_integrals(nu)
         exact = exact_weighted_norm(nu, 0)
-        # schur.weighted_norm (measured <= (1 + 1e-6) exact) and
-        # schur.col_integral (quadrature within 1e-8 of the closed form)
+        # schur.weighted_norm (measured <= its bound, which must be
+        # (1 + 1e-6) exact) and schur.col_integral (quadrature within 1e-8
+        # of the closed form)
         records = {r.check: r for r in run_suite("schur", RunConfig(nu=nu))}
-        measured = records["schur.weighted_norm"].measured
+        norm = records["schur.weighted_norm"]
+        measured = norm.measured
         ratios.append(measured / exact)
         failed = [r.check for r in records.values() if not r.passed]
+        if norm.bound != (1.0 + 1e-6) * exact:
+            failed.append(f"schur.weighted_norm bound {norm.bound!r}")
         if failed or not (0.9 * exact <= measured <= 1.05 * row):
             ok = False
             worst = (f"nu={nu}: failing {failed}, measured {measured:.4f} "

@@ -100,9 +100,9 @@ def test_diagonal_cell_integrals_match_dense_rows(kern, action):
 
 
 def test_sweep_cell_shares_bessel_factors(monkeypatch):
-    # one Bessel cell evaluates orders nu, nu+1, nu+2 on the N nodes in one
-    # call and order nu on the 16 N diagonal-cell points in another, for
-    # all three actions
+    # one Bessel cell evaluates orders nu, nu+1, nu+2 on the N nodes and
+    # order nu on the 16 N diagonal-cell points in one call, for all three
+    # actions
     n = 40
     calls = []
 
@@ -113,10 +113,11 @@ def test_sweep_cell_shares_bessel_factors(monkeypatch):
     bessel_ik = kernels.log_bessel_ik
     monkeypatch.setattr(kernels, "log_bessel_ik", counting)
     uniform_bound_sweep(FiberSpectrum((2.5,)), [1.3], grid_n=n)
-    assert calls == [3 * n, 16 * n]
+    assert calls == [3 * n + 16 * n]
     monkeypatch.undo()
 
-    # each shared-factor operator is the one built per action, bit for bit
+    # each shared-factor operator is the one built per action from factors
+    # evaluated apart, bit for bit
     kern = ConeKernel(3.0, 1.3)
     g = build_grid(n, 1e-4, 1e3)
     x = g.nodes
@@ -238,9 +239,10 @@ def test_operator_norm_stops_with_the_plain_loop_on_special_spectra(
     assert steps[:2] == [2, 3]
 
 
-def test_operator_norm_memory_is_two_gram_matrices():
-    # the scaled copy and the Gram matrix B, a Lanczos basis sized to the
-    # dimension reached (56 rows here) and no dense power of B
+def test_operator_norm_memory_is_one_scaled_copy():
+    # the scaled copy A and, while it is flushed, two boolean masks, then a
+    # Lanczos basis sized to the dimension reached (56 rows here): no Gram
+    # matrix and no dense power of it
     g = build_grid(400, 1e-4, 1e3)
     [m] = nystrom_assemble(ConeKernel(3.0, 0.1), ACTIONS[1:2], g)
     tracemalloc.start()
@@ -249,7 +251,40 @@ def test_operator_norm_memory_is_two_gram_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 8 * g.n ** 2
+    assert peak <= 1.5 * 8 * g.n ** 2
+
+
+def _bad_norm_inputs():
+    g = build_grid(32, 1e-2, 10.0)
+    m = np.eye(g.n)
+    w = g.weights
+    for what, bad in (("nan", math.nan), ("inf", math.inf),
+                      ("-inf", -math.inf)):
+        entry = m.copy()
+        entry[3, 5] = bad
+        yield pytest.param(entry, w, DomainError, id=f"{what}-entry")
+        weights = w.copy()
+        weights[7] = bad
+        yield pytest.param(m, weights, ConfigurationError,
+                           id=f"{what}-weight")
+    for what, bad in (("zero", 0.0), ("negative", -1.0)):
+        weights = w.copy()
+        weights[7] = bad
+        yield pytest.param(m, weights, ConfigurationError,
+                           id=f"{what}-weight")
+    yield pytest.param(m, w[:-1], ConfigurationError, id="short-weights")
+    yield pytest.param(m[:-1], w, ConfigurationError, id="non-square")
+    yield pytest.param(w, w, ConfigurationError, id="one-dimensional")
+    yield pytest.param(np.zeros((0, 0)), w[:0], ConfigurationError,
+                       id="empty")
+
+
+@pytest.mark.parametrize("m, weights, error", list(_bad_norm_inputs()))
+def test_operator_norm_refuses_bad_inputs(m, weights, error):
+    # each once raised numpy's LinAlgError (eigenvalues did not converge)
+    # or a broadcasting ValueError
+    with pytest.raises(error):
+        operator_norm(m, weights)
 
 
 def test_operator_norm_scale_is_exact():

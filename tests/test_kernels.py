@@ -250,6 +250,15 @@ def test_kernel_points_positive_and_finite(kern, bad):
 
 
 @pytest.mark.parametrize("kern", [ConeKernel(2.5), ConeKernel(2.5, 1.3)])
+@pytest.mark.parametrize("orders", [0, -1, 1.5])
+def test_kernel_factor_orders_are_ints_from_one(kern, orders):
+    # the Bessel kernel once raised an IndexError, numpy's ValueError and a
+    # TypeError; the free kernel ignored the count
+    with pytest.raises(ConfigurationError, match="orders >= 1"):
+        kernel_factors(kern, [1.0, 2.0], orders)
+
+
+@pytest.mark.parametrize("kern", [ConeKernel(2.5), ConeKernel(2.5, 1.3)])
 @pytest.mark.parametrize("action", ACTIONS)
 def test_weighted_kernel_pairs_equal_matrix_entries(kern, action):
     rng = np.random.default_rng(3)
