@@ -849,19 +849,29 @@ def wronskian_residual(nus, xs) -> float:
     return float(np.max(np.abs(xs * prod - 1.0), initial=0.0))
 
 
-def uniform_asymptotic_excess(mu: float, xs):
-    """(worst error / bound, largest bound) of the uniform branch at order mu.
+def uniform_asymptotic_excess(mus, xs):
+    """[(worst error / bound, largest bound)] of the uniform branch, one
+    pair per order in ``mus``, over the arguments ``xs``.
 
-    The uniform expansion, evaluated at mu whatever ASYMPTOTIC_MIN_ORDER
-    says and with the representation floor added to its bounds, is checked
-    against ``log_bessel_ik``, several orders of magnitude more accurate
-    below ASYMPTOTIC_MIN_ORDER, for I and for K; the expansion stays within
-    its computed bounds when the first value is at most 1.
+    The uniform expansion, evaluated at each order whatever
+    ASYMPTOTIC_MIN_ORDER says and with the representation floor added to
+    its bounds, is checked against ``log_bessel_ik``'s branches, several
+    orders of magnitude more accurate below ASYMPTOTIC_MIN_ORDER, for I and
+    for K; the expansion stays within its computed bounds at an order when
+    its first value is at most 1.  Every (order, argument) pair goes
+    through one pass of each evaluator, as in ``wronskian_residual``, and
+    an order's pair has the same bits as when that order is checked alone.
     """
-    li_r, lk_r, *_ = log_bessel_ik(mu, xs)
-    li_a, lk_a, ei, ek = _log_ik_olver(mu, np.asarray(xs, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    mus = np.asarray(mus, dtype=float).reshape(-1, 1)
+    if not mus.size:
+        return []
+    nu, x, shape = _check_args(mus, xs)
+    li_r, lk_r = _log_bessel(nu, x, "IK")[:2]
+    li_a, lk_a, ei, ek = _log_ik_olver(nu, x)
     ei += _log_floor(li_a)
     ek += _log_floor(lk_a)
-    excess = max(float(np.max(np.abs(np.expm1(li_a - li_r)) / ei)),
-                 float(np.max(np.abs(np.expm1(lk_a - lk_r)) / ek)))
-    return excess, max(float(ei.max()), float(ek.max()))
+    excess = np.maximum(np.abs(np.expm1(li_a - li_r)) / ei,
+                        np.abs(np.expm1(lk_a - lk_r)) / ek).reshape(shape)
+    bound = np.maximum(ei, ek).reshape(shape)
+    return [(float(r.max()), float(b.max())) for r, b in zip(excess, bound)]

@@ -85,9 +85,10 @@ def _suite_bessel(cfg: RunConfig):
     worst = wronskian_residual(nus, xs)
     out.append(_record("bessel.wronskian", {"grid": "20x20"},
                        worst, 1e-10, worst <= 1e-10, t0))
-    for mu in (10.0, 20.0, 40.0):
-        t0 = time.perf_counter()
-        err, _ = uniform_asymptotic_excess(mu, xs)
+    # one pass over the three orders; each record times the shared pass
+    t0 = time.perf_counter()
+    mus = (10.0, 20.0, 40.0)
+    for mu, (err, _) in zip(mus, uniform_asymptotic_excess(mus, xs)):
         out.append(_record("bessel.olver_vs_eta_bound", {"mu": mu},
                            err, 1.0, err <= 1.0, t0))
     return out

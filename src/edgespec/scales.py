@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
+from .grids import tridiagonal_eigenpairs
 
 DEFAULT_SEED = 20_240_617
 SYMMETRY_TOL = 1e-12
@@ -212,6 +213,12 @@ def same_scale_demo(a: float, n: int = 400):
     of the square is B^T B; its low eigenvectors satisfy the a-dependent
     natural condition f2'(0) + a f2(0) = 0 without it ever being imposed.
 
+    B has the two bands p = -1/h + a/2 and q = 1/h + a/2, so B^T B is
+    tridiagonal: diagonal p^2 + q^2 with end entries p^2 and q^2, and
+    off-diagonal pq.  Its three lowest eigenpairs come from
+    ``grids.tridiagonal_eigenpairs`` in O(n), with neither B nor B^T B
+    formed.
+
     Returns per-eigenfunction boundary residuals |f2'(0) + a f2(0)| and
     |f2'(0)|, both normalized by the sup norm, and ``fingerprint_ratio``,
     the least ratio of the second to the first over the eigenfunctions.
@@ -219,13 +226,12 @@ def same_scale_demo(a: float, n: int = 400):
     if n < 16:
         raise ConfigurationError("need at least 16 cells")
     h = math.pi / n
-    # B maps f2 (nodes 0..n) to midpoint values of (d/dx + a) f2
-    b = np.zeros((n, n + 1))
-    idx = np.arange(n)
-    b[idx, idx] = -1.0 / h + 0.5 * a
-    b[idx, idx + 1] = 1.0 / h + 0.5 * a
-    c = b.T @ b
-    evals, vecs = np.linalg.eigh(c)
+    # B maps f2 (nodes 0..n) to midpoint values of (d/dx + a) f2:
+    # (B f)_i = p f_i + q f_(i+1)
+    p, q = -1.0 / h + 0.5 * a, 1.0 / h + 0.5 * a
+    diag = np.full(n + 1, p * p + q * q)
+    diag[0], diag[-1] = p * p, q * q
+    evals, vecs = tridiagonal_eigenpairs(diag, np.full(n, p * q), 3)
     out = []
     for k in range(3):
         v = vecs[:, k]

@@ -130,8 +130,9 @@ def test_criterion_3_bessel_accuracy():
     ok = worst <= 1e-10
     bounds = {}
     xg = np.exp(np.linspace(math.log(0.5), math.log(400.0), 25))
-    for mu in (10.0, 20.0, 40.0):
-        excess, bounds[mu] = uniform_asymptotic_excess(mu, xg)
+    mus = (10.0, 20.0, 40.0)
+    for mu, (excess, bounds[mu]) in zip(mus,
+                                        uniform_asymptotic_excess(mus, xg)):
         ok = ok and excess <= 1.0
     for a, b in ((10.0, 20.0), (20.0, 40.0)):
         ok = ok and 8.0 <= bounds[a] / bounds[b] <= 32.0

@@ -229,9 +229,17 @@ def test_olver_branch_within_bounds():
     # the asymptotic branch checked against the series/CF branch, which is
     # several orders of magnitude more accurate at these orders
     xs = np.exp(np.linspace(math.log(0.5), math.log(400.0), 17))
-    for mu in (10.0, 20.0, 40.0):
-        excess, _ = uniform_asymptotic_excess(mu, xs)
+    for excess, _ in uniform_asymptotic_excess((10.0, 20.0, 40.0), xs):
         assert excess <= 1.0
+
+
+def test_olver_excess_of_an_order_independent_of_its_batch():
+    # one pass over every order gives each order the bits it has alone
+    xs = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 20))
+    mus = (10.0, 20.0, 40.0)
+    batch = uniform_asymptotic_excess(mus, xs)
+    assert batch == [uniform_asymptotic_excess(mu, xs)[0] for mu in mus]
+    assert uniform_asymptotic_excess([], xs) == []
 
 
 def test_asymptotic_bounds_scale():

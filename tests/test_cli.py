@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from edgespec import cli
+from edgespec import bessel, cli
 from edgespec.cli import CheckRecord, RunConfig, emit, main, run_suite
 from edgespec.errors import PreconditionError
 from edgespec.kernels import exact_weighted_norm
@@ -145,21 +146,28 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
 
 
 def test_schur_example_record():
+    # criterion 1 checks every order of its set; one order checks the wiring
     records = run_suite("schur", RunConfig(nu=2.0, beta=0.0))
     by_check = {r.check: r for r in records}
     norm = by_check["schur.weighted_norm"]
     assert norm.measured <= 0.6
+    assert norm.bound == (1 + 1e-6) * exact_weighted_norm(2.0, 0)
     assert norm.bound == pytest.approx((1 + 1e-6) / 3, rel=1e-12)
-    assert norm.passed
+    assert all(r.passed for r in records)
 
 
-# criterion 1 checks every order of its set; one order checks the wiring
-@pytest.mark.parametrize("nu", [2.0])
-def test_schur_suite_matches_acceptance(nu):
-    by_check = {r.check: r for r in run_suite("schur", RunConfig(nu=nu))}
-    norm = by_check["schur.weighted_norm"]
-    assert norm.bound == (1 + 1e-6) * exact_weighted_norm(nu, 0)
-    assert all(r.passed for r in by_check.values())
+def test_bessel_suite_makes_one_pass_for_the_olver_records(monkeypatch):
+    # the Wronskian record's pass and one pass over the three orders
+    calls = Counter()
+    for name in ("_log_bessel", "_log_ik_olver"):
+        def counted(*args, _fn=getattr(bessel, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bessel, name, counted)
+    records = run_suite("bessel", RunConfig())
+    assert [r.params["mu"] for r in records
+            if r.check == "bessel.olver_vs_eta_bound"] == [10.0, 20.0, 40.0]
+    assert calls == {"_log_bessel": 2, "_log_ik_olver": 1}
 
 
 def test_schur_just_above_witt_floor():

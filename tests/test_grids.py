@@ -8,7 +8,8 @@ import pytest
 from edgespec.errors import (ConfigurationError, DomainError, NumericalError,
                              WittViolationError)
 from edgespec.grids import (band_lu_factor, build_grid, fd_assemble_model,
-                            log_gauss_rule, nystrom_assemble, operator_norm)
+                            log_gauss_rule, nystrom_assemble, operator_norm,
+                            tridiagonal_eigenpairs)
 from edgespec import grids, kernels
 from edgespec.kernels import (ConeKernel, WeightedAction, kernel_factors,
                               weighted_kernel_from_factors,
@@ -411,3 +412,33 @@ def test_fd_bands_are_linear_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("seed, n, count", [(0, 2, 1), (1, 17, 3),
+                                            (2, 60, 5), (3, 200, 3)])
+def test_tridiagonal_eigenpairs_match_dense_eigh(seed, n, count):
+    rng = np.random.default_rng(seed)
+    d, e = rng.normal(size=n), rng.normal(size=n - 1)
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    values, vectors = tridiagonal_eigenpairs(d, e, count)
+    ref_values, ref_vectors = np.linalg.eigh(t)
+    assert values.shape == (count,) and vectors.shape == (n, count)
+    scale = np.linalg.norm(t, 2)
+    assert np.all(np.abs(values - ref_values[:count]) <= 1e-12 * scale)
+    for k in range(count):
+        v, ref = vectors[:, k], ref_vectors[:, k]
+        assert np.max(np.abs(v - np.sign(v @ ref) * ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("d, e, count", [
+    (np.ones(4), np.ones(3), 0),
+    (np.ones(4), np.ones(3), 5),
+    (np.ones(4), np.ones(4), 1),
+    (np.ones(4), np.ones(2), 1),
+    (np.ones((2, 2)), np.ones(1), 1),
+    (np.array([1.0, math.nan, 1.0]), np.ones(2), 1),
+    (np.ones(3), np.array([1.0, math.inf]), 1),
+])
+def test_tridiagonal_eigenpairs_refuses_bad_inputs(d, e, count):
+    with pytest.raises(ConfigurationError):
+        tridiagonal_eigenpairs(d, e, count)

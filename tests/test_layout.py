@@ -9,8 +9,9 @@ model operators in one builder, ``grids.fd_assemble_model``, the only
 caller of the stencil table and the band placement.  sympy is imported
 by ``clifford.symbolic_square_identity`` alone, inside it, and mpmath
 nowhere, so importing the package loads no computer algebra; scipy only
-inside functions of ``grids`` (the banded LU), so neither importing the
-package nor measuring a norm loads it.  Every public
+inside functions of ``grids`` (the banded LU and the boundary
+fingerprint's tridiagonal eigen-solve), so neither importing the package
+nor measuring a norm loads it.  Every public
 top-level name of the package, constants included, has a reader besides
 its own unit tests.
 """

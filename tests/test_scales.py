@@ -1,7 +1,12 @@
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from edgespec import scales
+from edgespec.cli import main
 from edgespec.errors import ConfigurationError
 from edgespec.scales import (BlockMatrix, DEFAULT_SEED, ScaleGenerator,
                              TENSOR_CHECK_TOL, blockwise_tensor,
@@ -114,3 +119,58 @@ def test_same_scale_demo_first_eigenfunction_exponential():
     rep = same_scale_demo(a=1.0, n=400)
     assert rep["eigenfunctions"][0]["eigenvalue"] <= 1e-2
     assert rep["eigenfunctions"][1]["eigenvalue"] > 0.5
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("n", [16, 400])
+def test_same_scale_demo_matches_the_closed_form(monkeypatch, a, n):
+    # B B^T is tridiagonal Toeplitz (diagonal p^2 + q^2, off-diagonal pq),
+    # so B^T B has the eigenvalue 0 with null vector (-p/q)^i and the
+    # eigenvalues p^2 + q^2 + 2pq cos(k pi/(n+1)), k = 1..n, with
+    # eigenvectors B^T u_k, (u_k)_j = sin(j k pi/(n+1)); pq < 0 here
+    seen = []
+    solve = scales.tridiagonal_eigenpairs
+
+    def recording(d, e, count):
+        seen.append(solve(d, e, count))
+        return seen[-1]
+
+    monkeypatch.setattr(scales, "tridiagonal_eigenpairs", recording)
+    rep = scales.same_scale_demo(a=a, n=n)
+    [(values, vectors)] = seen
+    assert [f["eigenvalue"] for f in rep["eigenfunctions"]] == list(values)
+    h = math.pi / n
+    p, q = -1.0 / h + 0.5 * a, 1.0 / h + 0.5 * a
+    c_norm = (abs(p) + abs(q)) ** 2
+    assert abs(values[0]) <= 1e-9 * c_norm
+    exact = [(-p / q) ** np.arange(n + 1)]
+    j = np.arange(1, n + 1)
+    for k in (1, 2):
+        lam = p * p + q * q + 2.0 * p * q * math.cos(k * math.pi / (n + 1))
+        assert values[k] == pytest.approx(lam, rel=1e-9)
+        u = np.sin(j * k * math.pi / (n + 1))
+        v = np.zeros(n + 1)
+        v[:-1] += p * u
+        v[1:] += q * u
+        exact.append(v)
+    for k, v in enumerate(exact):
+        cos = vectors[:, k] @ v / (np.linalg.norm(vectors[:, k])
+                                   * np.linalg.norm(v))
+        assert abs(cos) >= 1.0 - 1e-9
+
+
+def test_same_scale_demo_memory_is_linear_in_n():
+    # a dense B^T B at n = 4000 would take 128 MiB, and B as much again;
+    # the two bands and three eigenvectors take under 1 MiB
+    same_scale_demo(a=1.0, n=16)  # loads scipy outside the measurement
+    tracemalloc.start()
+    try:
+        same_scale_demo(a=1.0, n=4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_scales_suite_runs_at_a_fine_grid():
+    assert main(["scales", "--grid-n", "12800"]) == 0

@@ -3,8 +3,9 @@ numpy.ma, and ``edgespec all`` no computer algebra.
 
 Importing sympy (with mpmath) costs about 0.3 s, and scipy.linalg pulls in
 about 300 more modules; nothing on the set-up path needs either.  scipy
-serves only the parametrix's banded LU, loaded on its first solve, so
-``edgespec all`` may load it.  The toolkit masks no array, and numpy.ma
+serves only the parametrix's banded LU and the boundary fingerprint's
+tridiagonal eigen-solve, each loaded on its first call, so ``edgespec
+all`` may load it.  The toolkit masks no array, and numpy.ma
 costs about 9 ms and 1.2 MiB; scipy.linalg imports it, so ``edgespec
 all`` may load it too.  pytest's own process has loaded all of these for
 other tests, so the checks run in a fresh interpreter.
