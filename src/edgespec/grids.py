@@ -7,7 +7,9 @@ scalar, from it.  Stencils are built as bands; no dense FD matrix is
 formed.  The stencil table holds d/dt and d^2/dt^2 by diagonals, and the
 builder places its node blocks straight into the LAPACK band storage of
 ``BandMatrix``, which ``band_lu_factor`` and ``band_lu_solve`` factor and
-solve in O(N).
+solve in O(N).  Given an array of frequencies, it returns one
+block-diagonal band of one block per frequency, so that one factorization
+serves them all.
 
 Everything lives on a truncated half-line [x_min, x_max]: ``build_grid``
 gives log-uniform nodes with trapezoid weights, and ``log_gauss_rule`` gives
@@ -288,7 +290,7 @@ def _band(blocks, reach: int) -> BandMatrix:
     return BandMatrix(ab, w)
 
 
-def fd_assemble_model(nu: float, xi: float, grid: HalfLineGrid,
+def fd_assemble_model(nu: float, xi: float | np.ndarray, grid: HalfLineGrid,
                       n_c: int) -> BandMatrix:
     """Band of the FD matrix of the order-nu model operator at frequency xi,
     the one builder of both orders.  With mu = nu - 1/2 and d/dx = x^{-1} D1:
@@ -299,13 +301,25 @@ def fd_assemble_model(nu: float, xi: float, grid: HalfLineGrid,
     The first order is 2N x 2N in node-major order; D1 reaches 2 nodes, so
     w = 5.  xi is signed, and the square is
     diag(-d^2/dx^2 + mu(mu+1)/x^2 + xi^2, -d^2/dx^2 + mu(mu-1)/x^2 + xi^2).
-    The second order is N x N; D2 reaches 3 nodes, so w = 3.  Both orders
-    refuse a nu that fails ``require_witt_order`` and a log spacing above
-    0.25; any other n_c raises ConfigurationError.
+    The second order is N x N; D2 reaches 3 nodes, so w = 3.
+
+    xi may also be a 1-d array of frequencies.  Then the result is one
+    block-diagonal band of len(xi) blocks, block b on rows and columns
+    b n_c N .. (b + 1) n_c N - 1, and block b is, bit for bit, the band
+    of the scalar call at xi[b]: the stencils are placed once, and only the
+    main diagonal, the one place xi enters, is written per block.  Both
+    orders refuse a nu that fails ``require_witt_order`` and a log spacing
+    above 0.25; any other n_c, and an xi array that is empty or not 1-d,
+    raises ConfigurationError.
     """
     if n_c not in (1, 2):
         raise ConfigurationError(
             f"a model operator has 1 or 2 components, got {n_c}")
+    xis = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xis.ndim != 1 or xis.size == 0:
+        raise ConfigurationError(
+            f"xi must be a number or a 1-d array of them, got shape "
+            f"{np.shape(xi)}")
     require_witt_order(nu)
     h = grid.log_step
     if h > 0.25:
@@ -319,25 +333,38 @@ def fd_assemble_model(nu: float, xi: float, grid: HalfLineGrid,
         # -(dx_ii - mu/x_i) == mu/x_i - dx_ii: IEEE rounding is sign-symmetric
         plus[3] += mu_over_x
         minus[3] += mu_over_x
-        top, bottom = np.zeros_like(d1), np.zeros_like(d1)
-        top[3], bottom[3] = xi, -xi
-        return _band([[top, minus], [plus, bottom]], 2)
-    inv_x2 = 1.0 / grid.nodes ** 2
-    m = -inv_x2 * (d2 - d1)
-    m[3] += (nu * nu - 0.25) * inv_x2 + xi * xi
-    return _band([[m]], 3)
+        zero = np.zeros_like(d1)
+        base = _band([[zero, minus], [plus, zero]], 2)
+        # per block and node, xi on component 0 and -xi on component 1
+        diag = np.stack([xis, -xis], axis=1)[:, None, :]
+    else:
+        inv_x2 = 1.0 / grid.nodes ** 2
+        m = -inv_x2 * (d2 - d1)
+        base = _band([[m]], 3)
+        diag = (m[3] + ((nu * nu - 0.25) * inv_x2
+                        + (xis * xis)[:, None]))[:, :, None]
+    # the main diagonal is row 2w of the storage and holds only the node
+    # blocks' own (k = 0, c = d) entries; the off-block entries of the
+    # tiled storage are the zeros outside each block's rows.  One block
+    # keeps its storage: no copy of a large-N band
+    ab = base.ab if xis.size == 1 else np.tile(base.ab, (1, xis.size))
+    ab[2 * base.w].reshape(xis.size, grid.n, n_c)[...] = diag
+    return BandMatrix(ab, base.w)
 
 
 def band_lu_factor(a: BandMatrix):
     """(lu, piv, w): the LU factors of ``a`` with partial pivoting in
     dgbtrf's layout, for ``band_lu_solve``.  Raises NumericalError on an
-    exactly zero pivot.  scipy is imported here, on the first solve, so
+    exactly zero pivot, the first one, whose row the error's ``pivot``
+    attribute holds.  scipy is imported here, on the first solve, so
     importing the package and measuring norms do not load it."""
     from scipy.linalg.lapack import dgbtrf
     lu, piv, info = dgbtrf(a.ab, a.w, a.w)
     if info > 0:
-        raise NumericalError(f"singular band matrix: zero pivot U[{info - 1}, "
-                             f"{info - 1}]")
+        err = NumericalError(f"singular band matrix: zero pivot "
+                             f"U[{info - 1}, {info - 1}]")
+        err.pivot = info - 1
+        raise err
     return lu, piv, a.w
 
 

@@ -11,8 +11,12 @@ The inverse is a banded LU solve of the same finite-difference matrix that
 defines the discrete residual, making the right-inverse property exact to
 solver tolerance.  The unknowns are taken in node-major order, (node i,
 component c) at n_c i + c, so each mode costs O(N) work, and the residual
-is a sum over the band's diagonals.  Each (fiber, xi) mode, xi signed,
-builds and factors its own matrix.  The mapping norms are per-mode sums
+is a sum over the band's diagonals.  The modes +xi and -xi share one
+factorization: the first-order matrix is odd in xi up to its grading,
+M(-xi) = -sigma M(xi) sigma with sigma = diag(1, -1), and the second-order
+one depends on xi^2 only.  Each fiber factors one block-diagonal band over
+its distinct |xi| (split beyond ``_BAND_ROWS`` rows), and every signed mode
+gets the values of its own solve.  The mapping norms are per-mode sums
 (Parseval).
 """
 
@@ -31,6 +35,10 @@ from .kernels import require_witt_order
 
 Y_PERIOD = 2.0 * math.pi
 MAX_Y_MODES = 64
+# Rows of one block-diagonal band: a fiber's |xi| blocks share one LU call
+# up to this length, so that at large N (2N rows per first-order block,
+# 25600 at N = 12800) the band holds one block, as an unbatched solve would
+_BAND_ROWS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -117,31 +125,69 @@ def smooth_section(grid: HalfLineGrid, profile, n_c):
 
 
 def _solve_modes(s, nus, grid: HalfLineGrid):
-    """Per-(fiber, xi) banded LU solves of the samples ``_check_setup``
-    returned; returns the transforms of u, Qu and the residual, and the xi
-    modes.  Each (fiber, xi) builds its band, makes one ``lu_factor`` and
-    one ``lu_solve`` call, and takes its residual M y - b from that band."""
+    """Banded LU solves of the samples ``_check_setup`` returned, per fiber
+    and |xi|; returns the transforms of u, Qu and the residual, and the xi
+    modes.
+
+    The first-order matrix is odd in xi up to its grading,
+    M(-xi) = -sigma M(xi) sigma with sigma = diag(1, -1) per node, and the
+    second-order one depends on xi^2 only, M(-xi) = M(xi).  So M(-xi) y = b
+    is M(xi) (s_q y) = s_b b with the sign vectors s_b = -sigma,
+    s_q = sigma (first order) or 1, 1 (second order), and its residual is
+    s_b times that of M(xi).  Each fiber builds one block-diagonal band
+    over the distinct |xi| (``fd_assemble_model`` with an array of xi),
+    makes one ``lu_factor`` and one ``lu_solve`` call and one residual
+    product M y - b from that band.  A block's right-hand side has four
+    columns: the real and imaginary parts of the +|xi| mode, then those of
+    the -|xi| mode through s_b (zero where a mode is absent: xi = 0 and the
+    Nyquist frequency -n_y/2 have one sign each).  A sign flip is exact in
+    IEEE arithmetic and pivoting compares absolute values, so every mode
+    gets the values of its own signed solve; only an exact zero of the
+    residual may change its sign.  A band longer than ``_BAND_ROWS`` rows
+    is split into several such calls.
+    """
     n_x, n_y, _, n_c = s.shape
     u_hat = np.fft.fft(s, axis=1)
     q_hat = np.empty_like(u_hat)
     r_hat = np.empty_like(u_hat)
     xis = _xi_modes(n_y)
+    levels, block = np.unique(np.abs(xis), return_inverse=True)
+    side = (xis < 0).astype(int)
+    ones = np.ones(n_c)
+    s_b, s_q = ((np.array([-1.0, 1.0]), np.array([1.0, -1.0])) if n_c == 2
+                else (ones, ones))
+    # per mode, by its side (+|xi| or -|xi|): the signs of the right-hand
+    # side and the residual, and those of the solution
+    sign_b = np.stack([ones, s_b])[side][:, None, :]
+    sign_q = np.stack([ones, s_q])[side][:, None, :]
+    rows = n_x * n_c
+    per_call = max(1, _BAND_ROWS // rows)
     for f, nu in enumerate(nus):
-        for k, xi in enumerate(xis):
-            band = fd_assemble_model(nu, xi, grid, n_c)
+        for lo in range(0, len(levels), per_call):
+            chunk = levels[lo:lo + per_call]
+            band = fd_assemble_model(nu, chunk, grid, n_c)
             try:
                 lu = lu_factor(band)
             except NumericalError as exc:
+                m = chunk[exc.pivot // rows]
                 raise NumericalError(
-                    f"singular mode matrix at (nu={nu}, xi={xi})") from exc
-            # the node-major column, real part then imaginary part: one
-            # real solve and one real product
-            b = u_hat[:, k, f, :].reshape(-1)
-            b = np.column_stack([b.real, b.imag])
+                    f"singular mode matrix at (nu={nu}, xi=±{m:g})") from exc
+            ks = np.flatnonzero((block >= lo) & (block < lo + per_call))
+            # b is indexed (block, node, component, side, real/imaginary),
+            # so that its rows are node-major per block; `at` + (part,) is
+            # each mode's place in it
+            at = (block[ks] - lo, slice(None), slice(None), side[ks])
+            u_k = u_hat[:, ks, f, :].transpose(1, 0, 2)
+            b = np.zeros((len(chunk), n_x, n_c, 2, 2))
+            b[at + (0,)] = sign_b[ks] * u_k.real
+            b[at + (1,)] = sign_b[ks] * u_k.imag
+            b = b.reshape(-1, 4)
             y = lu_solve(lu, b)
-            for out, cols in ((q_hat, y), (r_hat, band @ y - b)):
-                out[:, k, f, :] = (cols[:, 0] + 1j * cols[:, 1]).reshape(
-                    n_x, n_c)
+            for out, cols, sign in ((q_hat, y, sign_q), (r_hat, band @ y - b,
+                                                        sign_b)):
+                c = cols.reshape(len(chunk), n_x, n_c, 2, 2)
+                out[:, ks, f, :] = (sign[ks] * c[at + (0,)] + 1j * (
+                    sign[ks] * c[at + (1,)])).transpose(1, 0, 2)
     return u_hat, q_hat, r_hat, xis
 
 

@@ -346,6 +346,25 @@ def test_fd_model_validation():
             fd_assemble_model(2.0, 0.0, coarse, n_c)
     with pytest.raises(ConfigurationError):
         fd_assemble_model(2.0, 0.0, g, 3)
+    for xi in (np.zeros((2, 2)), np.zeros(0)):  # a 1-d array of xi, or one
+        with pytest.raises(ConfigurationError):
+            fd_assemble_model(2.0, xi, g, 1)
+
+
+@pytest.mark.parametrize("n_c", [2, 1])
+@pytest.mark.parametrize("xis", [[3.0], [-2.0], [0.0, 1.0, 2.0, 7.5],
+                                 [0.0, 1.0, -2.0, -1.0, 0.37]])
+def test_fd_array_xi_is_the_block_diagonal_stack(n_c, xis):
+    # block b of the array build is the scalar build at xi[b], bit for bit,
+    # and the blocks sit side by side in the band storage, so the matrix is
+    # their block-diagonal sum
+    g = build_grid(64, 1e-2, 1e2)
+    for nu in (2.1, 3.5):
+        batch = fd_assemble_model(nu, np.array(xis), g, n_c)
+        singles = [fd_assemble_model(nu, xi, g, n_c) for xi in xis]
+        assert batch.w == singles[0].w
+        assert np.array_equal(batch.ab,
+                              np.hstack([band.ab for band in singles]))
 
 
 def _dense_t_derivatives(g):

@@ -6,7 +6,8 @@ reached through public builders; relative imports sit at module level.
 The Witt floor lives in one predicate, ``kernels.require_witt_order``, the
 only code that raises ``WittViolationError``, and both finite-difference
 model operators in one builder, ``grids.fd_assemble_model``, the only
-caller of the stencil table and the band placement.  sympy is imported
+caller of the stencil table and the band placement; no other module reads
+or writes the band storage.  sympy is imported
 by ``clifford.symbolic_square_identity`` alone, inside it, and mpmath
 nowhere, so importing the package loads no computer algebra; scipy only
 inside functions of ``grids`` (the banded LU and the boundary
@@ -97,6 +98,19 @@ def test_one_fd_builder():
     found = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
              for scope in enclosing_functions(path, _calls_fd_machinery)}
     assert found == {("grids.py", "fd_assemble_model")}
+
+
+def _touches_band_storage(node):
+    return isinstance(node, ast.Attribute) and node.attr == "ab"
+
+
+def test_band_storage_stays_in_grids():
+    # the LAPACK band layout, the block order of a batched band and the
+    # place of xi on its diagonal are known to grids alone: no other module
+    # reads or writes BandMatrix.ab
+    found = {path.name for path in sorted(SRC.glob("*.py"))
+             if enclosing_functions(path, _touches_band_storage)}
+    assert found == {"grids.py"}
 
 
 def _imported_packages(node):

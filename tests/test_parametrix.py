@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from scipy.linalg import LinAlgWarning
 from edgespec.errors import (ConfigurationError, NumericalError,
                              PreconditionError, WittViolationError)
 from edgespec import parametrix
-from edgespec.grids import build_grid, fd_assemble_model
+from edgespec.grids import (band_lu_factor, band_lu_solve, build_grid,
+                            fd_assemble_model)
 from edgespec.parametrix import (Y_PERIOD, EdgeFunction, _xi_modes,
                                  mapping_bounds, parametrix_apply,
                                  random_section, smooth_section)
@@ -212,10 +214,11 @@ def test_each_mode_solves_its_signed_matrix(n_c):
 
 
 @pytest.mark.parametrize("n_c", [2, 1])
-def test_one_factorization_per_mode(monkeypatch, n_c):
-    # one factorization and one solve per (fiber, signed xi), for either
-    # order: 2 fibers x 16 modes
-    calls = {"lu_factor": 0, "lu_solve": 0}
+def test_one_factorization_per_fiber(monkeypatch, n_c):
+    # the 16 signed modes of a fiber share one band over their 9 distinct
+    # |xi|: one build, one factorization and one solve per fiber, for
+    # either order
+    calls = {"fd_assemble_model": 0, "lu_factor": 0, "lu_solve": 0}
     for name in calls:
         def counted(*args, _fn=getattr(parametrix, name), _name=name):
             calls[_name] += 1
@@ -223,7 +226,60 @@ def test_one_factorization_per_mode(monkeypatch, n_c):
         monkeypatch.setattr(parametrix, name, counted)
     grid = build_grid(64, 1e-2, 1e2)
     mapping_bounds(_supported_input(grid, 16, 2, n_c), (2.1, 3.5), grid)
-    assert calls == {"lu_factor": 32, "lu_solve": 32}
+    assert calls == {"fd_assemble_model": 2, "lu_factor": 2, "lu_solve": 2}
+
+
+def _per_mode_reference(s, nus, grid):
+    # one scalar build, factorization, solve and residual per (fiber,
+    # signed xi): the transforms of u, Qu and the residual
+    n_x, n_y, _, n_c = s.shape
+    u_hat = np.fft.fft(s, axis=1)
+    q_hat, r_hat = np.empty_like(u_hat), np.empty_like(u_hat)
+    for f, nu in enumerate(nus):
+        for k, xi in enumerate(_xi_modes(n_y)):
+            band = fd_assemble_model(nu, xi, grid, n_c)
+            b = u_hat[:, k, f, :].reshape(-1)
+            b = np.column_stack([b.real, b.imag])
+            y = band_lu_solve(band_lu_factor(band), b)
+            for out, cols in ((q_hat, y), (r_hat, band @ y - b)):
+                out[:, k, f, :] = (cols[:, 0] + 1j * cols[:, 1]).reshape(
+                    n_x, n_c)
+    return u_hat, q_hat, r_hat
+
+
+@pytest.mark.parametrize("n_c", [2, 1])
+@pytest.mark.parametrize("n_y, blocks_per_call", [
+    (1, None), (2, None), (16, None), (64, None), (16, 1), (64, 4)])
+def test_shared_mode_solves_equal_the_per_mode_solves(monkeypatch, n_c, n_y,
+                                                      blocks_per_call):
+    # the +-xi pairing and the blocked band reproduce every signed mode's
+    # own solve exactly, also when a fiber's blocks are split across calls
+    grid = build_grid(64, 1e-2, 1e2)
+    if blocks_per_call is not None:
+        monkeypatch.setattr(parametrix, "_BAND_ROWS",
+                            blocks_per_call * n_c * grid.n)
+    nus = (2.1, 3.5)
+    s = _supported_input(grid, n_y, 2, n_c).samples.astype(complex)
+    u_hat, q_hat, r_hat, xis = parametrix._solve_modes(s, nus, grid)
+    assert np.array_equal(xis, _xi_modes(n_y))
+    for got, ref in zip((u_hat, q_hat, r_hat),
+                        _per_mode_reference(s, nus, grid)):
+        assert np.array_equal(got, ref)
+
+
+def test_first_order_bounds_memory():
+    # a fiber's blocks share a band only up to _BAND_ROWS rows, so the mode
+    # solves add little to the section's own transforms: 20.5 MiB here,
+    # where one band for each fiber's 9 blocks would take 42 MiB
+    grid = build_grid(3200, 1e-2, 1e2)
+    u = _supported_input(grid, 16, 2, 2)
+    tracemalloc.start()
+    try:
+        mapping_bounds(u, (2.1, 3.5), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 def _dense_from_band(band, n_c):
@@ -268,19 +324,26 @@ def test_band_product_of_a_vector():
 @pytest.mark.parametrize("n_c", [2, 1])
 def test_singular_mode_matrix_raises(monkeypatch, n_c):
     # an exactly singular mode matrix fails as a typed error, not through
-    # a LinAlgWarning that the test configuration turns into an error
-    def zero_column(*args):
-        band = build(*args)
-        band.ab[:, 5] = 0.0
+    # a LinAlgWarning that the test configuration turns into an error, and
+    # names its mode: a zero column in the |xi| = 3 block only, placed
+    # fourth in one band, then second in the second band of two blocks
+    def zero_column(nu, xi, grid, n_c):
+        band = build(nu, xi, grid, n_c)
+        for b in np.flatnonzero(np.atleast_1d(xi) == 3.0):
+            band.ab[:, b * n_c * grid.n + 5] = 0.0
         return band
 
     build = parametrix.fd_assemble_model
     monkeypatch.setattr(parametrix, "fd_assemble_model", zero_column)
     grid = build_grid(64, 1e-2, 1e2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        with pytest.raises(NumericalError, match="singular mode matrix"):
-            mapping_bounds(_supported_input(grid, 8, 1, n_c), (2.1,), grid)
+    for rows in (parametrix._BAND_ROWS, 2 * n_c * grid.n):
+        monkeypatch.setattr(parametrix, "_BAND_ROWS", rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            with pytest.raises(NumericalError, match=(
+                    r"^singular mode matrix at \(nu=2\.1, xi=±3\)$")):
+                mapping_bounds(_supported_input(grid, 8, 1, n_c), (2.1,),
+                               grid)
 
 
 _SUITE_RECORDS = """

@@ -110,6 +110,8 @@ def test_same_scale_demo_boundary_fingerprint():
     rep0 = same_scale_demo(a=0.0, n=400)
     for f in rep0["eigenfunctions"]:
         assert f["resid_zero_condition"] <= 2e-2
+    # at n = 16 the null vector is constant: both residuals are exactly 0
+    assert same_scale_demo(a=0.0, n=16)["fingerprint_ratio"] == 1.0
     with pytest.raises(ConfigurationError):
         same_scale_demo(a=1.0, n=4)
 
