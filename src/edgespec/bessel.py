@@ -779,8 +779,13 @@ def _bessel_eval(kind: str, nu: float, x: float, scaled: bool) -> BesselEval:
     OverflowModeError, on overflow and on underflow alike (I_300(1) is
     about 1.6e-705).  The ceiling is log(DBL_MAX) less the bound d, so a
     value that the bound allows to overflow is refused, and math.exp never
-    overflows (log(DBL_MAX) rounds down, and exp of it is finite).
+    overflows (log(DBL_MAX) rounds down, and exp of it is finite).  A
+    non-scalar order or argument raises DomainError naming its shape.
     """
+    if np.ndim(nu) or np.ndim(x):
+        raise DomainError(
+            f"{kind}_nu(x) takes a scalar order and argument, got shapes "
+            f"{np.shape(nu)} and {np.shape(x)}")
     nu, xs, _ = _check_args(nu, x)
     # the scale exponent nu eta(x/nu); the uniform branch reuses eta
     eta = olver_eta(xs / nu) if scaled else None
@@ -838,9 +843,12 @@ def wronskian_residual(nus, xs) -> float:
 
     The Wronskian identity holds exactly, so the residual measures the
     evaluator's combined error at orders nu and nu + 1.  All the orders
-    and their nu + 1 are evaluated in one pass.
+    and their nu + 1 are evaluated in one pass.  An empty ``xs`` raises
+    DomainError: a residual over no argument would pass unmeasured.
     """
     xs = np.asarray(xs, dtype=float)
+    if not xs.size:
+        raise DomainError("a check needs at least one argument x")
     nus = np.asarray(nus, dtype=float).reshape(-1, 1)
     nu, x, shape = _check_args([nus, nus + 1.0], xs)
     (li0, li1), (lk0, lk1) = (v.reshape(shape)
@@ -861,8 +869,11 @@ def uniform_asymptotic_excess(mus, xs):
     its first value is at most 1.  Every (order, argument) pair goes
     through one pass of each evaluator, as in ``wronskian_residual``, and
     an order's pair has the same bits as when that order is checked alone.
+    No order gives []; an empty ``xs`` raises DomainError.
     """
     xs = np.asarray(xs, dtype=float)
+    if not xs.size:
+        raise DomainError("a check needs at least one argument x")
     mus = np.asarray(mus, dtype=float).reshape(-1, 1)
     if not mus.size:
         return []

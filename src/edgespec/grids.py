@@ -25,22 +25,12 @@ nodes and at the diagonal-cell points once, and returns one matrix per
 action.  Its diagonal pass evaluates the kernel only at the pairs it keeps.
 
 ``operator_norm`` returns the value at which a power iteration on the Gram
-matrix B = A^T A stops, without running its steps and without forming B:
-each Lanczos step applies B as two matrix-vector products with A.  Each
-step's estimate
-lambda_s = mu_(2s+1) / mu_(2s) is a ratio of Krylov moments
-mu_p = z_0^T B^p z_0, and j Lanczos steps give a tridiagonal T_j whose
-Gauss rule reproduces every moment of degree <= 2j - 1 (Golub and Meurant,
-*Matrices, Moments and Quadrature with Applications*, 2010, ch. 6).  So the
-stopping rule is evaluated on T_j's eigenvalues and weights.  The result is
-taken when its stopping step s* is below j (then it is exact up to
-rounding), or when two successive checks agree on s* and on the value.
-The 45 sweep norms need Lanczos dimensions of 16 to 136, where the
-iteration runs up to 7567 steps.  The value is the power iteration's, not
-the top singular value, because the stored reference values pin it.
-Entries below sqrt(tiny) of the scaled A are flushed to zero first, which
-moves the norm by at most N sqrt(tiny) = N 1.5e-154 relative and keeps
-subnormal doubles, several times slower to multiply, out of the products.
+matrix B = A^T A stops, read off a Lanczos tridiagonal whose Gauss rule
+reproduces the iteration's Krylov moments (Golub and Meurant, *Matrices,
+Moments and Quadrature with Applications*, 2010, ch. 6), without running
+its steps or forming B; its docstring gives the stopping rule and the
+flush of tiny entries.  The 45 sweep norms need Lanczos dimensions of 16
+to 136, where the iteration runs up to 7567 steps.
 
 ``tridiagonal_eigenpairs`` gives the lowest eigenpairs of a symmetric
 tridiagonal matrix by bisection and inverse iteration, in O(n) per pair;
@@ -133,25 +123,24 @@ def log_gauss_rule(n: int, lo: float, hi: float):
     """
     _check_window(n, lo, hi)
     panels = max(1, round(n / GAUSS_PANEL_NODES))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(GAUSS_PANEL_NODES)
     edges = np.linspace(math.log(lo), math.log(hi), panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = np.exp((mid[:, None] + half[:, None] * gl_x).ravel())
+    t, w_t = _gauss_cells(edges[:-1], edges[1:], GAUSS_PANEL_NODES)
+    nodes = np.exp(t.ravel())
     # dx = x dt turns the t-panel weights into weights for dx-integrals
-    return nodes, (half[:, None] * gl_w).ravel() * nodes
+    return nodes, w_t.ravel() * nodes
+
+
+def _gauss_cells(lo: np.ndarray, hi: np.ndarray, n: int):
+    """(points, weights): n Gauss-Legendre points per cell [lo[j], hi[j]]."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (hi - lo)[:, None]
+    return 0.5 * (hi + lo)[:, None] + half * gl_x, half * gl_w
 
 
 def _diagonal_cells(x: np.ndarray):
-    """(points, weights): DIAG_CELL_NODES Gauss points per node's weight
-    cell, one row per node, with their weights."""
-    mids = 0.5 * (x[:-1] + x[1:])
-    lo = np.concatenate(([x[0]], mids))
-    hi = np.concatenate((mids, [x[-1]]))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(DIAG_CELL_NODES)
-    half = 0.5 * (hi - lo)
-    ys = 0.5 * (hi + lo)[:, None] + half[:, None] * gl_x[None, :]
-    return ys, half[:, None] * gl_w[None, :]
+    """``_gauss_cells`` on each node's weight cell, one row per node."""
+    edges = np.concatenate(([x[0]], 0.5 * (x[:-1] + x[1:]), [x[-1]]))
+    return _gauss_cells(edges[:-1], edges[1:], DIAG_CELL_NODES)
 
 
 def nystrom_assemble(kernel: ConeKernel, actions,
@@ -309,8 +298,8 @@ def fd_assemble_model(nu: float, xi: float | np.ndarray, grid: HalfLineGrid,
     of the scalar call at xi[b]: the stencils are placed once, and only the
     main diagonal, the one place xi enters, is written per block.  Both
     orders refuse a nu that fails ``require_witt_order`` and a log spacing
-    above 0.25; any other n_c, and an xi array that is empty or not 1-d,
-    raises ConfigurationError.
+    above 0.25; any other n_c, an xi array that is empty or not 1-d, and
+    a non-finite xi raise ConfigurationError.
     """
     if n_c not in (1, 2):
         raise ConfigurationError(
@@ -320,6 +309,9 @@ def fd_assemble_model(nu: float, xi: float | np.ndarray, grid: HalfLineGrid,
         raise ConfigurationError(
             f"xi must be a number or a 1-d array of them, got shape "
             f"{np.shape(xi)}")
+    if not np.all(np.isfinite(xis)):
+        raise ConfigurationError(
+            f"xi must be finite, got {xis[~np.isfinite(xis)][0]}")
     require_witt_order(nu)
     h = grid.log_step
     if h > 0.25:

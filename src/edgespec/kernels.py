@@ -73,8 +73,8 @@ class ConeKernel:
     beta = 0, the Bessel kernel when beta > 0.
 
     ``nu`` must pass ``require_witt_order`` (nu > 3/2); the Schur integrals
-    diverge as nu -> 3/2.  ``beta`` is tested as ``not beta >= 0`` so that
-    NaN fails.
+    diverge as nu -> 3/2.  ``beta`` must lie in [0, inf): a negative,
+    infinite or NaN beta raises ConfigurationError naming it.
     """
 
     nu: float
@@ -82,8 +82,9 @@ class ConeKernel:
 
     def __post_init__(self):
         require_witt_order(self.nu)
-        if not self.beta >= 0.0:
-            raise ConfigurationError("beta must be nonnegative")
+        if not 0.0 <= self.beta < math.inf:
+            raise ConfigurationError(
+                f"beta must be nonnegative and finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -348,7 +349,8 @@ def decay_estimate_check(kernel: ConeKernel, y_nodes, y_weights, u_values,
     mask = u_values != 0.0
     if not np.any(mask):
         return 0.0, 0.0
-    yn, wn, un = y_nodes[mask], y_weights[mask], u_values[mask]
+    yn, wu = y_nodes[mask], y_weights[mask] * u_values[mask]
+    fx, fy = kernel_factors(kernel, [x], 2, yn)
     return tuple(
-        abs(float(weighted_kernel_matrix(kernel, act, [x], yn)[0] @ (wn * un)))
+        abs(float(weighted_kernel_from_factors(kernel, act, fx, fy) @ wu))
         for act in (IDENTITY_ACTION, WeightedAction(0, 1)))

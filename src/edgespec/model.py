@@ -129,13 +129,14 @@ def verify_square_identity(nu: float, beta: float, u, grid: HalfLineGrid):
     scalar L = ``fd_assemble_model(nu, beta, grid, 1)``: L u[0] for the
     upper square, since mu(mu + 1) = nu^2 - 1/4, and L u[1] - 2 mu x^-2 u[1]
     for the lower one, since mu(mu - 1) = mu(mu + 1) - 2 mu.  ``beta`` =
-    |xi| is tested as ``not beta >= 0`` so that NaN fails.  Composing
+    |xi| must lie in [0, inf), as in ``ConeKernel``.  Composing
     centered first differences is only O(h) accurate against the
     second-order scalar assembly; the report carries the interior max
     discrepancy so callers can record the refinement order.
     """
-    if not beta >= 0.0:
-        raise ConfigurationError("beta must be nonnegative")
+    if not 0.0 <= beta < math.inf:
+        raise ConfigurationError(
+            f"beta must be nonnegative and finite, got {beta}")
     u = np.asarray(u, dtype=float)
     if u.shape != (2, grid.n) or not np.all(np.isfinite(u)):
         raise ConfigurationError("expected a finite (2, N) section")

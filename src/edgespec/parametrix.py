@@ -14,9 +14,9 @@ component c) at n_c i + c, so each mode costs O(N) work, and the residual
 is a sum over the band's diagonals.  The modes +xi and -xi share one
 factorization: the first-order matrix is odd in xi up to its grading,
 M(-xi) = -sigma M(xi) sigma with sigma = diag(1, -1), and the second-order
-one depends on xi^2 only.  Each fiber factors one block-diagonal band over
-its distinct |xi| (split beyond ``_BAND_ROWS`` rows), and every signed mode
-gets the values of its own solve.  The mapping norms are per-mode sums
+one depends on xi^2 only.  The signs go onto the -|xi| modes before the
+solves and come off after them, so each fiber factors one block-diagonal
+band over its distinct |xi|.  The mapping norms are per-mode sums
 (Parseval).
 """
 
@@ -86,7 +86,7 @@ def _xi_modes(n_y):
 def _check_setup(u: EdgeFunction, nus, grid: HalfLineGrid):
     for nu in nus:
         require_witt_order(nu)
-    s = np.asarray(u.samples, dtype=complex)
+    s = np.asarray(u.samples)
     n_x, _, n_f, n_c = s.shape
     if n_x != grid.n:
         raise ConfigurationError("x-sample count does not match the grid")
@@ -129,37 +129,33 @@ def _solve_modes(s, nus, grid: HalfLineGrid):
     and |xi|; returns the transforms of u, Qu and the residual, and the xi
     modes.
 
-    The first-order matrix is odd in xi up to its grading,
-    M(-xi) = -sigma M(xi) sigma with sigma = diag(1, -1) per node, and the
-    second-order one depends on xi^2 only, M(-xi) = M(xi).  So M(-xi) y = b
-    is M(xi) (s_q y) = s_b b with the sign vectors s_b = -sigma,
-    s_q = sigma (first order) or 1, 1 (second order), and its residual is
-    s_b times that of M(xi).  Each fiber builds one block-diagonal band
-    over the distinct |xi| (``fd_assemble_model`` with an array of xi),
-    makes one ``lu_factor`` and one ``lu_solve`` call and one residual
-    product M y - b from that band.  A block's right-hand side has four
-    columns: the real and imaginary parts of the +|xi| mode, then those of
-    the -|xi| mode through s_b (zero where a mode is absent: xi = 0 and the
-    Nyquist frequency -n_y/2 have one sign each).  A sign flip is exact in
-    IEEE arithmetic and pivoting compares absolute values, so every mode
-    gets the values of its own signed solve; only an exact zero of the
-    residual may change its sign.  A band longer than ``_BAND_ROWS`` rows
-    is split into several such calls.
+    By the symmetry in the module docstring (sigma per node), M(-xi) y = b
+    is M(|xi|) (s_q y) = s_b b with s_b = -sigma, s_q = sigma (first order)
+    or 1 (second order), and its residual is s_b times that of M(|xi|).
+    The -|xi| modes of the right-hand sides take s_b before the solves,
+    those of the solutions s_q and of the residuals s_b after them.  Each
+    fiber builds one block-diagonal band over the distinct |xi|
+    (``fd_assemble_model`` with an array of xi) and makes one
+    ``lu_factor``, one ``lu_solve`` and one residual product M y - b on
+    the real view of complex right-hand sides indexed (block, node,
+    component, side): four columns, Re and Im of the +|xi| mode, then of
+    the -|xi| mode (zero where xi = 0 or the Nyquist -n_y/2 has no
+    partner).  A sign flip is exact and pivoting compares absolute values,
+    so every mode gets the values of its own signed solve; only an exact
+    zero of the residual may change its sign.  A band longer than
+    ``_BAND_ROWS`` rows is split into several such calls.
     """
     n_x, n_y, _, n_c = s.shape
     u_hat = np.fft.fft(s, axis=1)
-    q_hat = np.empty_like(u_hat)
-    r_hat = np.empty_like(u_hat)
+    q_hat, r_hat = np.empty_like(u_hat), np.empty_like(u_hat)
     xis = _xi_modes(n_y)
     levels, block = np.unique(np.abs(xis), return_inverse=True)
-    side = (xis < 0).astype(int)
-    ones = np.ones(n_c)
-    s_b, s_q = ((np.array([-1.0, 1.0]), np.array([1.0, -1.0])) if n_c == 2
-                else (ones, ones))
-    # per mode, by its side (+|xi| or -|xi|): the signs of the right-hand
-    # side and the residual, and those of the solution
-    sign_b = np.stack([ones, s_b])[side][:, None, :]
-    sign_q = np.stack([ones, s_q])[side][:, None, :]
+    neg = xis < 0
+    side = neg.astype(int)
+    # s_b = -sigma negates component 0, s_q = sigma component 1 (n_c = 2)
+    flip_b, flip_q = slice(0, n_c - 1), slice(1, None)
+    b_hat = u_hat.copy()
+    b_hat[:, neg, :, flip_b] = -b_hat[:, neg, :, flip_b]
     rows = n_x * n_c
     per_call = max(1, _BAND_ROWS // rows)
     for f, nu in enumerate(nus):
@@ -173,21 +169,18 @@ def _solve_modes(s, nus, grid: HalfLineGrid):
                 raise NumericalError(
                     f"singular mode matrix at (nu={nu}, xi=±{m:g})") from exc
             ks = np.flatnonzero((block >= lo) & (block < lo + per_call))
-            # b is indexed (block, node, component, side, real/imaginary),
-            # so that its rows are node-major per block; `at` + (part,) is
-            # each mode's place in it
+            # each mode's place among the (block, node, component, side)
             at = (block[ks] - lo, slice(None), slice(None), side[ks])
-            u_k = u_hat[:, ks, f, :].transpose(1, 0, 2)
-            b = np.zeros((len(chunk), n_x, n_c, 2, 2))
-            b[at + (0,)] = sign_b[ks] * u_k.real
-            b[at + (1,)] = sign_b[ks] * u_k.imag
-            b = b.reshape(-1, 4)
-            y = lu_solve(lu, b)
-            for out, cols, sign in ((q_hat, y, sign_q), (r_hat, band @ y - b,
-                                                        sign_b)):
-                c = cols.reshape(len(chunk), n_x, n_c, 2, 2)
-                out[:, ks, f, :] = (sign[ks] * c[at + (0,)] + 1j * (
-                    sign[ks] * c[at + (1,)])).transpose(1, 0, 2)
+            b = np.zeros((len(chunk), n_x, n_c, 2), dtype=complex)
+            b[at] = b_hat[:, ks, f, :].transpose(1, 0, 2)
+            b = b.view(float).reshape(-1, 4)
+            # dgbtrs returns Fortran order; the complex view needs C order
+            y = np.ascontiguousarray(lu_solve(lu, b))
+            for out, cols in ((q_hat, y), (r_hat, band @ y - b)):
+                c = cols.view(complex).reshape(len(chunk), n_x, n_c, 2)
+                out[:, ks, f, :] = c[at].transpose(1, 0, 2)
+    q_hat[:, neg, :, flip_q] = -q_hat[:, neg, :, flip_q]
+    r_hat[:, neg, :, flip_b] = -r_hat[:, neg, :, flip_b]
     return u_hat, q_hat, r_hat, xis
 
 

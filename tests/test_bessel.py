@@ -144,6 +144,31 @@ def test_domain_errors():
         log_bessel_ik(2.0, np.array([1.0, -3.0]))
 
 
+@pytest.mark.parametrize("fn", [bessel_i, bessel_k])
+@pytest.mark.parametrize("nu, x, shapes", [
+    (2.0, np.array([1.0, 2.0]), r"\(\) and \(2,\)"),
+    (np.array([2.0, 3.0]), 1.0, r"\(2,\) and \(\)"),
+    (2.0, [], r"\(\) and \(0,\)"),
+    (2.0, [[1.0]], r"\(\) and \(1, 1\)")])
+def test_scalar_entries_refuse_arrays(fn, nu, x, shapes):
+    # a scalar entry returns one value: it would drop every element of an
+    # array but the first, and has none to return for an empty one
+    with pytest.raises(DomainError, match=f"scalar order and argument, got "
+                                          f"shapes {shapes}"):
+        fn(nu, x)
+    assert fn(np.float64(2.0), np.float64(1.0)) == fn(2.0, 1.0)
+
+
+def test_checks_refuse_an_empty_grid():
+    # a check over no argument measures nothing: neither a zero-size
+    # reduction nor a residual of 0.0 that passes
+    for check in (wronskian_residual, uniform_asymptotic_excess):
+        for nus in ([1.0], [10.0, 20.0], []):
+            with pytest.raises(DomainError, match="at least one argument"):
+                check(nus, [])
+    assert uniform_asymptotic_excess([], [1.0]) == []
+
+
 @pytest.mark.parametrize("fn", [bessel_i, bessel_k, log_bessel_ik])
 def test_order_whose_power_overflows_rejected(fn):
     # the uniform branch divides by nu^ASYMPTOTIC_TERMS, which overflows at

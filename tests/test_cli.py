@@ -132,6 +132,17 @@ def test_order_the_arithmetic_cannot_represent_is_refused(capsys, argv):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("suite", ["schur", "model"])
+def test_infinite_beta_is_refused_by_name(capsys, suite):
+    # beta = inf is no kernel: the error line names beta and its value,
+    # not a Bessel argument
+    assert main([suite, "--beta", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: beta must be nonnegative and finite, got inf\n")
+
+
 @pytest.mark.parametrize("suite", ["all", "scales", "parametrix", "witt"])
 def test_negative_seed_is_refused(capsys, suite):
     # numpy takes nonnegative seeds only: a usage error, not a traceback

@@ -349,6 +349,14 @@ def test_fd_model_validation():
     for xi in (np.zeros((2, 2)), np.zeros(0)):  # a 1-d array of xi, or one
         with pytest.raises(ConfigurationError):
             fd_assemble_model(2.0, xi, g, 1)
+    # a non-finite xi, alone or in an array, would put NaN or inf on the
+    # main diagonal
+    for xi, text in ((math.nan, "nan"), (math.inf, "inf"),
+                     (np.array([0.0, 1.0, -math.inf]), "-inf")):
+        for n_c in (1, 2):
+            with pytest.raises(ConfigurationError,
+                               match=f"xi must be finite, got {text}$"):
+                fd_assemble_model(2.0, xi, g, n_c)
 
 
 @pytest.mark.parametrize("n_c", [2, 1])

@@ -26,13 +26,14 @@ def _value(kern, action, x, y):
 
 
 def test_kernel_construction_validation():
-    # beta = 0 is the free kernel and beta > 0 the Bessel kernel; a negative
-    # or NaN beta is neither
+    # beta = 0 is the free kernel and beta > 0 the Bessel kernel; a negative,
+    # NaN or infinite beta is neither
     free = ConeKernel(2.0, 0.0)
     assert _value(free, IDENTITY_ACTION, 1.0, 1.0) == 0.25
     assert ConeKernel(2.0, 1.0).beta == 1.0
-    for beta in (-1.0, math.nan):
-        with pytest.raises(ConfigurationError):
+    for beta, text in ((-1.0, "-1.0"), (math.nan, "nan"), (math.inf, "inf"),
+                       (-math.inf, "-inf")):
+        with pytest.raises(ConfigurationError, match=f"beta .* got {text}$"):
             ConeKernel(2.0, beta)
 
 
@@ -292,6 +293,24 @@ def test_bessel_matrix_calls_each_order_once(monkeypatch, a):
                            WeightedAction(-2, a), xs, xs)
     # orders nu..nu+a at beta x in one call, order nu at beta y in another
     assert calls == [[2.5 + j for j in range(a + 1)], [2.5]]
+
+
+def test_decay_check_makes_one_bessel_call(monkeypatch):
+    # both actions of a Bessel-kernel decay check read one factor pass:
+    # orders nu, nu + 1 at beta x and order nu at the support nodes
+    calls = []
+
+    def counting(nu, x, offset=0):
+        calls.append(np.size(x))
+        return bessel_ik(nu, x, offset)
+
+    bessel_ik = kernels.log_bessel_ik
+    monkeypatch.setattr(kernels, "log_bessel_ik", counting)
+    nodes, weights = log_gauss_rule(128, 1e-6, 1.0)
+    val, deriv = decay_estimate_check(ConeKernel(2.0, 1.0), nodes, weights,
+                                      np.ones(nodes.size), 4.0)
+    assert calls == [2 + nodes.size]
+    assert val > 0.0 and deriv > 0.0
 
 
 @pytest.mark.parametrize("kern", [ConeKernel(3.0), ConeKernel(3.0, 1.0)])

@@ -7,7 +7,9 @@ The Witt floor lives in one predicate, ``kernels.require_witt_order``, the
 only code that raises ``WittViolationError``, and both finite-difference
 model operators in one builder, ``grids.fd_assemble_model``, the only
 caller of the stencil table and the band placement; no other module reads
-or writes the band storage.  sympy is imported
+or writes the band storage.  The kernel layer reaches the Bessel
+evaluator through ``kernels.kernel_factors`` alone, the one caller of
+``log_bessel_ik`` outside ``bessel``.  sympy is imported
 by ``clifford.symbolic_square_identity`` alone, inside it, and mpmath
 nowhere, so importing the package loads no computer algebra; scipy only
 inside functions of ``grids`` (the banded LU and the boundary
@@ -111,6 +113,21 @@ def test_band_storage_stays_in_grids():
     found = {path.name for path in sorted(SRC.glob("*.py"))
              if enclosing_functions(path, _touches_band_storage)}
     assert found == {"grids.py"}
+
+
+def _calls_log_bessel_ik(node):
+    return (isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None)
+                 or getattr(node.func, "attr", None)) == "log_bessel_ik")
+
+
+def test_one_bessel_entry_of_the_kernel_layer():
+    # every kernel evaluation takes its Bessel factors from one factor pass:
+    # outside bessel.py only kernel_factors calls log_bessel_ik
+    found = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             if path.name != "bessel.py"
+             for scope in enclosing_functions(path, _calls_log_bessel_ik)}
+    assert found == {("kernels.py", "kernel_factors")}
 
 
 def _imported_packages(node):

@@ -97,3 +97,8 @@ def test_square_identity_shape_checks():
         verify_square_identity(2.0, 1.0, np.full((2, grid.n), np.nan), grid)
     rep = verify_square_identity(2.0, 1.0, np.ones((2, grid.n)), grid)
     assert set(rep) == {"max_discrepancy", "relative", "interior_nodes"}
+    # beta = |xi| lies in [0, inf): an infinite one would give NaN
+    # discrepancies
+    for beta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="beta .* finite"):
+            verify_square_identity(2.0, beta, np.ones((2, grid.n)), grid)
